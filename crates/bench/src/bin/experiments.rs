@@ -1,8 +1,7 @@
 //! Regenerate the DTN-FLOW paper's tables and figures.
 //!
 //! ```text
-//! experiments [IDS...] [--quick] [--obs] [--shards N] [--dispatch M]
-//!             [--out DIR] [--list]
+//! experiments [IDS...] [--quick] [--obs] [--shards N] [--out DIR] [--list]
 //!
 //! IDS      experiment ids (table1 fig2 ... deploy ablation sched) or `all`
 //! --quick  shrink parameter sweeps (smoke mode)
@@ -11,19 +10,15 @@
 //!          a BENCH_obs.json timing baseline
 //! --shards run the comparison sweeps under an N-shard runtime
 //!          (DESIGN.md §13); every output is byte-identical to N=1
-//! --dispatch  in-unit dispatch mode: `on` (default; shard-local batches,
-//!          DESIGN.md §15) or `off` (unit-boundary parallelism only).
-//!          Outputs are byte-identical either way.
 //! --out    output directory for .txt/.csv results (default: results)
 //! --list   print the known ids and exit
 //! ```
 
 use dtnflow_bench::experiments::{
-    run_experiment_sharded_dispatch, run_experiment_with_obs_sharded_dispatch, ObsCell, ALL_IDS,
+    run_experiment_sharded, run_experiment_with_obs_sharded, ObsCell, ALL_IDS,
 };
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::{bench_json, report_json, BenchEntry, Snapshot};
-use dtnflow_sim::DispatchMode;
 use std::path::{Path, PathBuf};
 
 /// The per-landmark counter tables of every cell, concatenated as CSV.
@@ -60,7 +55,6 @@ fn main() {
     let mut quick = false;
     let mut obs = false;
     let mut shards = 1usize;
-    let mut mode = DispatchMode::default();
     let mut out_dir = PathBuf::from("results");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -74,11 +68,6 @@ fn main() {
                     .parse()
                     .expect("--shards requires a positive integer");
                 assert!(shards >= 1, "--shards requires a positive integer");
-            }
-            "--dispatch" => {
-                let word = it.next().expect("--dispatch requires a mode argument");
-                mode = DispatchMode::parse(word)
-                    .unwrap_or_else(|| panic!("unknown dispatch mode `{word}` (try on/off)"));
             }
             "--out" => {
                 out_dir = PathBuf::from(it.next().expect("--out requires a directory argument"));
@@ -114,12 +103,9 @@ fn main() {
         let started = Stopwatch::start();
         println!("=== {id} ===");
         let (tables, cells) = if obs {
-            run_experiment_with_obs_sharded_dispatch(id, quick, shards, mode)
+            run_experiment_with_obs_sharded(id, quick, shards)
         } else {
-            (
-                run_experiment_sharded_dispatch(id, quick, shards, mode),
-                Vec::new(),
-            )
+            (run_experiment_sharded(id, quick, shards), Vec::new())
         };
         for table in &tables {
             println!("{}", table.render());

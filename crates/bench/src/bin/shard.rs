@@ -2,15 +2,11 @@
 //! campus cell under the DESIGN.md §13 shard runtime.
 //!
 //! ```text
-//! shard [--quick] [--dispatch M] [--out FILE] [--hist FILE]
+//! shard [--quick] [--out FILE]
 //!
-//! --quick     one memory point instead of three (CI smoke mode)
-//! --dispatch  in-unit dispatch mode: `on` (default; shard-local batches,
-//!             DESIGN.md §15) or `off` (unit-boundary parallelism only)
-//! --out       where to write BENCH_shard.json
-//!             (default: results/BENCH_shard.json)
-//! --hist      where to write the batch-size histogram artifact
-//!             (default: results/batch_histogram.json)
+//! --quick  one memory point instead of three (CI smoke mode)
+//! --out    where to write BENCH_shard.json
+//!          (default: results/BENCH_shard.json)
 //! ```
 //!
 //! For each shard count in {1, 2, 4, 8} the bench runs the fig11 campus
@@ -20,21 +16,19 @@
 //! observability snapshot JSON — against the sequential (shards = 1)
 //! run. `identical` must be true for every row no matter the host; the
 //! speedup column is only meaningful when `host_cores` exceeds the
-//! shard count, and each curve entry records the host's core count and
-//! its parallel region ("boundary" vs "boundary+dispatch") so a 1-core
-//! CI runner's flat curve cannot be mistaken for a scaling regression.
+//! shard count, and each curve entry records the host's core count so a
+//! 1-core CI runner's flat curve cannot be mistaken for a scaling
+//! regression.
 
-use dtnflow_bench::runners::{run_method_observed_sharded_dispatch, Method};
+use dtnflow_bench::runners::{run_method_observed_sharded, Method};
 use dtnflow_bench::scenarios::Scenario;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::json::Value;
-use dtnflow_sim::{DispatchMode, DispatchStats, FaultPlan, ShardExec};
+use dtnflow_sim::{FaultPlan, ShardExec};
 use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_shard.json`.
-const SCHEMA: &str = "dtnflow-shard-bench-v2";
-/// JSON schema tag for the batch-size histogram artifact.
-const HIST_SCHEMA: &str = "dtnflow-batch-histogram-v1";
+const SCHEMA: &str = "dtnflow-shard-bench-v3";
 /// The cores-vs-wall curve's x axis.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -43,21 +37,14 @@ struct ShardResult {
     wall_secs: f64,
     speedup_vs_1: f64,
     identical: bool,
-    stats: DispatchStats,
 }
 
-/// Run every memory point at `shards` shards; returns total wall time,
-/// the concatenated comparable artifacts (metrics row + snapshot JSON
-/// per point), and the merged in-unit dispatch telemetry.
-fn run_curve_point(
-    scenario: &Scenario,
-    memory_kbs: &[u64],
-    shards: usize,
-    mode: DispatchMode,
-) -> (f64, String, DispatchStats) {
+/// Run every memory point at `shards` shards; returns total wall time
+/// and the concatenated comparable artifacts (metrics row + snapshot
+/// JSON per point).
+fn run_curve_point(scenario: &Scenario, memory_kbs: &[u64], shards: usize) -> (f64, String) {
     let sw = Stopwatch::start();
     let mut artifacts = String::new();
-    let mut stats = DispatchStats::default();
     for &kb in memory_kbs {
         let cfg = scenario
             .base_cfg
@@ -65,16 +52,14 @@ fn run_curve_point(
             .with_memory_kb(kb)
             .with_seed(0xF11);
         let wl = scenario.workload(&cfg);
-        let (outcome, snapshot, run_stats) = run_method_observed_sharded_dispatch(
+        let (outcome, snapshot) = run_method_observed_sharded(
             &scenario.trace,
             &cfg,
             &wl,
             &FaultPlan::none(),
             Method::Flow,
             shards,
-            mode,
         );
-        stats.merge(&run_stats);
         let s = outcome.summary;
         artifacts.push_str(&format!(
             "{kb},{:.3},{:.0},{},{:.0}\n{}\n",
@@ -85,12 +70,11 @@ fn run_curve_point(
             snapshot.to_json()
         ));
     }
-    (sw.elapsed_secs(), artifacts, stats)
+    (sw.elapsed_secs(), artifacts)
 }
 
 fn results_json(
     mode: &str,
-    region: &str,
     host_cores: usize,
     memory_kbs: &[u64],
     results: &[ShardResult],
@@ -99,7 +83,6 @@ fn results_json(
         ("schema".to_owned(), Value::str(SCHEMA)),
         ("mode".to_owned(), Value::str(mode)),
         ("host_cores".to_owned(), Value::int(host_cores as u64)),
-        ("parallel_region".to_owned(), Value::str(region)),
         ("scenario".to_owned(), Value::str("fig11-campus")),
         ("method".to_owned(), Value::str(Method::Flow.name())),
         (
@@ -115,15 +98,9 @@ fn results_json(
                         Value::object([
                             ("shards".to_owned(), Value::int(r.shards as u64)),
                             ("host_cores".to_owned(), Value::int(host_cores as u64)),
-                            ("parallel_region".to_owned(), Value::str(region)),
                             ("wall_secs".to_owned(), Value::Number(r.wall_secs)),
                             ("speedup_vs_1".to_owned(), Value::Number(r.speedup_vs_1)),
                             ("identical".to_owned(), Value::Bool(r.identical)),
-                            (
-                                "staged_events".to_owned(),
-                                Value::int(r.stats.staged_events),
-                            ),
-                            ("windows".to_owned(), Value::int(r.stats.windows)),
                         ])
                     })
                     .collect(),
@@ -131,95 +108,20 @@ fn results_json(
         ),
     ])
     .render_pretty()
-}
-
-/// The per-shard-count batch-size histogram artifact uploaded by CI: how
-/// many staged batches fell in each power-of-two size bucket, plus the
-/// window/handoff counters that explain the shape.
-fn histogram_json(region: &str, host_cores: usize, results: &[ShardResult]) -> String {
-    Value::object([
-        ("schema".to_owned(), Value::str(HIST_SCHEMA)),
-        ("parallel_region".to_owned(), Value::str(region)),
-        ("host_cores".to_owned(), Value::int(host_cores as u64)),
-        (
-            "buckets".to_owned(),
-            Value::Array(
-                (0..DispatchStats::default().batch_hist.len())
-                    .map(|i| Value::String(DispatchStats::bucket_label(i)))
-                    .collect(),
-            ),
-        ),
-        (
-            "curve".to_owned(),
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::object([
-                            ("shards".to_owned(), Value::int(r.shards as u64)),
-                            ("windows".to_owned(), Value::int(r.stats.windows)),
-                            ("batches".to_owned(), Value::int(r.stats.batches)),
-                            (
-                                "staged_events".to_owned(),
-                                Value::int(r.stats.staged_events),
-                            ),
-                            (
-                                "sequential_events".to_owned(),
-                                Value::int(r.stats.sequential_events),
-                            ),
-                            ("handoff_cuts".to_owned(), Value::int(r.stats.handoff_cuts)),
-                            (
-                                "batch_hist".to_owned(),
-                                Value::Array(
-                                    r.stats.batch_hist.iter().map(|&n| Value::int(n)).collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
-}
-
-fn write_json(path: &PathBuf, json: String) {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-        }
-    }
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut dispatch = DispatchMode::default();
     let mut out = PathBuf::from("results/BENCH_shard.json");
-    let mut hist_out = PathBuf::from("results/batch_histogram.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--dispatch" => {
-                let word = it.next().expect("--dispatch requires a mode argument");
-                dispatch = DispatchMode::parse(word)
-                    .unwrap_or_else(|| panic!("unknown dispatch mode `{word}` (try on/off)"));
-            }
             "--out" => out = PathBuf::from(it.next().expect("--out requires a file argument")),
-            "--hist" => {
-                hist_out = PathBuf::from(it.next().expect("--hist requires a file argument"));
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: shard [--quick] [--dispatch on|off] [--out FILE] [--hist FILE]");
+                eprintln!("usage: shard [--quick] [--out FILE]");
                 std::process::exit(2);
             }
         }
@@ -231,17 +133,15 @@ fn main() {
         &[1_200, 2_000, 3_000]
     };
     let mode = if quick { "quick" } else { "full" };
-    let region = dispatch.region_label();
     let host_cores = ShardExec::host().threads();
     let scenario = Scenario::campus();
-    println!("host cores: {host_cores}; scenario: fig11-campus ({mode}, region {region})");
+    println!("host cores: {host_cores}; scenario: fig11-campus ({mode})");
 
     let mut results: Vec<ShardResult> = Vec::new();
     let mut baseline: Option<(f64, String)> = None;
     let mut all_identical = true;
     for shards in SHARD_COUNTS {
-        let (wall_secs, artifacts, stats) =
-            run_curve_point(&scenario, memory_kbs, shards, dispatch);
+        let (wall_secs, artifacts) = run_curve_point(&scenario, memory_kbs, shards);
         let (base_wall, identical) = match &baseline {
             None => {
                 baseline = Some((wall_secs, artifacts));
@@ -252,23 +152,29 @@ fn main() {
         all_identical &= identical;
         let speedup = base_wall / wall_secs.max(1e-9);
         println!(
-            "shards={shards:<2} wall={wall_secs:>7.2}s speedup={speedup:>5.2}x identical={identical} windows={} staged={}",
-            stats.windows, stats.staged_events
+            "shards={shards:<2} wall={wall_secs:>7.2}s speedup={speedup:>5.2}x identical={identical}"
         );
         results.push(ShardResult {
             shards,
             wall_secs,
             speedup_vs_1: speedup,
             identical,
-            stats,
         });
     }
 
-    write_json(
-        &out,
-        results_json(mode, region, host_cores, memory_kbs, &results),
-    );
-    write_json(&hist_out, histogram_json(region, host_cores, &results));
+    let json = results_json(mode, host_cores, memory_kbs, &results);
+    if let Some(dir) = out.parent() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warning: could not create {}: {e}", dir.display());
+        }
+    }
+    match std::fs::write(&out, json) {
+        Ok(()) => println!("wrote {}", out.display()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", out.display());
+            std::process::exit(1);
+        }
+    }
     if !all_identical {
         eprintln!("FAIL: sharded outputs differ from the sequential run");
         std::process::exit(1);

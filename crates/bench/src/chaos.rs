@@ -23,9 +23,7 @@ use dtnflow_mobility::Trace;
 use dtnflow_obs::json::Value;
 use dtnflow_obs::{Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::{
-    DispatchMode, FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload,
-};
+use dtnflow_sim::{FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload};
 use dtnflow_snapshot::{
     validate_schema, Reader, SchemaSection, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
 };
@@ -72,10 +70,6 @@ pub struct ChaosInputs {
     /// count restores under any other byte-identically (the
     /// `chaos_recovery` suite proves it).
     pub shards: usize,
-    /// In-unit dispatch mode (DESIGN.md §15). Like `shards`, absent from
-    /// the fingerprint: the engine cursor is batch-agnostic, so a run
-    /// checkpointed under one mode restores under the other.
-    pub dispatch: DispatchMode,
 }
 
 impl ChaosInputs {
@@ -96,21 +90,12 @@ impl ChaosInputs {
             workload,
             plan,
             shards: 1,
-            dispatch: DispatchMode::default(),
         }
     }
 
     /// The same inputs under an `n`-shard runtime.
     pub fn with_shards(self, n: usize) -> ChaosInputs {
         ChaosInputs { shards: n, ..self }
-    }
-
-    /// The same inputs under an explicit in-unit dispatch mode.
-    pub fn with_dispatch(self, mode: DispatchMode) -> ChaosInputs {
-        ChaosInputs {
-            dispatch: mode,
-            ..self
-        }
     }
 
     /// Number of whole time units in the run (kill points live strictly
@@ -171,7 +156,6 @@ impl ChaosInputs {
             workload,
             plan,
             shards: 1,
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -387,7 +371,6 @@ pub fn run_segment(
             s
         }
     };
-    session.set_dispatch(inp.dispatch);
     if let Some((_, unit)) = parsed {
         let total = snapshot.map(|b| b.len() as u64).unwrap_or(0);
         session.emit(|at| SimEvent::Restored {

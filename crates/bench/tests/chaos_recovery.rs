@@ -185,7 +185,7 @@ fn checkpoint_written_event_lands_inside_the_snapshot_recorder() {
     assert_eq!(count, 1, "CheckpointWritten missing from snapshot recorder");
 }
 
-// ---- wheel-backed stranded-packet retries (DESIGN.md §15) -------------
+// ---- wheel-backed stranded-packet retries (DESIGN.md §14) -------------
 
 /// The tiny outage cell with graceful degradation on and a configurable
 /// recovery→retry delay, so stranded-packet retries ride the engine
@@ -319,6 +319,68 @@ fn wheel_retries_fire_in_station_scan_order() {
         );
     }
 }
+
+// ---- committed snapshot golden -----------------------------------------
+
+/// A mid-run checkpoint of [`golden_inputs`] at unit `max_unit() / 2`,
+/// committed as raw bytes. It pins the whole container — run
+/// fingerprint, engine cursor and pending timers, world, router and
+/// flight recorder — so any change to the static schedule, the cursor
+/// or a codec shows up as a byte diff here.
+const MID_RUN_GOLDEN: &[u8] = include_bytes!("goldens/chaos_tiny13_mid.snap");
+
+/// The tiny cell under its seed-13 station-outage plan, with graceful
+/// degradation on so retry timers are pending at the checkpoint.
+fn golden_inputs(shards: usize) -> ChaosInputs {
+    let base = ChaosInputs::tiny(13, FaultPlan::none());
+    let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
+    ChaosInputs {
+        plan,
+        flow: FlowConfig::with_degradation(),
+        ..base
+    }
+    .with_shards(shards)
+}
+
+#[test]
+fn mid_run_snapshot_matches_the_committed_golden() {
+    for shards in [1, 4] {
+        let inp = golden_inputs(shards);
+        let unit = inp.max_unit() / 2;
+        let bytes = match run_segment(&inp, None, Some(unit)).expect("segment runs") {
+            SegmentEnd::Paused(b) => b,
+            SegmentEnd::Finished(_) => panic!("tiny run ended before unit {unit}"),
+        };
+        let first_diff = bytes.iter().zip(MID_RUN_GOLDEN).position(|(a, b)| a != b);
+        assert!(
+            bytes == MID_RUN_GOLDEN,
+            "shards={shards}: snapshot ({} B) drifted from the golden ({} B), \
+             first differing byte {first_diff:?}",
+            bytes.len(),
+            MID_RUN_GOLDEN.len()
+        );
+    }
+}
+
+#[test]
+fn resume_from_the_committed_golden_matches_the_straight_run() {
+    let straight = run_straight(&golden_inputs(1)).expect("straight run");
+    assert!(straight.conservation_holds());
+    for shards in [1, 4] {
+        let art = match run_segment(&golden_inputs(shards), Some(MID_RUN_GOLDEN), None)
+            .expect("golden snapshot restores")
+        {
+            SegmentEnd::Finished(a) => a,
+            SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
+        };
+        assert!(art.conservation_holds());
+        assert!(
+            art.matches(&straight),
+            "resume from the golden at shards={shards} diverged from the straight run"
+        );
+    }
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_cell_resume_is_byte_identical() {

@@ -8,21 +8,14 @@
 //! Debug builds exercise the tier-1 tiny cell; the release-gated tests
 //! at the bottom pin the full fig11 quick sweep against the committed
 //! sequential goldens at shards ∈ {1, 2, 4, 8}.
-//!
-//! Every battery runs under *both* in-unit dispatch modes (DESIGN.md
-//! §15): unit-boundary parallelism only, and shard-local batch dispatch
-//! between boundaries. The goldens never know which mode produced them.
 
 use dtnflow_bench::chaos::{run_segment, run_straight, ChaosInputs, SegmentEnd};
-use dtnflow_bench::experiments::{
-    run_experiment_sharded_dispatch, run_experiment_with_obs_sharded_dispatch,
-};
+use dtnflow_bench::experiments::{run_experiment_sharded, run_experiment_with_obs_sharded};
 use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
 use dtnflow_router::FlowRouter;
-use dtnflow_sim::{DispatchMode, FaultPlan, ShardExec, ShardPlan, SimSession};
+use dtnflow_sim::{FaultPlan, ShardExec, ShardPlan, SimSession};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const MODES: [DispatchMode; 2] = [DispatchMode::Boundary, DispatchMode::InUnit];
 
 /// Run the tiny cell under an explicit shard plan (any shape, not just
 /// the contiguous ones `ChaosInputs::shards` builds) and collect the
@@ -56,24 +49,17 @@ fn run_tiny_with_plan(inp: &ChaosInputs, plan: ShardPlan, exec: ShardExec) -> (S
 
 #[test]
 fn tiny_cell_is_byte_identical_across_shard_counts() {
-    let baseline = run_straight(
-        &ChaosInputs::tiny(7, FaultPlan::none()).with_dispatch(DispatchMode::Boundary),
-    )
-    .expect("straight run");
+    let baseline = run_straight(&ChaosInputs::tiny(7, FaultPlan::none())).expect("straight run");
     assert!(baseline.conservation_holds());
-    for mode in MODES {
-        for shards in SHARD_COUNTS {
-            let inp = ChaosInputs::tiny(7, FaultPlan::none())
-                .with_shards(shards)
-                .with_dispatch(mode);
-            let sharded = run_straight(&inp).expect("sharded run");
-            assert!(
-                sharded.matches(&baseline),
-                "shards={shards} mode={mode:?} diverged:\n seq csv {}\n shard csv {}",
-                baseline.csv_row,
-                sharded.csv_row
-            );
-        }
+    for shards in SHARD_COUNTS {
+        let inp = ChaosInputs::tiny(7, FaultPlan::none()).with_shards(shards);
+        let sharded = run_straight(&inp).expect("sharded run");
+        assert!(
+            sharded.matches(&baseline),
+            "shards={shards} diverged:\n seq csv {}\n shard csv {}",
+            baseline.csv_row,
+            sharded.csv_row
+        );
     }
 }
 
@@ -82,23 +68,19 @@ fn tiny_cell_with_faults_is_byte_identical_across_shard_counts() {
     let base = ChaosInputs::tiny(13, FaultPlan::none());
     let plan = dtnflow_bench::chaos::outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
     assert!(!plan.station_outages.is_empty());
-    let inp = ChaosInputs { plan, ..base }.with_dispatch(DispatchMode::Boundary);
+    let inp = ChaosInputs { plan, ..base };
     let baseline = run_straight(&inp).expect("straight run");
-    for mode in MODES {
-        for shards in [2, 8] {
-            let sharded_inp = ChaosInputs::tiny(13, FaultPlan::none())
-                .with_shards(shards)
-                .with_dispatch(mode);
-            let sharded_inp = ChaosInputs {
-                plan: inp.plan.clone(),
-                ..sharded_inp
-            };
-            let sharded = run_straight(&sharded_inp).expect("sharded run");
-            assert!(
-                sharded.matches(&baseline),
-                "faulty run diverged at shards={shards} mode={mode:?}"
-            );
-        }
+    for shards in [2, 8] {
+        let sharded_inp = ChaosInputs::tiny(13, FaultPlan::none()).with_shards(shards);
+        let sharded_inp = ChaosInputs {
+            plan: inp.plan.clone(),
+            ..sharded_inp
+        };
+        let sharded = run_straight(&sharded_inp).expect("sharded run");
+        assert!(
+            sharded.matches(&baseline),
+            "faulty run diverged at shards={shards}"
+        );
     }
 }
 
@@ -138,24 +120,13 @@ fn adversarial_partitions_are_byte_identical() {
 fn checkpoint_and_restore_across_shard_counts_is_byte_identical() {
     let baseline = run_straight(&ChaosInputs::tiny(7, FaultPlan::none())).expect("straight run");
     let m = ChaosInputs::tiny(7, FaultPlan::none()).max_unit();
-    // The checkpoint is also dispatch-mode-agnostic: write under one
-    // mode, restore under the other, in both directions.
-    for (ckpt_shards, resume_shards, ckpt_mode, resume_mode) in [
-        (1, 8, DispatchMode::InUnit, DispatchMode::InUnit),
-        (8, 1, DispatchMode::InUnit, DispatchMode::Boundary),
-        (2, 4, DispatchMode::Boundary, DispatchMode::InUnit),
-        (4, 2, DispatchMode::Boundary, DispatchMode::Boundary),
-    ] {
-        let writer = ChaosInputs::tiny(7, FaultPlan::none())
-            .with_shards(ckpt_shards)
-            .with_dispatch(ckpt_mode);
+    for (ckpt_shards, resume_shards) in [(1, 8), (8, 1), (2, 4), (4, 2)] {
+        let writer = ChaosInputs::tiny(7, FaultPlan::none()).with_shards(ckpt_shards);
         let bytes = match run_segment(&writer, None, Some(m / 2)).expect("segment runs") {
             SegmentEnd::Paused(b) => b,
             SegmentEnd::Finished(_) => panic!("tiny run ended before unit {}", m / 2),
         };
-        let reader = ChaosInputs::tiny(7, FaultPlan::none())
-            .with_shards(resume_shards)
-            .with_dispatch(resume_mode);
+        let reader = ChaosInputs::tiny(7, FaultPlan::none()).with_shards(resume_shards);
         let art = match run_segment(&reader, Some(&bytes), None).expect("resume runs") {
             SegmentEnd::Finished(a) => a,
             SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
@@ -163,8 +134,7 @@ fn checkpoint_and_restore_across_shard_counts_is_byte_identical() {
         assert!(art.conservation_holds());
         assert!(
             art.matches(&baseline),
-            "checkpoint at shards={ckpt_shards}/{ckpt_mode:?}, restore at \
-             shards={resume_shards}/{resume_mode:?} diverged"
+            "checkpoint at shards={ckpt_shards}, restore at shards={resume_shards} diverged"
         );
     }
 }
@@ -179,40 +149,34 @@ const GOLDENS: [(&str, &str); 4] = [
 ];
 
 /// The acceptance differential: the fig11 quick sweep at every shard
-/// count, in both dispatch modes, reproduces the committed *sequential*
-/// goldens byte for byte.
+/// count reproduces the committed *sequential* goldens byte for byte.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_quick_matches_sequential_goldens_at_every_shard_count() {
-    for mode in MODES {
-        for shards in SHARD_COUNTS {
-            let tables = run_experiment_sharded_dispatch("fig11", true, shards, mode);
-            for (id, want) in GOLDENS {
-                let table = tables
-                    .iter()
-                    .find(|t| t.id == id)
-                    .unwrap_or_else(|| panic!("fig11 produced no table `{id}`"));
-                let got = table.to_csv();
-                assert!(
-                    got == want,
-                    "table `{id}` at shards={shards} mode={mode:?} drifted from \
-                     the sequential golden:\n--- golden\n{want}\n--- got\n{got}"
-                );
-            }
+    for shards in SHARD_COUNTS {
+        let tables = run_experiment_sharded("fig11", true, shards);
+        for (id, want) in GOLDENS {
+            let table = tables
+                .iter()
+                .find(|t| t.id == id)
+                .unwrap_or_else(|| panic!("fig11 produced no table `{id}`"));
+            let got = table.to_csv();
+            assert!(
+                got == want,
+                "table `{id}` at shards={shards} drifted from the sequential \
+                 golden:\n--- golden\n{want}\n--- got\n{got}"
+            );
         }
     }
 }
 
 /// Observability must be equally shard-blind: per-cell snapshots of the
-/// traced fig11 sweep are identical between shards=1 (boundary mode) and
-/// shards=4 with in-unit dispatch on.
+/// traced fig11 sweep are identical between shards=1 and shards=4.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_quick_obs_snapshots_are_shard_blind() {
-    let (seq_tables, seq_cells) =
-        run_experiment_with_obs_sharded_dispatch("fig11", true, 1, DispatchMode::Boundary);
-    let (shd_tables, shd_cells) =
-        run_experiment_with_obs_sharded_dispatch("fig11", true, 4, DispatchMode::InUnit);
+    let (seq_tables, seq_cells) = run_experiment_with_obs_sharded("fig11", true, 1);
+    let (shd_tables, shd_cells) = run_experiment_with_obs_sharded("fig11", true, 4);
     for (a, b) in seq_tables.iter().zip(&shd_tables) {
         assert_eq!(a.to_csv(), b.to_csv(), "table {} diverged", a.id);
     }

@@ -12,10 +12,7 @@
 //! * [`ShardExec`] — the **one sanctioned spawn/join site** in the
 //!   workspace (detlint C1 allowlists exactly `src/exec.rs`): a scoped
 //!   fan-out whose results are consumed in part order, never in
-//!   completion order;
-//! * [`batch`] — the in-unit window planner (DESIGN.md §15): groups
-//!   runs of shard-local events into per-shard execution batches that
-//!   stage concurrently and commit in exact merge order.
+//!   completion order.
 //!
 //! Nothing here may influence *what* is computed — only *where*. The
 //! differential test battery in `crates/bench` holds that line by
@@ -26,11 +23,9 @@
 // clippy enforces the same invariant at compile time.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod exec;
 pub mod plan;
 
-pub use batch::{plan_window, Batch, Claim, DispatchMode, DispatchStats, WindowPlan};
 pub use exec::ShardExec;
 pub use plan::{ShardPlan, ShardPlanError};
 

@@ -138,12 +138,6 @@ impl ShardPlan {
         self.assign.len()
     }
 
-    /// The shard owning `landmark`. Out-of-range indexes (entities the
-    /// plan never partitioned) fold into shard 0 — the control shard.
-    pub fn shard_of(&self, landmark: usize) -> usize {
-        self.assign.get(landmark).copied().unwrap_or(0)
-    }
-
     /// The landmarks of `shard`, ascending.
     pub fn landmarks_of(&self, shard: usize) -> &[usize] {
         self.groups.get(shard).map(Vec::as_slice).unwrap_or(&[])
@@ -171,7 +165,6 @@ mod tests {
         assert_eq!(p.num_shards(), 1);
         assert!(p.is_single());
         assert_eq!(p.landmarks_of(0), &[0, 1, 2, 3, 4]);
-        assert!((0..5).all(|l| p.shard_of(l) == 0));
     }
 
     #[test]
@@ -231,11 +224,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("landmark 1"));
-    }
-
-    #[test]
-    fn out_of_range_lookup_folds_to_control_shard() {
-        let p = ShardPlan::contiguous(4, 2);
-        assert_eq!(p.shard_of(99), 0);
     }
 }

@@ -115,10 +115,6 @@ pub struct WorldView<'a> {
     station_store: &'a [PacketStore],
     cfg: &'a SimConfig,
     now: SimTime,
-    node_loc: &'a [Option<LandmarkId>],
-    present: &'a [DenseSet<NodeId>],
-    station_up: &'a [bool],
-    node_failed: &'a [bool],
 }
 
 impl<'a> WorldView<'a> {
@@ -152,32 +148,6 @@ impl<'a> WorldView<'a> {
     /// Number of landmarks.
     pub fn num_landmarks(&self) -> usize {
         self.station_store.len()
-    }
-
-    /// The landmark a node is currently associated with, as of the
-    /// freeze point.
-    #[inline]
-    pub fn node_location(&self, node: NodeId) -> Option<LandmarkId> {
-        self.node_loc[node.index()]
-    }
-
-    /// Nodes at a landmark as of the freeze point, ascending by id —
-    /// same order as [`World::nodes_at`].
-    #[inline]
-    pub fn nodes_at(&self, lm: LandmarkId) -> &'a DenseSet<NodeId> {
-        &self.present[lm.index()]
-    }
-
-    /// Station liveness as of the freeze point.
-    #[inline]
-    pub fn station_is_up(&self, lm: LandmarkId) -> bool {
-        self.station_up[lm.index()]
-    }
-
-    /// Node failure state as of the freeze point.
-    #[inline]
-    pub fn node_is_failed(&self, node: NodeId) -> bool {
-        self.node_failed[node.index()]
     }
 }
 
@@ -408,10 +378,6 @@ impl World {
             station_store: &self.station_store,
             cfg: &self.cfg,
             now: self.now,
-            node_loc: &self.node_loc,
-            present: &self.present,
-            station_up: &self.station_up,
-            node_failed: &self.node_failed,
         }
     }
 
