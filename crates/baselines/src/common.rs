@@ -213,7 +213,7 @@ mod tests {
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::DAY;
     use dtnflow_mobility::{Trace, Visit};
-    use dtnflow_sim::run;
+    use dtnflow_sim::RunSpec;
 
     /// A model that scores nodes by a fixed per-node rank — node ids with
     /// higher numbers are "better" for every destination.
@@ -262,7 +262,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut router = UtilityRouter::new(RankModel);
-        let out = run(&trace, &cfg, &mut router);
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
         assert!(out.metrics.generated > 0);
         // Node 1 (higher rank) carries everything; packets to l1 delivered
         // when it travels there.
@@ -283,7 +283,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut router = UtilityRouter::new(RankModel);
-        let out = run(&trace, &cfg, &mut router);
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
         // Every live packet is in exactly one place; forwarding ops are
         // bounded by pickups + node-to-node moves (no duplication).
         for p in &out.packets {
@@ -307,7 +307,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut router = UtilityRouter::new(RankModel);
-        let out = run(&trace, &cfg, &mut router);
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
         // Reaching the end without panics exercises the lazy cleanup path;
         // deliveries confirm packets really moved through the index.
         assert!(out.metrics.delivered > 0);

@@ -56,7 +56,7 @@ mod tests {
     use dtnflow_core::ids::NodeId;
     use dtnflow_core::time::{SimTime, DAY};
     use dtnflow_mobility::{Trace, Visit};
-    use dtnflow_sim::run;
+    use dtnflow_sim::RunSpec;
 
     #[test]
     fn delivers_only_what_the_first_carrier_covers() {
@@ -93,7 +93,7 @@ mod tests {
             seed: 4,
             ..SimConfig::default()
         };
-        let out = run(&trace, &cfg, &mut Direct::new());
+        let out = RunSpec::new(&trace, &cfg).run(&mut Direct::new());
         // Packets between l0 and l1 deliver; anything touching l2 cannot.
         assert!(out.metrics.delivered > 0);
         let l2 = LandmarkId(2);

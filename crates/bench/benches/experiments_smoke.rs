@@ -3,14 +3,14 @@
 //! every reproduction path end-to-end.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dtnflow_bench::experiments::run_experiment;
+use dtnflow_bench::experiments::{run_experiment, ExperimentOpts};
 
 fn bench_analysis_experiments(c: &mut Criterion) {
     let mut group = c.benchmark_group("experiments");
     group.sample_size(10);
     for id in ["table1", "fig6", "fig7"] {
         group.bench_function(id, |b| {
-            b.iter(|| black_box(run_experiment(id, true).len()));
+            b.iter(|| black_box(run_experiment(id, &ExperimentOpts::QUICK).0.len()));
         });
     }
     group.finish();
@@ -20,7 +20,7 @@ fn bench_deploy_experiment(c: &mut Criterion) {
     let mut group = c.benchmark_group("experiments");
     group.sample_size(10);
     group.bench_function("deploy", |b| {
-        b.iter(|| black_box(run_experiment("deploy", true).len()));
+        b.iter(|| black_box(run_experiment("deploy", &ExperimentOpts::QUICK).0.len()));
     });
     group.finish();
 }

@@ -8,7 +8,7 @@ use dtnflow_core::config::SimConfig;
 use dtnflow_mobility::synth::bus::{BusConfig, BusModel};
 use dtnflow_mobility::synth::campus::{CampusConfig, CampusModel};
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::run;
+use dtnflow_sim::RunSpec;
 
 fn bench_flow_runs(c: &mut Criterion) {
     let campus = CampusModel::new(CampusConfig::tiny()).generate();
@@ -23,7 +23,7 @@ fn bench_flow_runs(c: &mut Criterion) {
                 campus.num_nodes(),
                 campus.num_landmarks(),
             );
-            black_box(run(&campus, &cfg, &mut r).metrics.delivered)
+            black_box(RunSpec::new(&campus, &cfg).run(&mut r).metrics.delivered)
         });
     });
 }
@@ -38,7 +38,7 @@ fn bench_baseline_runs(c: &mut Criterion) {
         b.iter(|| {
             let mut r =
                 UtilityRouter::new(Prophet::new(campus.num_nodes(), campus.num_landmarks()));
-            black_box(run(&campus, &cfg, &mut r).metrics.delivered)
+            black_box(RunSpec::new(&campus, &cfg).run(&mut r).metrics.delivered)
         });
     });
 }

@@ -20,11 +20,12 @@
 //! 1-core CI runner's flat curve cannot be mistaken for a scaling
 //! regression.
 
-use dtnflow_bench::runners::{run_method_observed_sharded, Method};
+use dtnflow_bench::runners::{run_method, Method};
 use dtnflow_bench::scenarios::Scenario;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::json::Value;
-use dtnflow_sim::{FaultPlan, ShardExec};
+use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
+use dtnflow_sim::{RunSpec, ShardExec};
 use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_shard.json`.
@@ -52,14 +53,11 @@ fn run_curve_point(scenario: &Scenario, memory_kbs: &[u64], shards: usize) -> (f
             .with_memory_kb(kb)
             .with_seed(0xF11);
         let wl = scenario.workload(&cfg);
-        let (outcome, snapshot) = run_method_observed_sharded(
-            &scenario.trace,
-            &cfg,
-            &wl,
-            &FaultPlan::none(),
-            Method::Flow,
-            shards,
-        );
+        let spec = RunSpec::new(&scenario.trace, &cfg)
+            .workload(&wl)
+            .sink(Box::new(Recorder::new(DEFAULT_RING_CAPACITY)))
+            .shards(shards);
+        let (outcome, snapshot) = run_method(spec, Method::Flow);
         let s = outcome.summary;
         artifacts.push_str(&format!(
             "{kb},{:.3},{:.0},{},{:.0}\n{}\n",
@@ -67,7 +65,7 @@ fn run_curve_point(scenario: &Scenario, memory_kbs: &[u64], shards: usize) -> (f
             s.average_delay_secs / 60.0,
             s.forwarding_ops,
             s.total_cost,
-            snapshot.to_json()
+            snapshot.unwrap_or_default().to_json()
         ));
     }
     (sw.elapsed_secs(), artifacts)

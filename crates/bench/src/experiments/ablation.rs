@@ -7,7 +7,7 @@ use crate::runners::parallel_map;
 use crate::scenarios::Scenario;
 use dtnflow_router::config::AccuracyFactors;
 use dtnflow_router::{FlowConfig, FlowRouter, HybridFlowRouter, LinkDelayModel};
-use dtnflow_sim::{run_with_workload, Router};
+use dtnflow_sim::{Router, RunSpec};
 
 /// Run DTN-FLOW variants on both traces.
 pub fn ablation(quick: bool) -> Vec<Table> {
@@ -72,7 +72,10 @@ pub fn ablation(quick: bool) -> Vec<Table> {
         let runs = parallel_map(&variants, |(_, fc)| {
             let mut router =
                 FlowRouter::new(fc.clone(), s.trace.num_nodes(), s.trace.num_landmarks());
-            run_with_workload(&s.trace, &cfg, &wl, &mut router).metrics
+            RunSpec::new(&s.trace, &cfg)
+                .workload(&wl)
+                .run(&mut router)
+                .metrics
         });
         for ((label, _), m) in variants.iter().zip(&runs) {
             t.row(vec![
@@ -90,7 +93,10 @@ pub fn ablation(quick: bool) -> Vec<Table> {
             s.trace.num_landmarks(),
             0.25,
         );
-        let m = run_with_workload(&s.trace, &cfg, &wl, &mut hybrid).metrics;
+        let m = RunSpec::new(&s.trace, &cfg)
+            .workload(&wl)
+            .run(&mut hybrid)
+            .metrics;
         let _ = hybrid.name();
         t.row(vec![
             s.name.to_string(),

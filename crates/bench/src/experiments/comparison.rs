@@ -3,29 +3,24 @@
 //! the paper's four panels — success rate, average delay, forwarding cost,
 //! total cost — for all six methods.
 
-use crate::experiments::ObsCell;
+use crate::experiments::{ExperimentOpts, ObsCell};
 use crate::report::Table;
-use crate::runners::{
-    parallel_map, run_method_observed_sharded, run_method_with_faults_sharded, Method,
-    MethodOutcome,
-};
+use crate::runners::{parallel_map, run_method, Method, MethodOutcome};
 use crate::scenarios::Scenario;
 use dtnflow_core::config::SimConfig;
 use dtnflow_obs::Snapshot;
-use dtnflow_sim::FaultPlan;
 
 /// One sweep: x-axis points × all six methods → the four metric tables,
-/// plus (when `obs`) one observability snapshot per (point, method) cell.
-/// With `obs` off no sink is ever attached, so the tables are byte-for-
-/// byte what the untraced sweep produces — and they must stay identical
-/// with `obs` on (`csv_determinism` enforces this).
+/// plus (when `opts.obs`) one observability snapshot per (point, method)
+/// cell. With `obs` off no sink is ever attached, so the tables are
+/// byte-for-byte what the untraced sweep produces — and they must stay
+/// identical with `obs` on (`csv_determinism` enforces this).
 fn sweep(
     scenario: &Scenario,
     fig: &str,
     xlabel: &str,
     points: &[(String, SimConfig)],
-    obs: bool,
-    shards: usize,
+    opts: &ExperimentOpts,
 ) -> (Vec<Table>, Vec<ObsCell>) {
     // Flatten (point, method) into independent jobs.
     let jobs: Vec<(usize, Method)> = (0..points.len())
@@ -34,29 +29,7 @@ fn sweep(
     let outcomes: Vec<(MethodOutcome, Option<Snapshot>)> = parallel_map(&jobs, |&(p, m)| {
         let cfg = &points[p].1;
         let wl = scenario.workload(cfg);
-        if obs {
-            let (o, snap) = run_method_observed_sharded(
-                &scenario.trace,
-                cfg,
-                &wl,
-                &FaultPlan::none(),
-                m,
-                shards,
-            );
-            (o, Some(snap))
-        } else {
-            (
-                run_method_with_faults_sharded(
-                    &scenario.trace,
-                    cfg,
-                    &wl,
-                    &FaultPlan::none(),
-                    m,
-                    shards,
-                ),
-                None,
-            )
-        }
+        run_method(opts.spec(&scenario.trace, cfg).workload(&wl), m)
     });
 
     let methods: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
@@ -144,109 +117,32 @@ fn rate_points(base: &SimConfig, seed: u64, quick: bool) -> Vec<(String, SimConf
         .collect()
 }
 
-fn memory_campus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    let s = Scenario::campus();
-    let pts = memory_points(&s.base_cfg, 0xF11, quick);
-    sweep(&s, "fig11", "memory (kB)", &pts, obs, shards)
-}
-
-fn memory_bus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    let s = Scenario::bus();
-    let pts = memory_points(&s.base_cfg, 0xF12, quick);
-    sweep(&s, "fig12", "memory (kB)", &pts, obs, shards)
-}
-
-fn rate_campus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    let s = Scenario::campus();
-    let pts = rate_points(&s.base_cfg, 0xF13, quick);
-    sweep(&s, "fig13", "packets/landmark/day", &pts, obs, shards)
-}
-
-fn rate_bus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    let s = Scenario::bus();
-    let pts = rate_points(&s.base_cfg, 0xF14, quick);
-    sweep(&s, "fig14", "packets/landmark/day", &pts, obs, shards)
-}
-
 /// Fig. 11: campus, memory 1200..=3000 kB, rate 500.
-pub fn memory_sweep_campus(quick: bool) -> Vec<Table> {
-    memory_campus(quick, false, 1).0
-}
-
-/// Fig. 11 under a shard runtime; byte-identical for every shard count.
-pub fn memory_sweep_campus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    memory_campus(quick, false, shards).0
-}
-
-/// Fig. 11 with per-cell observability snapshots.
-pub fn memory_sweep_campus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_campus(quick, true, 1)
-}
-
-/// Fig. 11 with snapshots, under a shard runtime. Tables and snapshots
-/// are byte-identical for every shard count (`shard_differential` suite).
-pub fn memory_sweep_campus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_campus(quick, true, shards)
+pub fn fig11(opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    let s = Scenario::campus();
+    let pts = memory_points(&s.base_cfg, 0xF11, opts.quick);
+    sweep(&s, "fig11", "memory (kB)", &pts, opts)
 }
 
 /// Fig. 12: bus, memory 1200..=3000 kB, rate 500.
-pub fn memory_sweep_bus(quick: bool) -> Vec<Table> {
-    memory_bus(quick, false, 1).0
-}
-
-/// Fig. 12 under a shard runtime; byte-identical for every shard count.
-pub fn memory_sweep_bus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    memory_bus(quick, false, shards).0
-}
-
-/// Fig. 12 with per-cell observability snapshots.
-pub fn memory_sweep_bus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_bus(quick, true, 1)
-}
-
-/// Fig. 12 with snapshots, under a shard runtime.
-pub fn memory_sweep_bus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_bus(quick, true, shards)
+pub fn fig12(opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    let s = Scenario::bus();
+    let pts = memory_points(&s.base_cfg, 0xF12, opts.quick);
+    sweep(&s, "fig12", "memory (kB)", &pts, opts)
 }
 
 /// Fig. 13: campus, rate 100..=1000, memory 2000 kB.
-pub fn rate_sweep_campus(quick: bool) -> Vec<Table> {
-    rate_campus(quick, false, 1).0
-}
-
-/// Fig. 13 under a shard runtime; byte-identical for every shard count.
-pub fn rate_sweep_campus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    rate_campus(quick, false, shards).0
-}
-
-/// Fig. 13 with per-cell observability snapshots.
-pub fn rate_sweep_campus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_campus(quick, true, 1)
-}
-
-/// Fig. 13 with snapshots, under a shard runtime.
-pub fn rate_sweep_campus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_campus(quick, true, shards)
+pub fn fig13(opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    let s = Scenario::campus();
+    let pts = rate_points(&s.base_cfg, 0xF13, opts.quick);
+    sweep(&s, "fig13", "packets/landmark/day", &pts, opts)
 }
 
 /// Fig. 14: bus, rate 100..=1000, memory 2000 kB.
-pub fn rate_sweep_bus(quick: bool) -> Vec<Table> {
-    rate_bus(quick, false, 1).0
-}
-
-/// Fig. 14 under a shard runtime; byte-identical for every shard count.
-pub fn rate_sweep_bus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    rate_bus(quick, false, shards).0
-}
-
-/// Fig. 14 with per-cell observability snapshots.
-pub fn rate_sweep_bus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_bus(quick, true, 1)
-}
-
-/// Fig. 14 with snapshots, under a shard runtime.
-pub fn rate_sweep_bus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_bus(quick, true, shards)
+pub fn fig14(opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    let s = Scenario::bus();
+    let pts = rate_points(&s.base_cfg, 0xF14, opts.quick);
+    sweep(&s, "fig14", "packets/landmark/day", &pts, opts)
 }
 
 #[cfg(test)]
@@ -258,7 +154,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
     fn quick_bus_memory_sweep_has_paper_shape() {
-        let tables = memory_sweep_bus(true);
+        let (tables, _) = fig12(&ExperimentOpts::QUICK);
         assert_eq!(tables.len(), 4);
         let succ = &tables[0];
         assert_eq!(succ.len(), 3);

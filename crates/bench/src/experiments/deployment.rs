@@ -8,7 +8,7 @@ use crate::scenarios::Scenario;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::metrics::FiveNum;
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::{run_with_workload, Workload};
+use dtnflow_sim::{RunSpec, Workload};
 
 /// Run the deployment and emit Fig. 16(a), Fig. 16(b) and Table X.
 pub fn deploy() -> Vec<Table> {
@@ -24,7 +24,7 @@ pub fn deploy() -> Vec<Table> {
         s.trace.num_nodes(),
         s.trace.num_landmarks(),
     );
-    let out = run_with_workload(&s.trace, &cfg, &wl, &mut router);
+    let out = RunSpec::new(&s.trace, &cfg).workload(&wl).run(&mut router);
 
     // Fig. 16(a): success rate + delay five-number summary (minutes).
     let mut a = Table::new(

@@ -10,7 +10,7 @@ use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::time::SimDuration;
 use dtnflow_mobility::stats;
 use dtnflow_router::{DeadEndConfig, FlowConfig, FlowRouter, LoadBalanceConfig, LoopInjection};
-use dtnflow_sim::run_with_workload;
+use dtnflow_sim::RunSpec;
 
 struct FlowRun {
     success: f64,
@@ -24,7 +24,7 @@ struct FlowRun {
 fn run_flow(s: &Scenario, cfg: &SimConfig, flow: FlowConfig) -> FlowRun {
     let wl = s.workload(cfg);
     let mut router = FlowRouter::new(flow, s.trace.num_nodes(), s.trace.num_landmarks());
-    let out = run_with_workload(&s.trace, cfg, &wl, &mut router);
+    let out = RunSpec::new(&s.trace, cfg).workload(&wl).run(&mut router);
     FlowRun {
         success: out.metrics.success_rate(),
         avg_delay_secs: out.metrics.average_delay_secs(),

@@ -1,5 +1,6 @@
 //! One module per paper artifact group. Every function returns plain
-//! [`Table`]s so the binary can print and save them uniformly.
+//! [`Table`]s so the binary can print and save them uniformly; the
+//! simulation sweeps also return one [`ObsCell`] per traced run.
 
 pub mod ablation;
 pub mod comparison;
@@ -13,7 +14,10 @@ pub mod scheduling;
 pub mod trace_analysis;
 
 use crate::report::Table;
-use dtnflow_obs::Snapshot;
+use dtnflow_core::config::SimConfig;
+use dtnflow_mobility::Trace;
+use dtnflow_obs::{Recorder, Snapshot, DEFAULT_RING_CAPACITY};
+use dtnflow_sim::RunSpec;
 
 /// One experiment cell's observability export: the cell label (sweep
 /// point × method) and its flight-recorder snapshot.
@@ -46,9 +50,64 @@ pub const ALL_IDS: &[&str] = &[
     "resilience",
 ];
 
-/// Run one experiment by id. `quick` shrinks sweeps for smoke testing.
-/// Panics on an unknown id (the binary validates beforehand).
-pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
+/// How to run an experiment: the `experiments` binary's `--quick`,
+/// `--obs` and `--shards` flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExperimentOpts {
+    /// Shrink sweeps for smoke testing.
+    pub quick: bool,
+    /// Attach a flight recorder to every cell of the simulation sweeps
+    /// (figs. 11–14 and resilience) and return its snapshot. Tables are
+    /// byte-identical with tracing on and off.
+    pub obs: bool,
+    /// Run the simulation sweeps under this many shards (DESIGN.md §13).
+    /// Tables and snapshots are byte-identical for every value.
+    pub shards: usize,
+}
+
+impl ExperimentOpts {
+    /// Full sweeps, no tracing, one shard.
+    pub const FULL: ExperimentOpts = ExperimentOpts {
+        quick: false,
+        obs: false,
+        shards: 1,
+    };
+
+    /// [`ExperimentOpts::FULL`] with `quick` set.
+    pub const QUICK: ExperimentOpts = ExperimentOpts {
+        quick: true,
+        ..ExperimentOpts::FULL
+    };
+
+    /// A run over `trace` under `cfg` with these options' shard count,
+    /// and a flight recorder attached when `obs` is set.
+    pub(crate) fn spec<'a>(&self, trace: &'a Trace, cfg: &'a SimConfig) -> RunSpec<'a> {
+        let spec = RunSpec::new(trace, cfg).shards(self.shards);
+        if self.obs {
+            spec.sink(Box::new(Recorder::new(DEFAULT_RING_CAPACITY)))
+        } else {
+            spec
+        }
+    }
+}
+
+/// Run one experiment by id: its tables, plus one observability cell per
+/// simulation when `opts.obs` is set and the experiment is one of the
+/// traced sweeps (other experiments return no cells). Panics on an
+/// unknown id (the binary validates beforehand).
+pub fn run_experiment(id: &str, opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    match id {
+        "fig11" => comparison::fig11(opts),
+        "fig12" => comparison::fig12(opts),
+        "fig13" => comparison::fig13(opts),
+        "fig14" => comparison::fig14(opts),
+        "resilience" => resilience::resilience(opts),
+        other => (untraced_experiment(other, opts.quick), Vec::new()),
+    }
+}
+
+/// The experiments that never attach a sink or shard their runs.
+fn untraced_experiment(id: &str, quick: bool) -> Vec<Table> {
     match id {
         "table1" => trace_analysis::table1(),
         "fig2" => trace_analysis::fig2(),
@@ -58,62 +117,13 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
         "fig6" => prediction::fig6(),
         "fig7" => routing::fig7(),
         "fig8" => routing::fig8(),
-        "fig11" => comparison::memory_sweep_campus(quick),
-        "fig12" => comparison::memory_sweep_bus(quick),
-        "fig13" => comparison::rate_sweep_campus(quick),
-        "fig14" => comparison::rate_sweep_bus(quick),
         "table6" => extensions::table6(quick),
         "table7" => extensions::table7(),
         "table8" => extensions::table8(quick),
         "deploy" => deployment::deploy(),
         "ablation" => ablation::ablation(quick),
         "sched" => scheduling::sched(quick),
-        "resilience" => resilience::resilience(quick),
         other => panic!("unknown experiment id `{other}`; known: {ALL_IDS:?}"),
-    }
-}
-
-/// Like [`run_experiment`], but the comparison sweeps run under a shard
-/// runtime (DESIGN.md §13). Tables are byte-identical for every `shards`
-/// value; experiments without per-landmark unit work ignore the setting.
-pub fn run_experiment_sharded(id: &str, quick: bool, shards: usize) -> Vec<Table> {
-    match id {
-        "fig11" => comparison::memory_sweep_campus_sharded(quick, shards),
-        "fig12" => comparison::memory_sweep_bus_sharded(quick, shards),
-        "fig13" => comparison::rate_sweep_campus_sharded(quick, shards),
-        "fig14" => comparison::rate_sweep_bus_sharded(quick, shards),
-        other => run_experiment(other, quick),
-    }
-}
-
-/// Like [`run_experiment`], but the simulation-heavy sweeps also attach a
-/// flight recorder per cell and return the observability snapshots.
-/// Experiments without traced variants fall back to [`run_experiment`]
-/// with no cells. Tables are byte-identical with tracing on and off.
-pub fn run_experiment_with_obs(id: &str, quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    match id {
-        "fig11" => comparison::memory_sweep_campus_obs(quick),
-        "fig12" => comparison::memory_sweep_bus_obs(quick),
-        "fig13" => comparison::rate_sweep_campus_obs(quick),
-        "fig14" => comparison::rate_sweep_bus_obs(quick),
-        "resilience" => resilience::resilience_obs(quick),
-        other => (run_experiment(other, quick), Vec::new()),
-    }
-}
-
-/// [`run_experiment_with_obs`] under a shard runtime. Tables *and*
-/// snapshots are byte-identical for every `shards` value.
-pub fn run_experiment_with_obs_sharded(
-    id: &str,
-    quick: bool,
-    shards: usize,
-) -> (Vec<Table>, Vec<ObsCell>) {
-    match id {
-        "fig11" => comparison::memory_sweep_campus_obs_sharded(quick, shards),
-        "fig12" => comparison::memory_sweep_bus_obs_sharded(quick, shards),
-        "fig13" => comparison::rate_sweep_campus_obs_sharded(quick, shards),
-        "fig14" => comparison::rate_sweep_bus_obs_sharded(quick, shards),
-        other => run_experiment_with_obs(other, quick),
     }
 }
 
@@ -132,6 +142,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_panics() {
-        run_experiment("fig99", true);
+        run_experiment("fig99", &ExperimentOpts::QUICK);
     }
 }

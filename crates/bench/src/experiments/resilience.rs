@@ -9,15 +9,14 @@
 //! duty grows, while still surfacing what the faults cost it
 //! (`lost: outage/churn`, retries, recovery time).
 
-use crate::experiments::ObsCell;
+use crate::experiments::{ExperimentOpts, ObsCell};
 use crate::report::Table;
-use crate::runners::{parallel_map, run_method_observed, run_method_with_faults, Method};
+use crate::runners::{parallel_map, Method};
 use crate::scenarios::Scenario;
-use dtnflow_core::config::SimConfig;
 use dtnflow_core::metrics::MetricsSummary;
-use dtnflow_obs::{Recorder, Snapshot, DEFAULT_RING_CAPACITY};
+use dtnflow_obs::{Recorder, Snapshot};
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::{run_traced, run_with_faults, FaultConfig, FaultPlan, Workload};
+use dtnflow_sim::{FaultConfig, FaultPlan, Router, RunSpec};
 
 /// DTN-FLOW plus two station-less baselines: the baselines carry packets
 /// only on nodes, so station outages cost them nothing and they anchor
@@ -35,79 +34,39 @@ fn fault_cfg(duty: f64, churn_per_day: f64) -> FaultConfig {
     }
 }
 
-/// Run one sweep point. DTN-FLOW runs with graceful degradation enabled
-/// (the point of the experiment); the baselines inherit the no-op fault
-/// hooks from the `Router` trait.
-fn run_one(
-    s: &Scenario,
-    cfg: &SimConfig,
-    wl: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-) -> MetricsSummary {
-    match method {
-        Method::Flow => {
-            let mut router = FlowRouter::new(
-                FlowConfig::with_degradation(),
-                s.trace.num_nodes(),
-                s.trace.num_landmarks(),
-            );
-            run_with_faults(&s.trace, cfg, wl, plan, &mut router)
-                .metrics
-                .summary()
-        }
-        m => run_method_with_faults(&s.trace, cfg, wl, plan, m).summary,
-    }
-}
-
-/// [`run_one`] with a flight recorder attached; same summary, plus the
-/// cell's observability snapshot.
-fn run_one_observed(
-    s: &Scenario,
-    cfg: &SimConfig,
-    wl: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-) -> (MetricsSummary, Snapshot) {
-    match method {
-        Method::Flow => {
-            let mut router = FlowRouter::new(
-                FlowConfig::with_degradation(),
-                s.trace.num_nodes(),
-                s.trace.num_landmarks(),
-            );
-            let out = run_traced(
-                &s.trace,
-                cfg,
-                wl,
-                plan,
-                &mut router,
-                Box::new(Recorder::new(DEFAULT_RING_CAPACITY)),
-            );
-            let snap = out
-                .trace
-                .and_then(Recorder::downcast)
-                .map(|r| r.snapshot())
-                .unwrap_or_default();
-            (out.metrics.summary(), snap)
-        }
-        m => {
-            let (o, snap) = run_method_observed(&s.trace, cfg, wl, plan, m);
-            (o.summary, snap)
-        }
-    }
+/// Run one cell. DTN-FLOW runs with graceful degradation enabled (the
+/// point of the experiment); the baselines inherit the no-op fault hooks
+/// from the `Router` trait. The snapshot is present when `spec` carries a
+/// recorder.
+fn run_cell(spec: RunSpec<'_>, method: Method) -> (MetricsSummary, Option<Snapshot>) {
+    let (nodes, landmarks) = (spec.trace().num_nodes(), spec.trace().num_landmarks());
+    let mut router: Box<dyn Router> = match method {
+        Method::Flow => Box::new(FlowRouter::new(
+            FlowConfig::with_degradation(),
+            nodes,
+            landmarks,
+        )),
+        m => m.build(nodes, landmarks),
+    };
+    let out = spec.run(router.as_mut());
+    let snapshot = out.trace.and_then(Recorder::downcast).map(|r| r.snapshot());
+    (out.metrics.summary(), snapshot)
 }
 
 /// The resilience sweep: outage duty × churn rate × method, per trace.
-/// With `obs` the sweep also exports one observability snapshot per cell;
-/// the table itself must be byte-identical either way.
-fn resilience_impl(quick: bool, obs: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    let duties: Vec<f64> = if quick {
+/// With `opts.obs` the sweep also exports one observability snapshot per
+/// cell; the table itself must be byte-identical either way.
+pub fn resilience(opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCell>) {
+    let duties: Vec<f64> = if opts.quick {
         vec![0.0, 0.2]
     } else {
         vec![0.0, 0.1, 0.2, 0.3]
     };
-    let churns: Vec<f64> = if quick { vec![0.0] } else { vec![0.0, 0.25] };
+    let churns: Vec<f64> = if opts.quick {
+        vec![0.0]
+    } else {
+        vec![0.0, 0.25]
+    };
     let mut t = Table::new(
         "resilience",
         "Delivery under station outages and node churn",
@@ -138,12 +97,10 @@ fn resilience_impl(quick: bool, obs: bool) -> (Vec<Table>, Vec<ObsCell>) {
         let runs: Vec<(MetricsSummary, Option<Snapshot>)> =
             parallel_map(&jobs, |&(duty, churn, method)| {
                 let plan = FaultPlan::generate(&fault_cfg(duty, churn), &s.trace);
-                if obs {
-                    let (summary, snap) = run_one_observed(&s, &cfg, &wl, &plan, method);
-                    (summary, Some(snap))
-                } else {
-                    (run_one(&s, &cfg, &wl, &plan, method), None)
-                }
+                run_cell(
+                    opts.spec(&s.trace, &cfg).workload(&wl).faults(&plan),
+                    method,
+                )
             });
         for (&(duty, churn, method), (r, snap)) in jobs.iter().zip(&runs) {
             t.row(vec![
@@ -169,16 +126,6 @@ fn resilience_impl(quick: bool, obs: bool) -> (Vec<Table>, Vec<ObsCell>) {
     (vec![t], cells)
 }
 
-/// The resilience sweep (tables only).
-pub fn resilience(quick: bool) -> Vec<Table> {
-    resilience_impl(quick, false).0
-}
-
-/// The resilience sweep with per-cell observability snapshots.
-pub fn resilience_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    resilience_impl(quick, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +142,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
     fn quick_sweep_shows_graceful_degradation() {
-        let t = &resilience(true)[0];
+        let t = &resilience(&ExperimentOpts::QUICK).0[0];
         // 2 traces x 2 duties x 1 churn x 3 methods.
         assert_eq!(t.len(), 12);
         // The acceptance check: at 20% outage duty DTN-FLOW still

@@ -6,7 +6,7 @@ use crate::report::Table;
 use crate::scenarios::Scenario;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_router::{FlowConfig, FlowRouter, RoutingTable, StoredVector};
-use dtnflow_sim::run_with_workload;
+use dtnflow_sim::RunSpec;
 
 fn vector(num: usize, pairs: &[(u16, f64)], seq: u64) -> StoredVector {
     let mut delays = vec![f64::INFINITY; num];
@@ -88,7 +88,7 @@ pub fn fig8() -> Vec<Table> {
             s.trace.num_nodes(),
             s.trace.num_landmarks(),
         );
-        let _ = run_with_workload(&s.trace, &cfg, &wl, &mut router);
+        let _ = RunSpec::new(&s.trace, &cfg).workload(&wl).run(&mut router);
         let mut t = Table::new(
             format!("fig8-{}", s.name),
             format!("Routing table coverage and stability ({})", s.name),

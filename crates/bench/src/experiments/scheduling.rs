@@ -6,7 +6,7 @@ use crate::report::Table;
 use crate::runners::parallel_map;
 use crate::scenarios::Scenario;
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::run_with_workload;
+use dtnflow_sim::RunSpec;
 
 /// Radio-budget sweep on the bus scenario.
 pub fn sched(quick: bool) -> Vec<Table> {
@@ -43,7 +43,10 @@ pub fn sched(quick: bool) -> Vec<Table> {
             s.trace.num_nodes(),
             s.trace.num_landmarks(),
         );
-        run_with_workload(&s.trace, &cfg, &wl, &mut router).metrics
+        RunSpec::new(&s.trace, &cfg)
+            .workload(&wl)
+            .run(&mut router)
+            .metrics
     });
     for (budget, m) in budgets.iter().zip(&runs) {
         t.row(vec![

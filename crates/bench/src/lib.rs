@@ -17,8 +17,5 @@ pub mod scenarios;
 pub mod timing;
 
 pub use report::Table;
-pub use runners::{
-    parallel_map, run_method, run_method_observed_sharded, run_method_with_faults_sharded, Method,
-    MethodOutcome,
-};
+pub use runners::{parallel_map, run_method, Method, MethodOutcome};
 pub use scenarios::Scenario;

@@ -2,15 +2,11 @@
 //! helper used by every experiment.
 
 use dtnflow_baselines::{GeoComm, Per, Pgr, Prophet, SimBet, UtilityRouter};
-use dtnflow_core::config::SimConfig;
 use dtnflow_core::metrics::MetricsSummary;
 use dtnflow_core::time::SimDuration;
-use dtnflow_mobility::Trace;
-use dtnflow_obs::{Recorder, Snapshot, DEFAULT_RING_CAPACITY};
+use dtnflow_obs::{Recorder, Snapshot};
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::{
-    run_traced_sharded, run_with_faults_sharded, run_with_workload, FaultPlan, Router, Workload,
-};
+use dtnflow_sim::{Router, RunSpec};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,94 +71,14 @@ pub struct MethodOutcome {
     pub overall_delay_secs: f64,
 }
 
-/// Run one method over a scenario trace + workload.
-pub fn run_method(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    method: Method,
-) -> MethodOutcome {
+/// Run one method as `spec` describes. The snapshot is present exactly
+/// when the spec's sink is a [`Recorder`]; a sink never perturbs the
+/// outcome, and neither does the shard count (the `csv_determinism`,
+/// `obs_props` and `shard_differential` suites enforce both).
+pub fn run_method(spec: RunSpec<'_>, method: Method) -> (MethodOutcome, Option<Snapshot>) {
+    let trace = spec.trace();
     let mut router = method.build(trace.num_nodes(), trace.num_landmarks());
-    let out = run_with_workload(trace, cfg, workload, router.as_mut());
-    MethodOutcome {
-        method,
-        summary: out.metrics.summary(),
-        overall_delay_secs: out
-            .metrics
-            .overall_average_delay_secs(SimDuration::from_secs(trace.duration().secs())),
-    }
-}
-
-/// Run one method over a scenario trace + workload under a fault plan.
-/// With `FaultPlan::none()` this is byte-identical to [`run_method`].
-pub fn run_method_with_faults(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-) -> MethodOutcome {
-    run_method_with_faults_sharded(trace, cfg, workload, plan, method, 1)
-}
-
-/// [`run_method_with_faults`] under a shard runtime (DESIGN.md §13).
-/// The outcome is byte-identical for every `shards` value; only
-/// wall-clock time may differ.
-pub fn run_method_with_faults_sharded(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-    shards: usize,
-) -> MethodOutcome {
-    let mut router = method.build(trace.num_nodes(), trace.num_landmarks());
-    let out = run_with_faults_sharded(trace, cfg, workload, plan, router.as_mut(), shards);
-    MethodOutcome {
-        method,
-        summary: out.metrics.summary(),
-        overall_delay_secs: out
-            .metrics
-            .overall_average_delay_secs(SimDuration::from_secs(trace.duration().secs())),
-    }
-}
-
-/// Run one method with a flight recorder attached and export its
-/// observability snapshot. Tracing must never perturb the simulation:
-/// the returned `MethodOutcome` is identical to what
-/// [`run_method_with_faults`] produces for the same inputs (enforced by
-/// the `csv_determinism` and `obs_props` suites).
-pub fn run_method_observed(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-) -> (MethodOutcome, Snapshot) {
-    run_method_observed_sharded(trace, cfg, workload, plan, method, 1)
-}
-
-/// [`run_method_observed`] under a shard runtime (DESIGN.md §13). Both
-/// the outcome and the observability snapshot are byte-identical for
-/// every `shards` value (enforced by the `shard_differential` suite).
-pub fn run_method_observed_sharded(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-    shards: usize,
-) -> (MethodOutcome, Snapshot) {
-    let mut router = method.build(trace.num_nodes(), trace.num_landmarks());
-    let out = run_traced_sharded(
-        trace,
-        cfg,
-        workload,
-        plan,
-        router.as_mut(),
-        Box::new(Recorder::new(DEFAULT_RING_CAPACITY)),
-        shards,
-    );
+    let out = spec.run(router.as_mut());
     let outcome = MethodOutcome {
         method,
         summary: out.metrics.summary(),
@@ -170,11 +86,7 @@ pub fn run_method_observed_sharded(
             .metrics
             .overall_average_delay_secs(SimDuration::from_secs(trace.duration().secs())),
     };
-    let snapshot = out
-        .trace
-        .and_then(Recorder::downcast)
-        .map(|r| r.snapshot())
-        .unwrap_or_default();
+    let snapshot = out.trace.and_then(Recorder::downcast).map(|r| r.snapshot());
     (outcome, snapshot)
 }
 
@@ -239,8 +151,8 @@ mod tests {
         let mut cfg = s.cfg(5);
         cfg.packets_per_landmark_per_day = 20.0;
         let wl = s.workload(&cfg);
-        let a = run_method(&s.trace, &cfg, &wl, Method::Flow);
-        let b = run_method(&s.trace, &cfg, &wl, Method::Flow);
+        let a = run_method(RunSpec::new(&s.trace, &cfg).workload(&wl), Method::Flow).0;
+        let b = run_method(RunSpec::new(&s.trace, &cfg).workload(&wl), Method::Flow).0;
         assert_eq!(a.summary.generated, b.summary.generated);
         assert_eq!(a.summary.delivered, b.summary.delivered);
         assert!(a.summary.success_rate > 0.0);

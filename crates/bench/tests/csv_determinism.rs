@@ -4,11 +4,17 @@
 //! per *instance*, so any iteration order leaking into results shows up
 //! as a diff between two in-process runs.
 
-use dtnflow_bench::experiments::{run_experiment, run_experiment_with_obs};
+use dtnflow_bench::experiments::{run_experiment, ExperimentOpts};
 
 /// All tables of one experiment, concatenated as CSV bytes.
 fn csv_of(id: &str, quick: bool) -> String {
-    run_experiment(id, quick)
+    let opts = if quick {
+        ExperimentOpts::QUICK
+    } else {
+        ExperimentOpts::FULL
+    };
+    run_experiment(id, &opts)
+        .0
         .iter()
         .map(|t| format!("# {}\n{}", t.id, t.to_csv()))
         .collect::<Vec<_>>()
@@ -44,7 +50,11 @@ fn resilience_is_byte_deterministic() {
 /// obs run actually records events.
 fn assert_obs_transparent(id: &str) {
     let plain = csv_of(id, true);
-    let (tables, cells) = run_experiment_with_obs(id, true);
+    let traced = ExperimentOpts {
+        obs: true,
+        ..ExperimentOpts::QUICK
+    };
+    let (tables, cells) = run_experiment(id, &traced);
     let observed = tables
         .iter()
         .map(|t| format!("# {}\n{}", t.id, t.to_csv()))

@@ -12,7 +12,7 @@
 //! `cargo run --release --bin experiments -- fig11 --quick --out /tmp/g`
 //! and copy `/tmp/g/fig11{a,b,c,d}.csv` over `tests/goldens/`.
 
-use dtnflow_bench::experiments::run_experiment;
+use dtnflow_bench::experiments::{run_experiment, ExperimentOpts};
 
 const GOLDENS: [(&str, &str); 4] = [
     ("fig11a", include_str!("goldens/fig11a_quick.csv")),
@@ -24,7 +24,7 @@ const GOLDENS: [(&str, &str); 4] = [
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_quick_matches_pretree_goldens_byte_for_byte() {
-    let tables = run_experiment("fig11", true);
+    let (tables, _) = run_experiment("fig11", &ExperimentOpts::QUICK);
     for (id, want) in GOLDENS {
         let table = tables
             .iter()

@@ -10,7 +10,7 @@
 //! sequential goldens at shards ∈ {1, 2, 4, 8}.
 
 use dtnflow_bench::chaos::{run_segment, run_straight, ChaosInputs, SegmentEnd};
-use dtnflow_bench::experiments::{run_experiment_sharded, run_experiment_with_obs_sharded};
+use dtnflow_bench::experiments::{run_experiment, ExperimentOpts};
 use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
 use dtnflow_router::FlowRouter;
 use dtnflow_sim::{FaultPlan, ShardExec, ShardPlan, SimSession};
@@ -154,7 +154,11 @@ const GOLDENS: [(&str, &str); 4] = [
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_quick_matches_sequential_goldens_at_every_shard_count() {
     for shards in SHARD_COUNTS {
-        let tables = run_experiment_sharded("fig11", true, shards);
+        let opts = ExperimentOpts {
+            shards,
+            ..ExperimentOpts::QUICK
+        };
+        let (tables, _) = run_experiment("fig11", &opts);
         for (id, want) in GOLDENS {
             let table = tables
                 .iter()
@@ -175,8 +179,13 @@ fn fig11_quick_matches_sequential_goldens_at_every_shard_count() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full simulation; run with --release")]
 fn fig11_quick_obs_snapshots_are_shard_blind() {
-    let (seq_tables, seq_cells) = run_experiment_with_obs_sharded("fig11", true, 1);
-    let (shd_tables, shd_cells) = run_experiment_with_obs_sharded("fig11", true, 4);
+    let traced = |shards| ExperimentOpts {
+        obs: true,
+        shards,
+        ..ExperimentOpts::QUICK
+    };
+    let (seq_tables, seq_cells) = run_experiment("fig11", &traced(1));
+    let (shd_tables, shd_cells) = run_experiment("fig11", &traced(4));
     for (a, b) in seq_tables.iter().zip(&shd_tables) {
         assert_eq!(a.to_csv(), b.to_csv(), "table {} diverged", a.id);
     }

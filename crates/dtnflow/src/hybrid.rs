@@ -149,7 +149,7 @@ mod tests {
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};
     use dtnflow_mobility::{Trace, Visit};
-    use dtnflow_sim::run;
+    use dtnflow_sim::RunSpec;
 
     /// Node 0 picks packets up at l0 but then dawdles at l1; node 1
     /// reliably shuttles l1 -> l2. Handoffs at l1 should move l2-bound
@@ -208,11 +208,11 @@ mod tests {
     fn handoffs_happen_and_do_not_hurt() {
         let trace = handoff_trace(14);
         let mut hybrid = HybridFlowRouter::new(FlowConfig::default(), 2, 3, 0.25);
-        let hybrid_out = run(&trace, &cfg(), &mut hybrid);
+        let hybrid_out = RunSpec::new(&trace, &cfg()).run(&mut hybrid);
         assert!(hybrid.handoffs() > 0, "handoffs must occur at l1");
 
         let mut plain = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let plain_out = run(&trace, &cfg(), &mut plain);
+        let plain_out = RunSpec::new(&trace, &cfg()).run(&mut plain);
         assert!(
             hybrid_out.metrics.success_rate() >= plain_out.metrics.success_rate(),
             "hybrid {} vs plain {}",
@@ -225,7 +225,7 @@ mod tests {
     fn conservation_holds_with_handoffs() {
         let trace = handoff_trace(10);
         let mut hybrid = HybridFlowRouter::new(FlowConfig::default(), 2, 3, 0.1);
-        let out = run(&trace, &cfg(), &mut hybrid);
+        let out = RunSpec::new(&trace, &cfg()).run(&mut hybrid);
         let m = &out.metrics;
         let live = out.packets.iter().filter(|p| p.loc.is_live()).count() as u64;
         assert_eq!(m.delivered + m.expired + live, m.generated);
@@ -237,7 +237,7 @@ mod tests {
     fn inner_state_is_accessible() {
         let trace = handoff_trace(10);
         let mut hybrid = HybridFlowRouter::new(FlowConfig::default(), 2, 3, 0.25);
-        let _ = run(&trace, &cfg(), &mut hybrid);
+        let _ = RunSpec::new(&trace, &cfg()).run(&mut hybrid);
         // The wrapped router built real routing tables.
         assert!(!hybrid.inner().routing_rows(LandmarkId(0)).is_empty());
     }

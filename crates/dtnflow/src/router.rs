@@ -27,8 +27,7 @@ use dtnflow_core::rankidx::{RankEntry, RankIndex};
 use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_predictor::{AccuracyTracker, MarkovPredictor, VisitHistory};
 use dtnflow_sim::{
-    EventBuffer, LossReason, Router, ShardBuffers, Sharding, SimEvent, TransferError, World,
-    WorldView,
+    EventBuffer, LossReason, Router, Sharding, SimEvent, TransferError, World, WorldView,
 };
 use dtnflow_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::BTreeSet;
@@ -1991,7 +1990,6 @@ impl Router for FlowRouter {
         }
         self.unit_prelude(unit);
 
-        let num_landmarks = self.landmarks.len();
         // Take each shard's landmark states out of the router (groups are
         // ascending within a shard, so workers walk them in the sequential
         // loop's relative order).
@@ -2043,16 +2041,14 @@ impl Router for FlowRouter {
         // computed what (round-robin and adversarial plans interleave).
         let mut all: Vec<LandmarkUnitResult> = results.into_iter().flatten().collect();
         all.sort_unstable_by_key(|r| r.l);
-        let mut bufs = ShardBuffers::new(num_landmarks);
-        for r in all {
+        for mut r in all {
             self.landmarks[r.l] = r.st;
             for (pkt, m) in r.metas {
                 self.set_meta(pkt, m);
             }
             self.stats.fallback_reroutes += r.fallbacks;
-            bufs.set(r.l, r.events);
+            world.flush_event_buffer(&mut r.events);
         }
-        world.flush_shard_buffers(&mut bufs);
 
         self.refresh_registrations_sharded(shards.exec);
     }
@@ -2218,7 +2214,7 @@ mod tests {
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};
     use dtnflow_mobility::{Trace, Visit};
-    use dtnflow_sim::run;
+    use dtnflow_sim::RunSpec;
 
     /// A three-landmark corridor: node 0 shuttles l0<->l1, node 1 shuttles
     /// l1<->l2, daily. No node ever visits both ends, so only inter-
@@ -2286,7 +2282,7 @@ mod tests {
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let out = run(&trace, &cfg, &mut router);
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
         assert!(out.metrics.generated > 0);
         // l0 -> l2 (and reverse) packets require the two-hop relay; a
         // healthy DTN-FLOW delivers most packets.
@@ -2366,21 +2362,17 @@ mod tests {
         // (load balance, degradation) switched on.
         use dtnflow_core::ids::PacketId;
         use dtnflow_sim::{
-            run_traced, FaultPlan, Recorder, ShardExec, ShardPlan, SimSession, Workload,
+            FaultPlan, Recorder, RunSpec, ShardExec, ShardPlan, SimSession, Workload,
         };
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
         let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         for flow in [FlowConfig::default(), FlowConfig::with_degradation()] {
             let mut base_router = FlowRouter::new(flow.clone(), 2, 3);
-            let base = run_traced(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut base_router,
-                Box::new(Recorder::new(1 << 14)),
-            );
+            let base = RunSpec::new(&trace, &cfg)
+                .workload(&workload)
+                .sink(Box::new(Recorder::new(1 << 14)))
+                .run(&mut base_router);
             let base_rec = Recorder::downcast(base.trace.unwrap()).unwrap();
             let base_events: Vec<_> = base_rec.events().cloned().collect();
             let plans = [
@@ -2448,7 +2440,7 @@ mod tests {
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let _ = run(&trace, &cfg, &mut router);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut router);
         // l0 sees ~2 transits/day to l1 (node 0 shuttling), none to l2.
         let b01 = router.bandwidth(LandmarkId(0), LandmarkId(1));
         let b02 = router.bandwidth(LandmarkId(0), LandmarkId(2));
@@ -2461,7 +2453,7 @@ mod tests {
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let _ = run(&trace, &cfg, &mut router);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut router);
         let rows = router.routing_rows(LandmarkId(0));
         let to_l2 = rows.iter().find(|(d, _, _)| *d == LandmarkId(2));
         let (_, next, delay) = to_l2.expect("l0 must know a route to l2");
@@ -2474,7 +2466,7 @@ mod tests {
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let _ = run(&trace, &cfg, &mut router);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut router);
         // Node 0 ends at l0 (last visit), so prediction is l1 next.
         let (to, prob) = router.prediction(NodeId(0)).expect("prediction exists");
         assert_eq!(to, LandmarkId(1));
@@ -2487,7 +2479,7 @@ mod tests {
         let mut cfg = corridor_cfg();
         cfg.observe_points = 10;
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
-        let _ = run(&trace, &cfg, &mut router);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut router);
         let rows = router.observations();
         assert_eq!(rows.len(), 10);
         let last = rows.last().unwrap();
@@ -2567,7 +2559,7 @@ mod tests {
             ..FlowConfig::default()
         };
         let mut router = FlowRouter::new(flow, 2, 2);
-        let _ = run(&trace, &cfg, &mut router);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut router);
         assert!(
             router.stats().dead_ends_detected > 0,
             "the four-day stall must be detected"
@@ -2643,7 +2635,7 @@ mod tests {
             ..FlowConfig::default()
         };
         let mut with = FlowRouter::new(flow, 2, 3);
-        let out_with = run(&trace, &cfg, &mut with);
+        let out_with = RunSpec::new(&trace, &cfg).run(&mut with);
         assert!(
             with.stats().loops_detected > 0,
             "looping packets must be noticed"
@@ -2663,7 +2655,7 @@ mod tests {
             ..FlowConfig::default()
         };
         let mut org = FlowRouter::new(flow_org, 2, 3);
-        let out_org = run(&trace, &cfg, &mut org);
+        let out_org = RunSpec::new(&trace, &cfg).run(&mut org);
         assert!(
             out_with.metrics.success_rate() >= out_org.metrics.success_rate(),
             "correction must not hurt: with {} vs org {}",
@@ -2717,7 +2709,7 @@ mod tests {
             sent: false,
             created: Vec::new(),
         };
-        let out = run(&trace, &cfg, &mut router);
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
         assert!(!router.created.is_empty(), "copies were created");
         // At least one copy reached node 0.
         let delivered = router

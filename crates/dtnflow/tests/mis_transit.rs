@@ -21,7 +21,7 @@ use dtnflow_core::time::{SimTime, DAY};
 use dtnflow_mobility::{Trace, Visit};
 use dtnflow_router::{FlowConfig, FlowRouter};
 use dtnflow_sim::workload::GenEvent;
-use dtnflow_sim::{run_traced, FaultPlan, Recorder, SimEvent, SimOutcome, Workload};
+use dtnflow_sim::{Recorder, RunSpec, SimEvent, SimOutcome, Workload};
 
 const L0: LandmarkId = LandmarkId(0);
 const L1: LandmarkId = LandmarkId(1);
@@ -129,14 +129,10 @@ fn run(with_shuttle: bool) -> SimOutcome {
         SimTime(0),
     );
     let mut router = FlowRouter::new(FlowConfig::default(), trace.num_nodes(), 4);
-    run_traced(
-        &trace,
-        &cfg,
-        &wl,
-        &FaultPlan::none(),
-        &mut router,
-        Box::new(Recorder::new(4_096)),
-    )
+    RunSpec::new(&trace, &cfg)
+        .workload(&wl)
+        .sink(Box::new(Recorder::new(4_096)))
+        .run(&mut router)
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! records "in simulation order with monotonically non-decreasing
 //! timestamps", and completion order under threads is not simulation
 //! order. Workers therefore *buffer* fully-built [`SimEvent`]s, and the
-//! commit phase drains the buffers in a deterministic order (ascending
-//! commit-group index), reproducing the exact sequence the sequential
-//! engine would have emitted. The trace stream stays byte-stable for any
+//! commit phase drains the buffers in a deterministic order (the sharded
+//! router flushes one buffer per landmark, in ascending landmark id),
+//! reproducing the exact sequence the sequential engine would have
+//! emitted. The trace stream stays byte-stable for any
 //! shard count — the cross-shard differential tests pin that.
 
 use crate::event::SimEvent;
@@ -54,76 +55,6 @@ impl EventBuffer {
     }
 }
 
-/// One [`EventBuffer`] per commit group, drained in ascending group
-/// index.
-///
-/// The group index is whatever total order the commit phase walks —
-/// the sharded router uses one group per landmark, so the flush order
-/// is ascending landmark id regardless of which shard computed which
-/// group (arbitrary partition maps included).
-#[derive(Debug)]
-pub struct ShardBuffers {
-    groups: Vec<EventBuffer>,
-}
-
-impl ShardBuffers {
-    /// `n` empty groups.
-    pub fn new(n: usize) -> ShardBuffers {
-        ShardBuffers {
-            groups: (0..n).map(|_| EventBuffer::new()).collect(),
-        }
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when there are no groups.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Replace group `idx`'s buffer (commit phase: adopt a worker's
-    /// buffer wholesale instead of copying events). Out-of-range indexes
-    /// are ignored — the plan that produced the buffers also sized this
-    /// container, so a miss is a harmless no-op, not a panic path.
-    pub fn set(&mut self, idx: usize, buf: EventBuffer) {
-        if let Some(slot) = self.groups.get_mut(idx) {
-            *slot = buf;
-        }
-    }
-
-    /// Mutable access to group `idx`'s buffer, growing the container if
-    /// needed (workers that push directly).
-    pub fn group_mut(&mut self, idx: usize) -> &mut EventBuffer {
-        if idx >= self.groups.len() {
-            self.groups.resize_with(idx + 1, EventBuffer::new);
-        }
-        &mut self.groups[idx]
-    }
-
-    /// Total buffered events across all groups.
-    pub fn total_events(&self) -> usize {
-        self.groups.iter().map(EventBuffer::len).sum()
-    }
-
-    /// Drain every group into `sink` in ascending group index — the
-    /// deterministic flush the sharded commit phase relies on.
-    pub fn drain_into(&mut self, sink: &mut dyn TraceSink) {
-        for g in &mut self.groups {
-            g.drain_into(sink);
-        }
-    }
-
-    /// Discard all contents (untraced runs).
-    pub fn clear(&mut self) {
-        for g in &mut self.groups {
-            g.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,43 +80,5 @@ mod tests {
         assert!(b.is_empty());
         let got: Vec<u64> = rec.events().map(|e| e.at().0).collect();
         assert_eq!(got, vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn shard_buffers_flush_in_ascending_group_order() {
-        let mut bufs = ShardBuffers::new(3);
-        // Fill groups out of order, as racing workers would finish.
-        bufs.group_mut(2).record(ev(20));
-        bufs.group_mut(0).record(ev(0));
-        bufs.group_mut(1).record(ev(10));
-        bufs.group_mut(2).record(ev(21));
-        assert_eq!(bufs.total_events(), 4);
-        let mut rec = Recorder::new(8);
-        bufs.drain_into(&mut rec);
-        assert_eq!(bufs.total_events(), 0);
-        let got: Vec<u64> = rec.events().map(|e| e.at().0).collect();
-        assert_eq!(got, vec![0, 10, 20, 21]);
-    }
-
-    #[test]
-    fn set_adopts_a_worker_buffer_and_ignores_out_of_range() {
-        let mut bufs = ShardBuffers::new(2);
-        let mut w = EventBuffer::new();
-        w.record(ev(7));
-        bufs.set(1, w);
-        let mut stray = EventBuffer::new();
-        stray.record(ev(9));
-        bufs.set(5, stray); // ignored: container sized by the plan
-        assert_eq!(bufs.len(), 2);
-        assert_eq!(bufs.total_events(), 1);
-    }
-
-    #[test]
-    fn group_mut_grows_on_demand_and_clear_discards() {
-        let mut bufs = ShardBuffers::new(1);
-        bufs.group_mut(4).record(ev(1));
-        assert_eq!(bufs.len(), 5);
-        bufs.clear();
-        assert_eq!(bufs.total_events(), 0);
     }
 }

@@ -29,7 +29,7 @@ pub mod schema;
 pub mod sink;
 pub mod snapshot;
 
-pub use buffer::{EventBuffer, ShardBuffers};
+pub use buffer::EventBuffer;
 pub use event::{LossKind, Place, SimEvent};
 pub use metrics::{LandmarkCounters, ObsMetrics, Totals, DELAY_BUCKET_EDGES_SECS};
 pub use sink::{NoopSink, Recorder, TraceSink, DEFAULT_RING_CAPACITY};

@@ -25,7 +25,7 @@ pub struct SimOutcome {
     /// Every packet with its final state and visited-landmark path
     /// (for loop/path diagnostics).
     pub packets: Vec<Packet>,
-    /// The observability sink attached via [`run_traced`], if any
+    /// The observability sink attached via [`RunSpec::sink`], if any
     /// (downcast it — e.g. with `Recorder::downcast` — to read the
     /// recorded events and counters).
     pub trace: Option<Box<dyn TraceSink>>,
@@ -68,94 +68,100 @@ struct Event {
     seq: u64,
 }
 
-/// Run a router over a trace with the standard uniform workload.
-pub fn run<R: Router + ?Sized>(trace: &Trace, cfg: &SimConfig, router: &mut R) -> SimOutcome {
-    let workload = Workload::uniform(cfg, trace.num_landmarks(), trace.duration());
-    run_with_workload(trace, cfg, &workload, router)
-}
-
-/// Run a router over a trace with an explicit workload.
-pub fn run_with_workload<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    router: &mut R,
-) -> SimOutcome {
-    run_with_faults(trace, cfg, workload, &FaultPlan::none(), router)
-}
-
-/// Run a router over a trace, workload and fault plan. With
-/// [`FaultPlan::none`] this is byte-identical to [`run_with_workload`]
-/// (which delegates here).
-pub fn run_with_faults<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-) -> SimOutcome {
-    run_with_faults_sharded(trace, cfg, workload, plan, router, 1)
-}
-
-/// Like [`run_with_faults`], but with an observability sink attached: the
-/// world emits structured [`SimEvent`]s into it for the whole run, and the
-/// outcome returns the sink in [`SimOutcome::trace`]. Tracing is
-/// observation-only — metrics, packets and CSVs are byte-identical to an
-/// untraced run (enforced by `csv_determinism` and the obs proptests).
-pub fn run_traced<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-    sink: Box<dyn TraceSink>,
-) -> SimOutcome {
-    run_traced_sharded(trace, cfg, workload, plan, router, sink, 1)
-}
-
-/// [`run_with_faults`] under a shard runtime: `shards` balanced
-/// contiguous shards, one worker thread per shard. Byte-identical to the
-/// sequential run for any shard count (DESIGN.md §13; the differential
-/// battery in `crates/bench` enforces it).
-pub fn run_with_faults_sharded<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-    shards: usize,
-) -> SimOutcome {
-    run_inner(trace, cfg, workload, plan, router, None, shards)
-}
-
-/// [`run_traced`] under a shard runtime (see [`run_with_faults_sharded`]).
-pub fn run_traced_sharded<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-    sink: Box<dyn TraceSink>,
-    shards: usize,
-) -> SimOutcome {
-    run_inner(trace, cfg, workload, plan, router, Some(sink), shards)
-}
-
-fn run_inner<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
+/// The inputs of one simulation run. Trace and config are required;
+/// everything else has a default:
+///
+/// * workload — the uniform one ([`Workload::uniform`]);
+/// * fault plan — none ([`FaultPlan::none`]);
+/// * sink — none;
+/// * shards — 1.
+///
+/// `RunSpec::new(&trace, &cfg).run(&mut router)` is the common case; each
+/// builder method overrides one default. A sink is observation-only and
+/// the shard count a throughput knob: neither changes the outcome (the
+/// `csv_determinism`, obs proptests and `shard_differential` suites
+/// enforce both).
+pub struct RunSpec<'a> {
+    trace: &'a Trace,
+    cfg: &'a SimConfig,
+    workload: Option<&'a Workload>,
+    faults: Option<&'a FaultPlan>,
     sink: Option<Box<dyn TraceSink>>,
     shards: usize,
-) -> SimOutcome {
-    let shard_plan = ShardPlan::contiguous(trace.num_landmarks(), shards);
-    let exec = ShardExec::new(shards);
-    let mut session =
-        SimSession::start_sharded(trace, cfg, workload, plan, router, sink, shard_plan, exec);
-    session.run_to_end();
-    session.finish()
+}
+
+impl<'a> RunSpec<'a> {
+    /// A run over `trace` under `cfg`, with every default.
+    pub fn new(trace: &'a Trace, cfg: &'a SimConfig) -> RunSpec<'a> {
+        RunSpec {
+            trace,
+            cfg,
+            workload: None,
+            faults: None,
+            sink: None,
+            shards: 1,
+        }
+    }
+
+    /// Replace the uniform workload.
+    pub fn workload(mut self, workload: &'a Workload) -> Self {
+        self.workload = Some(workload);
+        self
+    }
+
+    /// Inject a fault plan.
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Attach an observability sink; the world emits structured
+    /// [`SimEvent`]s into it and the outcome hands it back in
+    /// [`SimOutcome::trace`].
+    pub fn sink(mut self, sink: Box<dyn TraceSink>) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Run under `shards` balanced contiguous shards, one worker thread
+    /// per shard (DESIGN.md §13).
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// The trace this spec replays.
+    pub fn trace(&self) -> &'a Trace {
+        self.trace
+    }
+
+    /// Run `router` to the end: [`SimSession::start_sharded`] +
+    /// [`SimSession::run_to_end`] + [`SimSession::finish`].
+    pub fn run<R: Router + ?Sized>(self, router: &mut R) -> SimOutcome {
+        let (trace, cfg) = (self.trace, self.cfg);
+        let uniform;
+        let workload = match self.workload {
+            Some(w) => w,
+            None => {
+                uniform = Workload::uniform(cfg, trace.num_landmarks(), trace.duration());
+                &uniform
+            }
+        };
+        let none = FaultPlan::none();
+        let plan = self.faults.unwrap_or(&none);
+        let mut session = SimSession::start_sharded(
+            trace,
+            cfg,
+            workload,
+            plan,
+            router,
+            self.sink,
+            ShardPlan::contiguous(trace.num_landmarks(), self.shards),
+            ShardExec::new(self.shards),
+        );
+        session.run_to_end();
+        session.finish()
+    }
 }
 
 /// Build the pre-sorted static event list. This is a *pure function* of
@@ -255,8 +261,8 @@ fn build_record_lost(trace: &Trace, plan: &FaultPlan) -> Vec<bool> {
 /// and checkpointed (DESIGN.md §11).
 ///
 /// [`SimSession::start`] + [`SimSession::run_to_end`] +
-/// [`SimSession::finish`] is exactly the classic [`run_with_faults`] loop
-/// (those functions delegate here). The additional surface —
+/// [`SimSession::finish`] is exactly the loop [`RunSpec::run`] drives
+/// (it delegates here). The additional surface —
 /// [`SimSession::run_to_unit`], the `encode_*` methods and
 /// [`SimSession::resume`] — exists for crash-consistent checkpoint /
 /// restore: a run killed at a unit boundary and resumed from its snapshot
@@ -478,7 +484,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         // never move the clock backwards.
         let end = (SimTime::ZERO + self.duration).max(self.world.now());
         self.world.set_now(end);
-        self.world.purge_expired_sharded(&self.exec);
+        self.world.purge_expired();
         let trace_sink = self.world.take_trace_sink();
         let (metrics, packets) = self.world.into_outcome();
         SimOutcome {
@@ -494,7 +500,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         match ev.kind {
             EventKind::TimeUnit(u) => {
                 world.emit(|at| SimEvent::UnitBoundary { at, unit: u });
-                world.purge_expired_sharded(&self.exec);
+                world.purge_expired();
                 world.reset_radio_budget();
                 let sharding = Sharding::new(&self.plan, &self.exec);
                 self.router.on_time_unit_sharded(world, u, &sharding);
@@ -832,7 +838,7 @@ mod tests {
     fn direct_router_delivers_on_shuttle() {
         let trace = shuttle_trace();
         let cfg = small_cfg();
-        let out = run(&trace, &cfg, &mut DirectRouter);
+        let out = RunSpec::new(&trace, &cfg).run(&mut DirectRouter);
         assert!(out.metrics.generated > 0);
         // The shuttle reaches both landmarks daily, so most packets with a
         // 4-day TTL make it.
@@ -852,7 +858,7 @@ mod tests {
         cfg.observe_points = 2;
         cfg.packets_per_landmark_per_day = 0.5;
         let mut r = RecorderRouter::default();
-        let _ = run(&trace, &cfg, &mut r);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut r);
         let log = r.log.join("\n");
         // Node 1 arrives at l0 at t=2000 while node 0 is there.
         assert!(log.contains("meet n1 n0 l0"));
@@ -891,7 +897,7 @@ mod tests {
         }
         let trace = shuttle_trace();
         let mut r = TimerRouter { fired: vec![] };
-        let _ = run(&trace, &small_cfg(), &mut r);
+        let _ = RunSpec::new(&trace, &small_cfg()).run(&mut r);
         // Token 2 (earlier deadline) fires before token 1.
         assert_eq!(r.fired.len(), 3);
         assert_eq!(r.fired[1], (2, 3_333));
@@ -902,8 +908,8 @@ mod tests {
     fn run_is_deterministic() {
         let trace = shuttle_trace();
         let cfg = small_cfg();
-        let a = run(&trace, &cfg, &mut DirectRouter);
-        let b = run(&trace, &cfg, &mut DirectRouter);
+        let a = RunSpec::new(&trace, &cfg).run(&mut DirectRouter);
+        let b = RunSpec::new(&trace, &cfg).run(&mut DirectRouter);
         assert_eq!(
             a.metrics.summary().success_rate,
             b.metrics.summary().success_rate
@@ -952,7 +958,7 @@ mod tests {
             time_unit: DAY,
             ..SimConfig::default()
         };
-        let out = run(&trace, &cfg, &mut GreedyRouter);
+        let out = RunSpec::new(&trace, &cfg).run(&mut GreedyRouter);
         assert!(out.metrics.generated > 0);
         assert_eq!(out.metrics.delivered, 0);
         // Every packet either expired or (if generated within the final
@@ -966,17 +972,11 @@ mod tests {
     fn sharded_run_matches_sequential() {
         let trace = shuttle_trace();
         let cfg = small_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let base = run(&trace, &cfg, &mut DirectRouter);
+        let base = RunSpec::new(&trace, &cfg).run(&mut DirectRouter);
         for shards in [2, 4, 8] {
-            let out = run_with_faults_sharded(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut DirectRouter,
-                shards,
-            );
+            let out = RunSpec::new(&trace, &cfg)
+                .shards(shards)
+                .run(&mut DirectRouter);
             assert_eq!(out.metrics.delivered, base.metrics.delivered);
             assert_eq!(out.metrics.generated, base.metrics.generated);
             assert_eq!(out.metrics.forwarding_ops, base.metrics.forwarding_ops);
@@ -995,19 +995,11 @@ mod tests {
         let trace = shuttle_trace();
         let mut cfg = small_cfg();
         cfg.observe_points = 2;
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let mut base = RecorderRouter::default();
-        let _ = run_with_workload(&trace, &cfg, &workload, &mut base);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut base);
         for shards in [2, 4] {
             let mut r = RecorderRouter::default();
-            let _ = run_with_faults_sharded(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut r,
-                shards,
-            );
+            let _ = RunSpec::new(&trace, &cfg).shards(shards).run(&mut r);
             assert_eq!(r.log, base.log, "shards={shards}");
         }
     }
@@ -1055,7 +1047,9 @@ mod tests {
         let cfg = small_cfg();
         let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let mut base = RecorderRouter::default();
-        let _ = run_with_workload(&trace, &cfg, &workload, &mut base);
+        let _ = RunSpec::new(&trace, &cfg)
+            .workload(&workload)
+            .run(&mut base);
         for step in [1, 3, 17] {
             let mut r = RecorderRouter::default();
             let mut session = SimSession::start_sharded(
@@ -1080,7 +1074,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.time_unit = SimDuration::from_days(2.0);
         let mut r = RecorderRouter::default();
-        let _ = run(&trace, &cfg, &mut r);
+        let _ = RunSpec::new(&trace, &cfg).run(&mut r);
         let units = r.log.iter().filter(|l| l.starts_with("unit")).count();
         // Duration is just under 8 days: boundaries at days 0,2,4,6 (+day 8
         // only if the last visit ends exactly there).

@@ -9,7 +9,7 @@
 //! [`dtnflow_core::rngutil`], so a (seed, config, trace) triple always
 //! yields the same plan and therefore the same simulation outcome.
 //!
-//! The plan is interpreted by [`crate::engine::run_with_faults`]:
+//! The engine interprets the plan attached with [`crate::RunSpec::faults`]:
 //!
 //! * **Station outages** — while a station is down it buffers nothing:
 //!   uplinks/downlinks are refused with

@@ -13,11 +13,13 @@
 //! * [`workload::Workload`] — packet generation schedules;
 //! * [`faults`] — seeded fault plans (outages, churn, truncation,
 //!   record loss) for resilience experiments;
-//! * [`engine`] — the event loop ([`engine::run`],
-//!   [`engine::run_with_faults`], [`engine::run_traced`]).
+//! * [`engine`] — the event loop: [`RunSpec`] names one run's inputs
+//!   (trace and config, plus an optional workload, fault plan, sink and
+//!   shard count) and [`RunSpec::run`] drives it to the end;
+//!   [`SimSession`] is the same loop with pause, checkpoint and resume.
 //!
 //! Observability (DESIGN.md §9): attach a [`dtnflow_obs::TraceSink`] via
-//! [`engine::run_traced`] and the world emits structured
+//! [`RunSpec::sink`] and the world emits structured
 //! [`dtnflow_obs::SimEvent`]s — contact, packet-lifecycle and fault
 //! transitions — without perturbing outcomes.
 
@@ -33,10 +35,7 @@ pub mod store;
 pub mod workload;
 pub mod world;
 
-pub use engine::{
-    run, run_traced, run_traced_sharded, run_with_faults, run_with_faults_sharded,
-    run_with_workload, SimOutcome, SimSession,
-};
+pub use engine::{RunSpec, SimOutcome, SimSession};
 pub use faults::{FaultConfig, FaultPlan, NodeOutage, StationOutage};
 pub use router::Router;
 pub use store::PacketStore;
@@ -45,7 +44,7 @@ pub use world::{LossReason, TransferError, TransferOutcome, World, WorldError, W
 
 // Re-export the observability vocabulary so downstream crates can attach
 // sinks without a direct dtnflow-obs dependency.
-pub use dtnflow_obs::{EventBuffer, NoopSink, Recorder, ShardBuffers, SimEvent, TraceSink};
+pub use dtnflow_obs::{EventBuffer, NoopSink, Recorder, SimEvent, TraceSink};
 
 // Re-export the shard runtime vocabulary (DESIGN.md §13) so routers and
 // harnesses can build plans/executors without a direct dtnflow-shard

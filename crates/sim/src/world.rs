@@ -15,8 +15,7 @@ use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::{Packet, PacketLoc};
 use dtnflow_core::time::SimTime;
 use dtnflow_core::wheel::{TimingWheel, WheelEntry};
-use dtnflow_obs::{EventBuffer, LossKind, Place, ShardBuffers, SimEvent, TraceSink};
-use dtnflow_shard::ShardExec;
+use dtnflow_obs::{EventBuffer, LossKind, Place, SimEvent, TraceSink};
 use dtnflow_snapshot::{Reader, SnapshotError, Writer};
 
 /// Map a live packet location to its observability [`Place`]; terminal
@@ -924,31 +923,12 @@ impl World {
         self.scratch_fired = fired;
     }
 
-    /// [`World::purge_expired`]; the `exec` parameter is kept for call
-    /// sites but unused. The wheel drain touches only due entries —
-    /// already sublinear in the packet population — so the fan-out the
-    /// old full scan needed (find in parallel, commit serially) has
-    /// nothing left to parallelize.
-    pub(crate) fn purge_expired_sharded(&mut self, _exec: &ShardExec) {
-        self.purge_expired();
-    }
-
     /// Drain a worker-filled event buffer into the attached sink, or
     /// discard it when tracing is off.
     pub fn flush_event_buffer(&mut self, buf: &mut EventBuffer) {
         match self.trace.as_deref_mut() {
             Some(sink) => buf.drain_into(sink),
             None => buf.clear(),
-        }
-    }
-
-    /// Drain per-group event buffers into the attached sink in ascending
-    /// group order (the sharded commit phase's deterministic flush), or
-    /// discard them when tracing is off.
-    pub fn flush_shard_buffers(&mut self, bufs: &mut ShardBuffers) {
-        match self.trace.as_deref_mut() {
-            Some(sink) => bufs.drain_into(sink),
-            None => bufs.clear(),
         }
     }
 

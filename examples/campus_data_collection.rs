@@ -28,7 +28,9 @@ fn main() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let outcome = run_with_workload(&trace, &cfg, &workload, &mut router);
+    let outcome = RunSpec::new(&trace, &cfg)
+        .workload(&workload)
+        .run(&mut router);
     let m = &outcome.metrics;
 
     println!("success rate  {:.3}", m.success_rate());

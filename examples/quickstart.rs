@@ -35,7 +35,7 @@ fn main() {
     );
 
     // 4. Run and report.
-    let outcome = run(&trace, &cfg, &mut router);
+    let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
     let m = &outcome.metrics;
     println!("generated        {}", m.generated);
     println!("success rate     {:.3}", m.success_rate());

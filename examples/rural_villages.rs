@@ -43,20 +43,23 @@ fn main() {
         );
     };
 
+    // The same trace, config and workload for every router.
+    let spec = || RunSpec::new(&trace, &cfg).workload(&workload);
+
     let mut flow = FlowRouter::new(
         FlowConfig::with_all_extensions(),
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let flow_out = run_with_workload(&trace, &cfg, &workload, &mut flow);
+    let flow_out = spec().run(&mut flow);
     show("DTN-FLOW", &flow_out);
 
     let mut prophet = UtilityRouter::new(Prophet::new(trace.num_nodes(), trace.num_landmarks()));
-    let prophet_out = run_with_workload(&trace, &cfg, &workload, &mut prophet);
+    let prophet_out = spec().run(&mut prophet);
     show("PROPHET", &prophet_out);
 
     let mut direct = Direct::new();
-    let direct_out = run_with_workload(&trace, &cfg, &workload, &mut direct);
+    let direct_out = spec().run(&mut direct);
     show("direct", &direct_out);
 
     // The architectural point: how many DTN-FLOW deliveries crossed at

@@ -119,7 +119,9 @@ fn main() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let out = run_with_workload(&trace, &cfg, &workload, &mut router);
+    let out = RunSpec::new(&trace, &cfg)
+        .workload(&workload)
+        .run(&mut router);
     println!(
         "\nlog collection: {:.1}% of {} readings reached the rangers, median haul {:.1} h",
         100.0 * out.metrics.success_rate(),

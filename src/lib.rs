@@ -29,7 +29,7 @@
 //!     trace.num_nodes(),
 //!     trace.num_landmarks(),
 //! );
-//! let outcome = run(&trace, &cfg, &mut router);
+//! let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
 //!
 //! assert!(outcome.metrics.generated > 0);
 //! println!(
@@ -85,8 +85,8 @@ pub mod prelude {
         LoadBalanceConfig,
     };
     pub use dtnflow_sim::{
-        run, run_traced, run_with_faults, run_with_workload, FaultConfig, FaultPlan, LossReason,
-        NodeOutage, Router, SimOutcome, StationOutage, Workload, World, WorldError,
+        FaultConfig, FaultPlan, LossReason, NodeOutage, Router, RunSpec, SimOutcome, StationOutage,
+        Workload, World, WorldError,
     };
 }
 

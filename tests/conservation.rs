@@ -12,7 +12,6 @@
 //! packet whose trace disagrees with its final state.
 
 use dtn_flow::prelude::*;
-use dtn_flow::sim::run_traced;
 
 /// A 16-day, 3-landmark corridor: node 0 commutes l0 → l1 → l0, node 1
 /// commutes l1 → l2 → l1, so l1 is the interchange every cross-corridor
@@ -166,20 +165,15 @@ fn assert_conserved(mut out: SimOutcome, name: &str) {
 fn run_conserved(plan: &FaultPlan, name: &str) {
     let trace = corridor();
     let cfg = cfg();
-    let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
     let mut router = FlowRouter::new(
         FlowConfig::with_degradation(),
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let out = run_traced(
-        &trace,
-        &cfg,
-        &wl,
-        plan,
-        &mut router,
-        Box::new(Recorder::new(1 << 16)),
-    );
+    let out = RunSpec::new(&trace, &cfg)
+        .faults(plan)
+        .sink(Box::new(Recorder::new(1 << 16)))
+        .run(&mut router);
     assert!(
         out.metrics.generated > 0,
         "{name}: workload generated nothing"

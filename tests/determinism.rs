@@ -15,7 +15,7 @@ fn run_flow(seed: u64) -> SimOutcome {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    run(&trace, &cfg, &mut router)
+    RunSpec::new(&trace, &cfg).run(&mut router)
 }
 
 #[test]
@@ -73,7 +73,6 @@ fn fault_injected_runs_are_deterministic() {
         ..SimConfig::dart()
     }
     .with_seed(7);
-    let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
     let fc = FaultConfig {
         station_outage_duty: 0.25,
         node_failures_per_day: 1.0,
@@ -91,7 +90,7 @@ fn fault_injected_runs_are_deterministic() {
             trace.num_nodes(),
             trace.num_landmarks(),
         );
-        run_with_faults(&trace, &cfg, &wl, plan, &mut router)
+        RunSpec::new(&trace, &cfg).faults(plan).run(&mut router)
     };
     let a = go(&plan_a);
     let b = go(&plan_b);
@@ -116,7 +115,7 @@ fn baseline_runs_are_deterministic_too() {
     };
     let go = || {
         let mut r = UtilityRouter::new(Per::new(trace.num_nodes(), trace.num_landmarks()));
-        run(&trace, &cfg, &mut r).metrics
+        RunSpec::new(&trace, &cfg).run(&mut r).metrics
     };
     let a = go();
     let b = go();

@@ -55,7 +55,7 @@ fn flow_router_end_to_end() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let outcome = run(&trace, &cfg, &mut router);
+    let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
     assert!(outcome.metrics.generated > 100);
     assert!(outcome.metrics.delivered > 0, "FLOW must deliver something");
     assert_conservation(&outcome);
@@ -95,7 +95,7 @@ fn every_baseline_end_to_end() {
         Box::new(Direct::new()),
     ];
     for mut router in routers {
-        let outcome = run(&trace, &cfg, router.as_mut());
+        let outcome = RunSpec::new(&trace, &cfg).run(router.as_mut());
         assert!(
             outcome.metrics.delivered > 0,
             "{} delivered nothing",
@@ -109,7 +109,6 @@ fn every_baseline_end_to_end() {
 fn fault_injected_run_conserves_and_still_delivers() {
     let trace = tiny_campus();
     let cfg = light_cfg();
-    let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
     let plan = FaultPlan::generate(
         &FaultConfig {
             station_outage_duty: 0.2,
@@ -127,7 +126,7 @@ fn fault_injected_run_conserves_and_still_delivers() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let outcome = run_with_faults(&trace, &cfg, &wl, &plan, &mut router);
+    let outcome = RunSpec::new(&trace, &cfg).faults(&plan).run(&mut router);
     assert_conservation(&outcome);
     assert!(
         outcome.metrics.delivered > 0,
@@ -148,9 +147,9 @@ fn relaying_beats_direct_delivery() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let flow_out = run(&trace, &cfg, &mut flow);
+    let flow_out = RunSpec::new(&trace, &cfg).run(&mut flow);
     let mut direct = Direct::new();
-    let direct_out = run(&trace, &cfg, &mut direct);
+    let direct_out = RunSpec::new(&trace, &cfg).run(&mut direct);
     assert!(
         flow_out.metrics.success_rate() > direct_out.metrics.success_rate(),
         "FLOW {} vs direct {}",
@@ -170,7 +169,7 @@ fn single_copy_semantics_hold() {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let outcome = run(&trace, &cfg, &mut router);
+    let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
     let total_hops: u64 = outcome.packets.iter().map(|p| p.hops as u64).sum();
     assert_eq!(total_hops, outcome.metrics.forwarding_ops);
 }

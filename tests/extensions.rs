@@ -33,7 +33,7 @@ fn dead_end_prevention_detects_garage_trips() {
         ..FlowConfig::default()
     };
     let mut router = FlowRouter::new(flow, trace.num_nodes(), trace.num_landmarks());
-    let _ = run(&trace, &cfg, &mut router);
+    let _ = RunSpec::new(&trace, &cfg).run(&mut router);
     assert!(
         router.stats().dead_ends_detected > 0,
         "garage-heavy trace must trigger detections"
@@ -58,7 +58,7 @@ fn loop_injection_is_noticed_with_correction_enabled() {
     // Exclude the (undeliverable) garage from the workload.
     let garage = LandmarkId::from(trace.num_landmarks() - 1);
     let wl = Workload::uniform_excluding(&cfg, trace.num_landmarks(), trace.duration(), &[garage]);
-    let out = run_with_workload(&trace, &cfg, &wl, &mut router);
+    let out = RunSpec::new(&trace, &cfg).workload(&wl).run(&mut router);
     // The run completes and still delivers; detection may or may not fire
     // depending on whether the falsified detour is ever attractive, but
     // delivery must not collapse.
@@ -83,7 +83,7 @@ fn load_balancing_reroutes_under_pressure() {
         ..FlowConfig::default()
     };
     let mut router = FlowRouter::new(flow, trace.num_nodes(), trace.num_landmarks());
-    let out = run(&trace, &cfg, &mut router);
+    let out = RunSpec::new(&trace, &cfg).run(&mut router);
     assert!(out.metrics.delivered > 0);
     assert!(
         router.stats().lb_reroutes > 0,
@@ -140,7 +140,7 @@ fn send_to_node_delivers_to_a_mobile_node() {
         ),
         created: Vec::new(),
     };
-    let out = run(&trace, &cfg, &mut router);
+    let out = RunSpec::new(&trace, &cfg).run(&mut router);
     assert!(
         !router.created.is_empty(),
         "registrations should exist by unit 20"

@@ -117,7 +117,7 @@ proptest! {
             trace.num_nodes(),
             trace.num_landmarks(),
         );
-        let outcome = run(&trace, &cfg, &mut router);
+        let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
         check_invariants(&outcome, "FLOW");
     }
 
@@ -135,7 +135,7 @@ proptest! {
             1 => Box::new(UtilityRouter::new(Per::new(n, l))),
             _ => Box::new(UtilityRouter::new(SimBet::new(n, l))),
         };
-        let outcome = run(&trace, &cfg, router.as_mut());
+        let outcome = RunSpec::new(&trace, &cfg).run(router.as_mut());
         check_invariants(&outcome, router.name());
     }
 
@@ -164,7 +164,6 @@ proptest! {
         fseed in 0u64..100,
     ) {
         let cfg = prop_cfg(ttl, 200.0);
-        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let fc = FaultConfig {
             station_outage_duty: 0.3,
             mean_outage_secs: 2_000.0,
@@ -181,7 +180,7 @@ proptest! {
                 trace.num_nodes(),
                 trace.num_landmarks(),
             );
-            run_with_faults(&trace, &cfg, &wl, &plan, &mut router)
+            RunSpec::new(&trace, &cfg).faults(&plan).run(&mut router)
         };
         let a = go();
         let b = go();
@@ -205,7 +204,6 @@ proptest! {
         rate in 20.0f64..500.0,
     ) {
         let cfg = prop_cfg(ttl, rate);
-        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let plan = FaultPlan::generate(&FaultConfig::default(), &trace);
         prop_assert!(plan.is_empty());
         let build = || FlowRouter::new(
@@ -214,9 +212,9 @@ proptest! {
             trace.num_landmarks(),
         );
         let mut r1 = build();
-        let clean = run_with_workload(&trace, &cfg, &wl, &mut r1);
+        let clean = RunSpec::new(&trace, &cfg).run(&mut r1);
         let mut r2 = build();
-        let faulted = run_with_faults(&trace, &cfg, &wl, &plan, &mut r2);
+        let faulted = RunSpec::new(&trace, &cfg).faults(&plan).run(&mut r2);
         // Byte-identical outcomes: same counters, same per-packet fates.
         prop_assert!(clean.metrics.generated == faulted.metrics.generated);
         prop_assert!(clean.metrics.delivered == faulted.metrics.delivered);
@@ -239,7 +237,6 @@ proptest! {
         fseed in 0u64..50,
     ) {
         let cfg = prop_cfg(ttl, 300.0);
-        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let fc = FaultConfig {
             station_outage_duty: 0.4,
             mean_outage_secs: 1_500.0,
@@ -255,7 +252,7 @@ proptest! {
             trace.num_nodes(),
             trace.num_landmarks(),
         );
-        let outcome = run_with_faults(&trace, &cfg, &wl, &plan, &mut router);
+        let outcome = RunSpec::new(&trace, &cfg).faults(&plan).run(&mut router);
         check_invariants(&outcome, "FLOW+heavy-faults");
     }
 

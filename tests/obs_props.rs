@@ -4,7 +4,6 @@
 //! plans. Also pins the ring-bound guarantee end-to-end.
 
 use dtn_flow::prelude::*;
-use dtn_flow::sim::run_traced;
 use proptest::prelude::*;
 
 /// A random but *valid* trace (same shape as `invariants_props`).
@@ -101,7 +100,6 @@ proptest! {
         capacity in 1usize..96,
     ) {
         let cfg = prop_cfg(ttl, rate);
-        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
         let fc = FaultConfig {
             station_outage_duty: 0.3,
             mean_outage_secs: 2_000.0,
@@ -114,14 +112,14 @@ proptest! {
         let plan = FaultPlan::generate(&fc, &trace);
 
         let mut r1 = build(&trace);
-        let untraced = run_with_faults(&trace, &cfg, &wl, &plan, &mut r1);
+        let untraced = RunSpec::new(&trace, &cfg).faults(&plan).run(&mut r1);
         prop_assert!(untraced.trace.is_none(), "untraced run must carry no sink");
 
         let mut r2 = build(&trace);
-        let mut traced = run_traced(
-            &trace, &cfg, &wl, &plan, &mut r2,
-            Box::new(Recorder::new(capacity)),
-        );
+        let mut traced = RunSpec::new(&trace, &cfg)
+            .faults(&plan)
+            .sink(Box::new(Recorder::new(capacity)))
+            .run(&mut r2);
         if let Err(why) = same_outcome(&untraced, &traced) {
             prop_assert!(false, "tracing perturbed the run: {why}");
         }
@@ -144,13 +142,13 @@ proptest! {
         rate in 50.0f64..500.0,
     ) {
         let cfg = prop_cfg(ttl, rate);
-        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let plan = FaultPlan::none();
 
         let mut r1 = build(&trace);
-        let untraced = run_with_faults(&trace, &cfg, &wl, &plan, &mut r1);
+        let untraced = RunSpec::new(&trace, &cfg).run(&mut r1);
         let mut r2 = build(&trace);
-        let traced = run_traced(&trace, &cfg, &wl, &plan, &mut r2, Box::new(NoopSink));
+        let traced = RunSpec::new(&trace, &cfg)
+            .sink(Box::new(NoopSink))
+            .run(&mut r2);
         if let Err(why) = same_outcome(&untraced, &traced) {
             prop_assert!(false, "noop sink perturbed the run: {why}");
         }

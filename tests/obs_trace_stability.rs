@@ -6,7 +6,6 @@
 //! diff.
 
 use dtn_flow::prelude::*;
-use dtn_flow::sim::run_traced;
 
 fn scenario() -> (Trace, SimConfig) {
     let mut v = Vec::new();
@@ -53,7 +52,6 @@ fn scenario() -> (Trace, SimConfig) {
 
 fn record_once() -> Recorder {
     let (trace, cfg) = scenario();
-    let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
     let fc = FaultConfig {
         station_outage_duty: 0.2,
         mean_outage_secs: 15_000.0,
@@ -69,14 +67,10 @@ fn record_once() -> Recorder {
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let mut out = run_traced(
-        &trace,
-        &cfg,
-        &wl,
-        &plan,
-        &mut router,
-        Box::new(Recorder::new(1 << 16)),
-    );
+    let mut out = RunSpec::new(&trace, &cfg)
+        .faults(&plan)
+        .sink(Box::new(Recorder::new(1 << 16)))
+        .run(&mut router);
     out.trace
         .take()
         .and_then(Recorder::downcast)
@@ -158,21 +152,16 @@ fn recorded_stream_is_byte_stable_across_processes() {
 fn observe_points_populate_route_gauges() {
     let (trace, mut cfg) = scenario();
     cfg.observe_points = 4;
-    let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
     let plan = FaultPlan::generate(&FaultConfig::default(), &trace);
     let mut router = FlowRouter::new(
         FlowConfig::default(),
         trace.num_nodes(),
         trace.num_landmarks(),
     );
-    let mut out = run_traced(
-        &trace,
-        &cfg,
-        &wl,
-        &plan,
-        &mut router,
-        Box::new(Recorder::new(1 << 16)),
-    );
+    let mut out = RunSpec::new(&trace, &cfg)
+        .faults(&plan)
+        .sink(Box::new(Recorder::new(1 << 16)))
+        .run(&mut router);
     let rec = out
         .trace
         .take()

@@ -31,7 +31,7 @@ fn reloaded_trace_simulates_identically() {
     };
     let go = |t: &Trace| {
         let mut r = FlowRouter::new(FlowConfig::default(), t.num_nodes(), t.num_landmarks());
-        run(t, &cfg, &mut r).metrics
+        RunSpec::new(t, &cfg).run(&mut r).metrics
     };
     let a = go(&trace);
     let b = go(&reloaded);
