@@ -28,8 +28,19 @@ pub trait UtilityModel {
 
     /// The node's suitability for delivering to `dst` given the packet's
     /// remaining lifetime. Higher is better; the scale is model-internal.
+    /// Any side effect (PROPHET's aging write-back, PGR's route cache)
+    /// must be idempotent at a fixed `now`: a second call with the same
+    /// arguments leaves the model bit-identical.
     fn score(&mut self, node: NodeId, dst: LandmarkId, remaining: SimDuration, now: SimTime)
         -> f64;
+
+    /// Whether [`UtilityModel::should_forward`] reads `remaining`. When
+    /// false, [`UtilityRouter`] asks once per destination group and
+    /// reuses the verdict for every packet in it; a model whose verdict
+    /// depends on the packet's deadline (PER) must return true.
+    fn deadline_aware(&self) -> bool {
+        false
+    }
 
     /// Whether `holder` should hand a packet for `dst` to `other`.
     /// The default is a strict score comparison; models with pairwise
@@ -96,6 +107,11 @@ impl<U: UtilityModel> UtilityRouter<U> {
     /// One direction of an encounter: move `holder`'s packets to `other`
     /// where the model says so. Stale index entries (auto-delivery and
     /// expiry bypass us) are dropped in the same pass.
+    ///
+    /// A model that is not [`UtilityModel::deadline_aware`] is asked once
+    /// per destination group, at the group's first packet with TTL left
+    /// (so its score side effects land exactly where a per-packet loop
+    /// makes its first call), and a "no" ends the group.
     fn forward_pass(&mut self, world: &mut World, holder: NodeId, other: NodeId) {
         self.ensure_node(holder);
         let mut dsts = std::mem::take(&mut self.scratch_dsts);
@@ -103,6 +119,7 @@ impl<U: UtilityModel> UtilityRouter<U> {
         dsts.extend(self.groups[holder.index()].keys());
         let mut pkts = std::mem::take(&mut self.scratch_pkts);
         let now = world.now();
+        let per_packet = self.model.deadline_aware();
         'pass: for &dst in &dsts {
             let Some(set) = self.groups[holder.index()].get_mut(dst) else {
                 continue;
@@ -111,20 +128,26 @@ impl<U: UtilityModel> UtilityRouter<U> {
             pkts.clear();
             pkts.extend(set.iter());
             let dst_lm = LandmarkId(dst);
+            let mut group_verdict = None;
             for &pkt in pkts.iter() {
                 let remaining = world.packet(pkt).remaining_ttl(now);
                 if remaining == SimDuration::ZERO {
                     continue;
                 }
-                if !self
-                    .model
-                    .should_forward(holder, other, dst_lm, remaining, now)
-                {
-                    // The model's verdict is per (holder, other, dst,
-                    // remaining); with a shared TTL it rarely differs
-                    // within a group, but PER's deadline-awareness can
-                    // split a group, so keep checking per packet.
-                    continue;
+                let forward = match group_verdict {
+                    Some(v) => v,
+                    None => self
+                        .model
+                        .should_forward(holder, other, dst_lm, remaining, now),
+                };
+                if !per_packet {
+                    group_verdict = Some(forward);
+                }
+                if !forward {
+                    if per_packet {
+                        continue;
+                    }
+                    break; // a group-wide "no" ends the group
                 }
                 match world.transfer_to_node(pkt, other) {
                     Ok(()) => {

@@ -25,9 +25,10 @@ pub const MAX_STEPS: usize = 24;
 struct NodeModel {
     /// Transit counts `from -> (to -> count)`.
     transitions: DenseMap<u16, DenseMap<u16, u32>>,
-    /// One past the largest landmark id seen by this node (bounds the flat
-    /// DP distributions in [`NodeModel::compute_first_passage`]).
-    lm_bound: usize,
+    /// `transitions` in the compact form the DP walks; rebuilt from the
+    /// counts on the first query after a count changed.
+    table: TransitionTable,
+    table_stale: bool,
     current: Option<LandmarkId>,
     last_arrival: Option<SimTime>,
     /// Sum and count of observed hop times (arrival to next arrival).
@@ -41,11 +42,73 @@ struct NodeModel {
     scratch_next: Vec<f64>,
 }
 
+/// A node's transition counts as one compact table. Local indexes number
+/// the landmarks that appear in any transition in ascending id order, so
+/// a scan over local indexes meets landmarks in id order. Row `i` holds
+/// the `(to, count)` entries of the `i`-th landmark in ascending `to`
+/// order, with the row total precomputed.
+#[derive(Default)]
+struct TransitionTable {
+    /// Local index per landmark id; `NONE` when the id is in no transition.
+    local: Vec<u32>,
+    /// Per local `from`: its `entries` range and the row total.
+    rows: Vec<(u32, u32, f64)>,
+    /// `(local to, count)`, row after row.
+    entries: Vec<(u32, f64)>,
+}
+
+impl TransitionTable {
+    const NONE: u32 = u32::MAX;
+
+    fn rebuild(&mut self, transitions: &DenseMap<u16, DenseMap<u16, u32>>) {
+        // Mark every landmark of a transition, then number the marks.
+        self.local.clear();
+        for (from, outs) in transitions.iter() {
+            for id in std::iter::once(from).chain(outs.keys()) {
+                let i = id as usize;
+                if self.local.len() <= i {
+                    self.local.resize(i + 1, Self::NONE);
+                }
+                self.local[i] = 0;
+            }
+        }
+        let marked = self.local.iter_mut().filter(|s| **s != Self::NONE);
+        for (n, slot) in marked.enumerate() {
+            *slot = n as u32;
+        }
+        self.rows.clear();
+        self.entries.clear();
+        for (id, &slot) in self.local.iter().enumerate() {
+            if slot == Self::NONE {
+                continue;
+            }
+            let start = self.entries.len() as u32;
+            let mut total = 0u32;
+            if let Some(outs) = transitions.get(id as u16) {
+                total = outs.values().sum();
+                for (to, &cnt) in outs.iter() {
+                    self.entries.push((self.local[to as usize], cnt as f64));
+                }
+            }
+            self.rows
+                .push((start, self.entries.len() as u32, total as f64));
+        }
+    }
+
+    fn local_of(&self, lm: LandmarkId) -> Option<usize> {
+        match self.local.get(lm.index()) {
+            Some(&i) if i != Self::NONE => Some(i as usize),
+            _ => None,
+        }
+    }
+}
+
 impl NodeModel {
     fn new() -> Self {
         NodeModel {
             transitions: DenseMap::new(),
-            lm_bound: 0,
+            table: TransitionTable::default(),
+            table_stale: false,
             current: None,
             last_arrival: None,
             hop_time_sum: 0,
@@ -75,42 +138,46 @@ impl NodeModel {
     }
 
     fn compute_first_passage(&mut self, dst: LandmarkId) -> Vec<f64> {
-        let Some(at) = self.current else {
+        if self.table_stale {
+            self.table.rebuild(&self.transitions);
+            self.table_stale = false;
+        }
+        let table = &self.table;
+        // A walk that starts outside every transition stalls at once, and
+        // one that can never enter `dst` never absorbs: both curves stay 0.
+        let start = self.current.and_then(|at| table.local_of(at));
+        let (Some(start), Some(target)) = (start, table.local_of(dst)) else {
             return vec![0.0; MAX_STEPS];
         };
-        // Flat distribution over landmark ids, dst absorbing. Mass is
+        // Flat distribution over local indexes, dst absorbing. Mass is
         // accumulated in floating point, so iteration order is observable
-        // in the scores: ascending-id scans reproduce exactly the ordered
-        // maps this replaces (entries present in those maps always carried
-        // positive mass, so skipping zero slots preserves the sparsity).
-        let side = self.lm_bound.max(at.0 as usize + 1);
+        // in the scores: ascending local indexes are ascending ids, the
+        // order of the ordered maps this replaces (entries present in
+        // those maps always carried positive mass, so skipping zero slots
+        // preserves the sparsity).
+        let side = table.rows.len();
         let mut dist = std::mem::take(&mut self.scratch_dist);
         let mut next = std::mem::take(&mut self.scratch_next);
         dist.clear();
         dist.resize(side, 0.0);
         next.clear();
         next.resize(side, 0.0);
-        dist[at.0 as usize] = 1.0;
+        dist[start] = 1.0;
         let mut absorbed = 0.0;
         let mut curve = Vec::with_capacity(MAX_STEPS);
         for _ in 0..MAX_STEPS {
-            for slot in next.iter_mut() {
-                *slot = 0.0;
-            }
+            next.fill(0.0);
             for (from, mass) in dist.iter().copied().enumerate() {
                 if mass == 0.0 {
                     continue;
                 }
-                let Some(outs) = self.transitions.get(from as u16) else {
+                let (lo, hi, total) = table.rows[from];
+                if total == 0.0 {
                     continue; // unknown outs: the walk stalls here
-                };
-                let total: u32 = outs.values().sum();
-                if total == 0 {
-                    continue;
                 }
-                for (to, &cnt) in outs.iter() {
-                    let m = mass * cnt as f64 / total as f64;
-                    if to == dst.0 {
+                for &(to, cnt) in &table.entries[lo as usize..hi as usize] {
+                    let m = mass * cnt / total;
+                    if to as usize == target {
                         absorbed += m;
                     } else {
                         next[to as usize] += m;
@@ -160,12 +227,16 @@ impl UtilityModel for Per {
         "PER"
     }
 
+    fn deadline_aware(&self) -> bool {
+        true
+    }
+
     fn on_visit(&mut self, node: NodeId, lm: LandmarkId, now: SimTime) {
         let m = &mut self.nodes[node.index()];
-        m.lm_bound = m.lm_bound.max(lm.0 as usize + 1);
         if let (Some(prev), Some(since)) = (m.current, m.last_arrival) {
             if prev != lm {
                 *m.transitions.get_or_default(prev.0).get_or_default(lm.0) += 1;
+                m.table_stale = true;
                 m.hop_time_sum += now.since(since).secs();
                 m.hop_count += 1;
             }
@@ -250,6 +321,99 @@ mod tests {
         // One visit gives a current landmark but no hop statistics.
         m.on_visit(NodeId(0), lm(0), SimTime(0));
         assert_eq!(m.hit_probability(NodeId(0), lm(1), DAY), 0.0);
+    }
+
+    /// Today's reference: the first-passage DP straight over the nested
+    /// count maps, every slot up to `lm_bound` scanned each step.
+    fn reference_curve(
+        transitions: &DenseMap<u16, DenseMap<u16, u32>>,
+        lm_bound: usize,
+        current: Option<LandmarkId>,
+        dst: LandmarkId,
+    ) -> Vec<f64> {
+        let Some(at) = current else {
+            return vec![0.0; MAX_STEPS];
+        };
+        let side = lm_bound.max(at.0 as usize + 1);
+        let mut dist = vec![0.0; side];
+        let mut next = vec![0.0; side];
+        dist[at.0 as usize] = 1.0;
+        let mut absorbed = 0.0;
+        let mut curve = Vec::with_capacity(MAX_STEPS);
+        for _ in 0..MAX_STEPS {
+            for slot in next.iter_mut() {
+                *slot = 0.0;
+            }
+            for (from, mass) in dist.iter().copied().enumerate() {
+                if mass == 0.0 {
+                    continue;
+                }
+                let Some(outs) = transitions.get(from as u16) else {
+                    continue;
+                };
+                let total: u32 = outs.values().sum();
+                if total == 0 {
+                    continue;
+                }
+                for (to, &cnt) in outs.iter() {
+                    let m = mass * cnt as f64 / total as f64;
+                    if to == dst.0 {
+                        absorbed += m;
+                    } else {
+                        next[to as usize] += m;
+                    }
+                }
+            }
+            std::mem::swap(&mut dist, &mut next);
+            curve.push(absorbed);
+        }
+        curve
+    }
+
+    /// Feed `walk` to one node and, after every visit, compare the
+    /// compact-table curve for every destination with the reference,
+    /// bit for bit. The reference keeps its own counts and bound.
+    fn assert_curves_match(walk: &[u16], landmarks: u16) {
+        let mut m = Per::new(1, landmarks as usize);
+        let mut counts: DenseMap<u16, DenseMap<u16, u32>> = DenseMap::new();
+        let mut lm_bound = 0usize;
+        let mut current: Option<LandmarkId> = None;
+        for (i, &l) in walk.iter().enumerate() {
+            m.on_visit(NodeId(0), lm(l), SimTime(i as u64 * 600));
+            lm_bound = lm_bound.max(l as usize + 1);
+            if let Some(prev) = current.filter(|&p| p != lm(l)) {
+                *counts.get_or_default(prev.0).get_or_default(l) += 1;
+            }
+            current = Some(lm(l));
+            for dst in 0..landmarks {
+                let got = m.nodes[0].compute_first_passage(lm(dst));
+                let want = reference_curve(&counts, lm_bound, current, lm(dst));
+                let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "walk {walk:?} step {i} dst {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_table_follows_new_transitions_and_a_growing_bound() {
+        // First visit at a high id (the bound grows, no transition yet);
+        // then repeats (no transition), then transitions that add rows
+        // and entries mid-walk, each invalidating the table.
+        assert_curves_match(&[7, 7, 2, 2, 7, 0, 7, 2, 5, 0, 2, 7, 9], 10);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn compact_table_curves_equal_the_dense_map_dp(
+            walk in proptest::collection::vec(0u16..12, 1..60),
+        ) {
+            assert_curves_match(&walk, 12);
+        }
     }
 
     #[test]

@@ -36,27 +36,27 @@ impl Pgr {
     }
 
     /// The node's predicted route: up to `HORIZON` most-likely next
-    /// landmarks starting from its current one.
-    pub fn predicted_route(&mut self, node: NodeId) -> Vec<LandmarkId> {
-        if let Some(route) = &self.route_cache[node.index()] {
-            return route.clone();
-        }
-        let mut route = Vec::with_capacity(HORIZON);
-        let predictor = &self.predictors[node.index()];
-        let Some(mut at) = self.current[node.index()] else {
-            return route;
-        };
-        for _ in 0..HORIZON {
-            match predictor.predict_from(&[at]) {
-                Some((next, _)) => {
-                    route.push(next);
-                    at = next;
+    /// landmarks starting from its current one. Computed once per move
+    /// and borrowed from the cache after that.
+    pub fn predicted_route(&mut self, node: NodeId) -> &[LandmarkId] {
+        let i = node.index();
+        if self.route_cache[i].is_none() {
+            let mut route = Vec::with_capacity(HORIZON);
+            let predictor = &self.predictors[i];
+            if let Some(mut at) = self.current[i] {
+                for _ in 0..HORIZON {
+                    match predictor.predict_from(&[at]) {
+                        Some((next, _)) => {
+                            route.push(next);
+                            at = next;
+                        }
+                        None => break,
+                    }
                 }
-                None => break,
             }
+            self.route_cache[i] = Some(route);
         }
-        self.route_cache[node.index()] = Some(route.clone());
-        route
+        self.route_cache[i].as_deref().unwrap_or_default()
     }
 }
 
@@ -72,8 +72,7 @@ impl UtilityModel for Pgr {
     }
 
     fn score(&mut self, node: NodeId, dst: LandmarkId, _: SimDuration, _: SimTime) -> f64 {
-        let route = self.predicted_route(node);
-        match route.iter().position(|&l| l == dst) {
+        match self.predicted_route(node).iter().position(|&l| l == dst) {
             Some(i) => 1.0 / (i + 1) as f64,
             None => 0.0,
         }
@@ -137,7 +136,7 @@ mod tests {
     fn cache_invalidated_on_movement() {
         let mut m = Pgr::new(1, 4);
         feed_cycle(&mut m, NodeId(0), &[0, 1, 2], 5);
-        let before = m.predicted_route(NodeId(0));
+        let before = m.predicted_route(NodeId(0)).to_vec();
         m.on_visit(NodeId(0), lm(0), t(99_999));
         let after = m.predicted_route(NodeId(0));
         assert_ne!(before, after);

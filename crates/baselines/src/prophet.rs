@@ -114,6 +114,43 @@ mod tests {
     }
 
     #[test]
+    fn repeated_scores_at_one_instant_leave_the_table_bit_identical() {
+        // The group verdict asks once where a per-packet loop asks many
+        // times at the same `now`; that is invisible only if a repeated
+        // score ages by `γ^0 = 1` and writes back the same bits.
+        let mut m = Prophet::new(3, 3);
+        let mut t = SimTime(0);
+        for (i, (n, l)) in [(0, 1), (1, 1), (0, 2), (2, 0), (0, 1), (1, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            t += HOUR.mul(i as u64 + 1);
+            m.on_visit(NodeId(n), lm(l), t);
+        }
+        let now = t + HOUR.mul(7);
+        let bits = |m: &Prophet| {
+            m.p.iter()
+                .map(|&(p, last)| (p.to_bits(), last))
+                .collect::<Vec<_>>()
+        };
+        let score_all = |m: &mut Prophet| {
+            let mut out = Vec::new();
+            for n in 0..3 {
+                for l in 0..3 {
+                    out.push(m.score(NodeId(n), lm(l), DAY, now).to_bits());
+                }
+            }
+            out
+        };
+        let first = score_all(&mut m);
+        let table = bits(&m);
+        for _ in 0..3 {
+            assert_eq!(score_all(&mut m), first);
+            assert_eq!(bits(&m), table);
+        }
+    }
+
+    #[test]
     fn unseen_pair_scores_zero() {
         let mut m = Prophet::new(1, 2);
         assert_eq!(m.score(NodeId(0), lm(1), DAY, SimTime(999)), 0.0);

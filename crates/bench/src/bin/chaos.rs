@@ -11,11 +11,21 @@
 //! ```
 //!
 //! Exit status 1 when any case diverges from the uninterrupted run or
-//! breaks packet conservation; 2 on usage or I/O errors.
+//! breaks packet conservation; 2 on usage or I/O errors (a missing or
+//! malformed flag value prints the usage line).
 
 use dtnflow_bench::chaos::{results_json, sweep};
 use dtnflow_bench::runners::Method;
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: chaos [--quick] [--seed N] [--out FILE]";
+
+/// Report a command-line error with the usage line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,18 +34,19 @@ fn main() {
     let mut out = PathBuf::from("results/BENCH_chaos.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        // A flag's value: the next argument, unless it is another flag.
+        let mut value = || it.next().filter(|v| !v.starts_with("--"));
         match arg.as_str() {
             "--quick" => quick = true,
-            "--seed" => {
-                let v = it.next().expect("--seed requires a number argument");
-                seed = v.parse().expect("--seed requires a u64 argument");
-            }
-            "--out" => out = PathBuf::from(it.next().expect("--out requires a file argument")),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: chaos [--quick] [--seed N] [--out FILE]");
-                std::process::exit(2);
-            }
+            "--seed" => match value().map(|v| v.parse::<u64>()) {
+                Some(Ok(n)) => seed = n,
+                _ => usage_error("--seed requires a u64 argument"),
+            },
+            "--out" => match value() {
+                Some(file) => out = PathBuf::from(file),
+                None => usage_error("--out requires a file argument"),
+            },
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 

@@ -13,6 +13,9 @@
 //!            --strict exits 1 on regression.
 //! ```
 //!
+//! An unknown flag, a flag missing its file, or `--check` without
+//! `--against` prints the usage lines and exits with status 2.
+//!
 //! Each bench isolates one inner loop that the fig11-class sweeps spend
 //! their time in (§IV-C table maintenance, §IV-D carrier selection):
 //!
@@ -386,6 +389,15 @@ fn check(new_path: &str, base_path: &str) -> Result<usize, String> {
     Ok(regressions)
 }
 
+const USAGE: &str = "usage: hotpath [--quick] [--out FILE]\n       hotpath --check NEW --against BASELINE [--strict]";
+
+/// Report a command-line error with the usage lines and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -395,34 +407,24 @@ fn main() {
     let mut check_base: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        // A flag's value: the next argument, unless it is another flag.
+        let mut file = |flag: &str| match it.next().filter(|v| !v.starts_with("--")) {
+            Some(v) => v.clone(),
+            None => usage_error(&format!("{flag} requires a file argument")),
+        };
         match arg.as_str() {
             "--quick" => quick = true,
             "--strict" => strict = true,
-            "--out" => out = PathBuf::from(it.next().expect("--out requires a file argument")),
-            "--check" => {
-                check_new = Some(it.next().expect("--check requires a file argument").clone());
-            }
-            "--against" => {
-                check_base = Some(
-                    it.next()
-                        .expect("--against requires a file argument")
-                        .clone(),
-                );
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: hotpath [--quick] [--out FILE]");
-                eprintln!("       hotpath --check NEW --against BASELINE [--strict]");
-                std::process::exit(2);
-            }
+            "--out" => out = PathBuf::from(file("--out")),
+            "--check" => check_new = Some(file("--check")),
+            "--against" => check_base = Some(file("--against")),
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
     if let Some(new_path) = check_new {
-        let base_path = check_base.unwrap_or_else(|| {
-            eprintln!("--check requires --against BASELINE");
-            std::process::exit(2);
-        });
+        let base_path =
+            check_base.unwrap_or_else(|| usage_error("--check requires --against BASELINE"));
         match check(&new_path, &base_path) {
             Ok(0) => println!("hotpath check: no regressions > {REGRESSION_FACTOR}x"),
             Ok(n) => {

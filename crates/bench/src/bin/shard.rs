@@ -9,6 +9,9 @@
 //!          (default: results/BENCH_shard.json)
 //! ```
 //!
+//! An unknown flag or a missing `--out` value prints the usage line and
+//! exits with status 2.
+//!
 //! For each shard count in {1, 2, 4, 8} the bench runs the fig11 campus
 //! memory cell(s) with DTN-FLOW (the only router whose unit-boundary
 //! work fans out per landmark), records wall-clock time, and
@@ -108,6 +111,15 @@ fn results_json(
     .render_pretty()
 }
 
+const USAGE: &str = "usage: shard [--quick] [--out FILE]";
+
+/// Report a command-line error with the usage line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -116,12 +128,12 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => out = PathBuf::from(it.next().expect("--out requires a file argument")),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: shard [--quick] [--out FILE]");
-                std::process::exit(2);
-            }
+            // The file is the next argument, unless that is another flag.
+            "--out" => match it.next().filter(|v| !v.starts_with("--")) {
+                Some(file) => out = PathBuf::from(file),
+                None => usage_error("--out requires a file argument"),
+            },
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 

@@ -11,6 +11,10 @@
 //! style summary plus the busiest landmarks and links; `validate` parses
 //! a file and reports problems; `predict` evaluates the order-k and
 //! back-off predictors on the trace (the Fig. 6 analysis for your data).
+//!
+//! A missing subcommand or argument, or a flag with a missing or
+//! malformed value, prints the usage lines and exits with status 2;
+//! unreadable or malformed trace files exit 1.
 
 use dtnflow_core::time::DAY;
 use dtnflow_mobility::synth::bus::{BusConfig, BusModel};
@@ -71,23 +75,46 @@ fn load(source: &str, seed: Option<u64>) -> Trace {
     })
 }
 
+/// The value after `name`, if the flag is given. A flag without a value
+/// (end of line, or another flag next) is a usage error.
 fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => {
+            eprintln!("{name} requires a value");
+            usage()
+        }
+    }
+}
+
+/// [`flag`] parsed as an integer; a malformed value is a usage error.
+fn int_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let v = flag(args, name)?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("{name} must be an integer, got `{v}`");
+            usage()
+        }
+    }
 }
 
 fn cmd_gen(args: &[String]) {
     let Some(kind) = args.first() else { usage() };
-    let seed = flag(args, "--seed").map(|s| s.parse().expect("--seed must be an integer"));
+    let seed = int_flag(args, "--seed");
+    let out = flag(args, "--out");
     let Some(trace) = builtin(kind, seed) else {
         eprintln!("unknown generator `{kind}` (campus|bus|deployment)");
         exit(2);
     };
     let text = io::to_text(&trace);
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
-            std::fs::write(&path, text).expect("write trace file");
+            if let Err(e) = std::fs::write(&path, text) {
+                eprintln!("cannot write {path}: {e}");
+                exit(1);
+            }
             eprintln!(
                 "wrote {path}: {} nodes, {} landmarks, {} visits",
                 trace.num_nodes(),
@@ -163,9 +190,11 @@ fn cmd_validate(args: &[String]) {
 
 fn cmd_predict(args: &[String]) {
     let Some(source) = args.first() else { usage() };
-    let max_k: usize = flag(args, "--max-k")
-        .map(|s| s.parse().expect("--max-k must be an integer"))
-        .unwrap_or(3);
+    let max_k: usize = int_flag(args, "--max-k").unwrap_or(3);
+    if max_k == 0 {
+        eprintln!("--max-k must be at least 1");
+        usage();
+    }
     let trace = load(source, None);
     println!("order-k Markov predictor accuracy on `{}`:", trace.name());
     for k in 1..=max_k {

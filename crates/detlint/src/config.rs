@@ -119,6 +119,10 @@ impl Default for Config {
                     struct_name: "BenchEntry".into(),
                     fn_name: "bench_json".into(),
                 },
+                FieldLiteralBinding {
+                    struct_name: "BenchHost".into(),
+                    fn_name: "bench_json".into(),
+                },
             ],
             // `fixtures` holds deliberate violations for detlint's own
             // tests; `vendor` is third-party API stubs; `results` is

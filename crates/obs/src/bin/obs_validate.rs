@@ -4,12 +4,15 @@
 //!
 //! Each file must parse as JSON and carry a known `schema` tag
 //! (`dtnflow-obs-snapshot-v1`, `dtnflow-obs-report-v1`, or
-//! `dtnflow-obs-bench-v1`); the document is then structurally validated.
+//! `dtnflow-obs-bench-v2`); the document is then structurally validated.
+//! A bench document must name its host (cores, build profile, git
+//! revision).
 //! Exits non-zero on the first problem, printing one line per file.
 //! CI runs this against the output of a traced quick experiment.
 
 use std::process::ExitCode;
 
+use dtnflow_obs::snapshot::{BENCH_SCHEMA, REPORT_SCHEMA, SNAPSHOT_SCHEMA};
 use dtnflow_obs::{json, schema};
 
 fn validate_file(path: &str) -> Result<&'static str, String> {
@@ -17,9 +20,9 @@ fn validate_file(path: &str) -> Result<&'static str, String> {
     let doc = json::parse(&text).map_err(|e| format!("JSON parse failed: {e}"))?;
     schema::validate_any(&doc)?;
     match doc.get("schema").and_then(json::Value::as_str) {
-        Some("dtnflow-obs-snapshot-v1") => Ok("snapshot"),
-        Some("dtnflow-obs-report-v1") => Ok("report"),
-        Some("dtnflow-obs-bench-v1") => Ok("bench"),
+        Some(SNAPSHOT_SCHEMA) => Ok("snapshot"),
+        Some(REPORT_SCHEMA) => Ok("report"),
+        Some(BENCH_SCHEMA) => Ok("bench"),
         _ => Ok("unknown"),
     }
 }

@@ -33,4 +33,4 @@ pub use buffer::EventBuffer;
 pub use event::{LossKind, Place, SimEvent};
 pub use metrics::{LandmarkCounters, ObsMetrics, Totals, DELAY_BUCKET_EDGES_SECS};
 pub use sink::{NoopSink, Recorder, TraceSink, DEFAULT_RING_CAPACITY};
-pub use snapshot::{bench_json, report_json, BenchEntry, LandmarkRow, Snapshot};
+pub use snapshot::{bench_json, report_json, BenchEntry, BenchHost, LandmarkRow, Snapshot};

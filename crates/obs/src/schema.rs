@@ -166,12 +166,26 @@ pub fn validate_report(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate the `BENCH_obs.json` timing baseline (`dtnflow-obs-bench-v1`).
+/// Validate the `BENCH_obs.json` timing baseline (`dtnflow-obs-bench-v2`):
+/// the host it was measured on, then one entry per experiment.
 pub fn validate_bench(doc: &Value) -> Result<(), String> {
     let what = "bench";
     let schema = require(doc, "schema", what)?.as_str();
     if schema != Some(BENCH_SCHEMA) {
         return Err(format!("{what}: schema tag {schema:?} != {BENCH_SCHEMA:?}"));
+    }
+    let host = require(doc, "host", what)?;
+    let inner = "bench.host";
+    if require_count(host, "cores", inner)? < 1 {
+        return Err(format!("{inner}: cores must be at least 1"));
+    }
+    for key in ["profile", "git_revision"] {
+        let v = require(host, key, inner)?
+            .as_str()
+            .ok_or_else(|| format!("{inner}: {key} is not a string"))?;
+        if v.is_empty() {
+            return Err(format!("{inner}: empty {key}"));
+        }
     }
     for entry in require_array(doc, "entries", what)? {
         let inner = "bench.entries[]";
@@ -204,7 +218,7 @@ mod tests {
     use super::*;
     use crate::json::parse;
     use crate::metrics::ObsMetrics;
-    use crate::snapshot::{bench_json, report_json, BenchEntry, Snapshot};
+    use crate::snapshot::{bench_json, report_json, BenchEntry, BenchHost, Snapshot};
 
     fn empty_snapshot() -> Snapshot {
         Snapshot::from_metrics(&ObsMetrics::new(), 0, 0, 16)
@@ -216,13 +230,40 @@ mod tests {
         validate_any(&parse(&snap.to_json()).unwrap()).unwrap();
         let report = report_json("resilience", &[("cell".to_owned(), empty_snapshot())]);
         validate_any(&parse(&report).unwrap()).unwrap();
-        let bench = bench_json(&[BenchEntry {
-            id: "resilience".to_owned(),
-            wall_secs: 0.25,
-            events_recorded: 3,
-            events_dropped: 1,
-        }]);
-        validate_any(&parse(&bench).unwrap()).unwrap();
+        validate_any(&parse(&sample_bench()).unwrap()).unwrap();
+    }
+
+    fn sample_bench() -> String {
+        let host = BenchHost {
+            cores: 2,
+            profile: "release".to_owned(),
+            git_revision: "0123abc".to_owned(),
+        };
+        bench_json(
+            &host,
+            &[BenchEntry {
+                id: "resilience".to_owned(),
+                wall_secs: 0.25,
+                events_recorded: 3,
+                events_dropped: 1,
+            }],
+        )
+    }
+
+    #[test]
+    fn bench_requires_its_host() {
+        let good = sample_bench();
+        validate_bench(&parse(&good).unwrap()).unwrap();
+        for bad in [
+            good.replace("\"host\"", "\"hosts\""),
+            good.replace("\"cores\": 2", "\"cores\": 0"),
+            good.replace("\"profile\": \"release\"", "\"profile\": 1"),
+            good.replace("\"git_revision\": \"0123abc\"", "\"git_revision\": \"\""),
+            good.replace("\"git_revision\"", "\"revision\""),
+        ] {
+            assert_ne!(bad, good, "the tamper must hit the document");
+            assert!(validate_bench(&parse(&bad).unwrap()).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub const SNAPSHOT_SCHEMA: &str = "dtnflow-obs-snapshot-v1";
 /// Schema tag for a multi-cell experiment observability report.
 pub const REPORT_SCHEMA: &str = "dtnflow-obs-report-v1";
 /// Schema tag for the `BENCH_obs.json` throughput/timing baseline.
-pub const BENCH_SCHEMA: &str = "dtnflow-obs-bench-v1";
+pub const BENCH_SCHEMA: &str = "dtnflow-obs-bench-v2";
 
 /// One per-landmark row in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,10 +292,29 @@ pub struct BenchEntry {
     pub events_dropped: u64,
 }
 
-/// Build the `BENCH_obs.json` document (schema `dtnflow-obs-bench-v1`).
-pub fn bench_json(entries: &[BenchEntry]) -> String {
+/// The machine and build a `BENCH_obs.json` was measured on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchHost {
+    /// Cores available to the measuring process.
+    pub cores: u64,
+    /// Build profile of the measuring binary (`release` or `debug`).
+    pub profile: String,
+    /// Git revision of the measured tree (`unknown` outside a checkout).
+    pub git_revision: String,
+}
+
+/// Build the `BENCH_obs.json` document (schema `dtnflow-obs-bench-v2`).
+pub fn bench_json(host: &BenchHost, entries: &[BenchEntry]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(BENCH_SCHEMA)),
+        (
+            "host".to_owned(),
+            Value::object([
+                ("cores".to_owned(), Value::int(host.cores)),
+                ("profile".to_owned(), Value::str(&host.profile)),
+                ("git_revision".to_owned(), Value::str(&host.git_revision)),
+            ]),
+        ),
         (
             "entries".to_owned(),
             Value::Array(
@@ -384,16 +403,31 @@ mod tests {
             doc.get("schema").and_then(Value::as_str),
             Some(REPORT_SCHEMA)
         );
-        let bench = bench_json(&[BenchEntry {
-            id: "fig11".to_owned(),
-            wall_secs: 1.5,
-            events_recorded: 10,
-            events_dropped: 0,
-        }]);
+        let host = BenchHost {
+            cores: 2,
+            profile: "release".to_owned(),
+            git_revision: "abc123".to_owned(),
+        };
+        let bench = bench_json(
+            &host,
+            &[BenchEntry {
+                id: "fig11".to_owned(),
+                wall_secs: 1.5,
+                events_recorded: 10,
+                events_dropped: 0,
+            }],
+        );
         let doc = json::parse(&bench).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
             Some(BENCH_SCHEMA)
+        );
+        let h = doc.get("host").unwrap();
+        assert_eq!(h.get("cores").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(h.get("profile").and_then(Value::as_str), Some("release"));
+        assert_eq!(
+            h.get("git_revision").and_then(Value::as_str),
+            Some("abc123")
         );
     }
 }
