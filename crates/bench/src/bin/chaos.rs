@@ -15,6 +15,7 @@
 //! malformed flag value prints the usage line).
 
 use dtnflow_bench::chaos::{results_json, sweep};
+use dtnflow_bench::host::bench_host;
 use dtnflow_bench::runners::Method;
 use std::path::PathBuf;
 
@@ -71,7 +72,7 @@ fn main() {
             r.id, r.kills, r.snapshot_bytes, r.wall_secs
         );
     }
-    let json = results_json(mode, Method::Flow, &results);
+    let json = results_json(mode, &bench_host(), Method::Flow, &results);
     if let Some(dir) = out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: could not create {}: {e}", dir.display());

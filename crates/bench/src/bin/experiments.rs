@@ -21,9 +21,9 @@
 //! prints the usage line and exits with status 2.
 
 use dtnflow_bench::experiments::{run_experiment, ExperimentOpts, ObsCell, ALL_IDS};
+use dtnflow_bench::host::bench_host;
 use dtnflow_bench::timing::Stopwatch;
-use dtnflow_obs::{bench_json, report_json, BenchEntry, BenchHost, Snapshot};
-use dtnflow_sim::ShardExec;
+use dtnflow_obs::{bench_json, report_json, BenchEntry, Snapshot};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str =
@@ -62,42 +62,6 @@ fn write_obs_files(out_dir: &Path, id: &str, cells: &[ObsCell]) {
     let csv_path = out_dir.join(format!("{id}_obs.csv"));
     if let Err(e) = std::fs::write(&csv_path, obs_csv(cells)) {
         eprintln!("warning: could not save {}: {e}", csv_path.display());
-    }
-}
-
-/// The working directory's git revision, suffixed `-dirty` when the
-/// tree has uncommitted changes ("unknown" outside a checkout or without
-/// git).
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args([
-            "describe",
-            "--always",
-            "--dirty",
-            "--abbrev=40",
-            "--exclude=*",
-        ])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// The host stamp `BENCH_obs.json` carries: cores, build profile and
-/// git revision.
-fn bench_host() -> BenchHost {
-    BenchHost {
-        cores: ShardExec::host().threads() as u64,
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-        .to_owned(),
-        git_revision: git_revision(),
     }
 }
 

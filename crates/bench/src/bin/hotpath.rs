@@ -29,11 +29,11 @@
 //! * `route_cache_lookup` — one next-hop decision through the real
 //!   `FlowRouter` route cache, with a periodic epoch flush so the miss
 //!   path (full `choose_next_in` recompute) stays in the measurement.
-//! * `timing_wheel_cycle` — steady-state `TimingWheel` push + drain
-//!   tick, the engine's packet-expiry schedule at TTL depth.
+//! * `deadline_queue_cycle` — steady-state `DeadlineQueue` push + drain
+//!   tick, the world's packet-expiry schedule at TTL depth.
 //! * `routing_table_recompute` — one `RoutingTable::recompute` pass over
 //!   a fully-claimed distance-vector table.
-//! * `ewma_fold` — a unit's worth of `BandwidthTable` arrival recording
+//! * `ewma_fold` — a unit's worth of `BandwidthMatrix` arrival recording
 //!   plus the end-of-unit EWMA fold across the landmark matrix.
 //! * `markov_update` — order-1 `MarkovPredictor::observe` on a synthetic
 //!   landmark walk.
@@ -42,20 +42,23 @@
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
-//! scheduler hiccup cannot move the pinned numbers by much.
+//! scheduler hiccup cannot move the pinned numbers by much. The output
+//! carries the measuring host (cores, build profile, git revision).
 
+use dtnflow_bench::host::bench_host;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_core::dense::DenseMap;
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_core::{RankIndex, TimingWheel};
+use dtnflow_core::{DeadlineQueue, RankIndex};
 use dtnflow_obs::json::{parse, Value};
+use dtnflow_obs::BenchHost;
 use dtnflow_predictor::MarkovPredictor;
 use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable};
 use std::hint::black_box;
 use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_hotpath.json`.
-const SCHEMA: &str = "dtnflow-hotpath-bench-v1";
+const SCHEMA: &str = "dtnflow-hotpath-bench-v2";
 /// Landmark-set size for every synthetic workload (campus-scenario scale).
 const NUM_LANDMARKS: usize = 40;
 /// Node count for the carrier-selection scan.
@@ -211,25 +214,26 @@ fn bench_route_cache_lookup(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
-/// Steady-state timing-wheel tick: one push at TTL depth plus a drain
-/// of everything due, the engine's per-unit packet-expiry schedule.
-fn bench_timing_wheel_cycle(samples: usize, ops: u64) -> BenchResult {
-    // Spans three wheel levels (256-slot levels), like multi-day TTLs
-    // over 1 s units.
+/// Steady-state deadline-queue tick: one push at TTL depth plus a
+/// drain of everything due, the world's per-unit packet-expiry schedule.
+fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> BenchResult {
+    // A TTL-deep backlog of in-order deadlines, like multi-day TTLs over
+    // 1 s ticks.
     const TTL: u64 = 4_096;
-    let mut wheel = TimingWheel::new();
+    let mut queue = DeadlineQueue::new();
     for t in 0..TTL {
-        wheel.push(t + TTL, t, t);
+        queue.push(t + TTL, t, t);
     }
-    let mut fired = Vec::new();
     let mut tick = 0u64;
-    run_bench("timing_wheel_cycle", samples, ops, move |_| {
+    run_bench("deadline_queue_cycle", samples, ops, move |_| {
         tick += 1;
         let now = TTL + tick;
-        wheel.push(now + TTL, TTL + tick, tick);
-        fired.clear();
-        wheel.drain_up_to(now, &mut fired);
-        fired.len() as u64
+        queue.push(now + TTL, TTL + tick, tick);
+        let mut fired = 0;
+        while let Some(e) = queue.pop_due(now) {
+            fired += e.payload;
+        }
+        fired
     })
 }
 
@@ -297,10 +301,11 @@ fn bench_dense_map_churn(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
-fn results_json(mode: &str, results: &[BenchResult]) -> String {
+fn results_json(mode: &str, host: &BenchHost, results: &[BenchResult]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
         ("mode".to_owned(), Value::str(mode)),
+        ("host".to_owned(), host.to_json_value()),
         (
             "benches".to_owned(),
             Value::Array(
@@ -448,7 +453,7 @@ fn main() {
         bench_carrier_selection(samples, ops),
         bench_rank_index_maintenance(samples, ops),
         bench_route_cache_lookup(samples, ops),
-        bench_timing_wheel_cycle(samples, ops),
+        bench_deadline_queue_cycle(samples, ops),
         bench_routing_table_recompute(samples, ops / 10),
         bench_ewma_fold(samples, ops / 10),
         bench_markov_update(samples, ops),
@@ -460,7 +465,7 @@ fn main() {
             r.id, r.ns_per_op, r.ops_per_sec, r.ops, r.samples
         );
     }
-    let json = results_json(mode, &results);
+    let json = results_json(mode, &bench_host(), &results);
     if let Some(dir) = out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: could not create {}: {e}", dir.display());

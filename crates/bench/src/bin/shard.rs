@@ -18,21 +18,22 @@
 //! byte-compares every output — the metrics CSV row and the canonical
 //! observability snapshot JSON — against the sequential (shards = 1)
 //! run. `identical` must be true for every row no matter the host; the
-//! speedup column is only meaningful when `host_cores` exceeds the
-//! shard count, and each curve entry records the host's core count so a
-//! 1-core CI runner's flat curve cannot be mistaken for a scaling
-//! regression.
+//! speedup column is only meaningful when the host's core count exceeds
+//! the shard count, and the file records the measuring host (cores,
+//! build profile, git revision) so a 1-core CI runner's flat curve
+//! cannot be mistaken for a scaling regression.
 
+use dtnflow_bench::host::bench_host;
 use dtnflow_bench::runners::{run_method, Method};
 use dtnflow_bench::scenarios::Scenario;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::json::Value;
-use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
-use dtnflow_sim::{RunSpec, ShardExec};
+use dtnflow_obs::{BenchHost, Recorder, DEFAULT_RING_CAPACITY};
+use dtnflow_sim::RunSpec;
 use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_shard.json`.
-const SCHEMA: &str = "dtnflow-shard-bench-v3";
+const SCHEMA: &str = "dtnflow-shard-bench-v4";
 /// The cores-vs-wall curve's x axis.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -76,14 +77,14 @@ fn run_curve_point(scenario: &Scenario, memory_kbs: &[u64], shards: usize) -> (f
 
 fn results_json(
     mode: &str,
-    host_cores: usize,
+    host: &BenchHost,
     memory_kbs: &[u64],
     results: &[ShardResult],
 ) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
         ("mode".to_owned(), Value::str(mode)),
-        ("host_cores".to_owned(), Value::int(host_cores as u64)),
+        ("host".to_owned(), host.to_json_value()),
         ("scenario".to_owned(), Value::str("fig11-campus")),
         ("method".to_owned(), Value::str(Method::Flow.name())),
         (
@@ -98,7 +99,6 @@ fn results_json(
                     .map(|r| {
                         Value::object([
                             ("shards".to_owned(), Value::int(r.shards as u64)),
-                            ("host_cores".to_owned(), Value::int(host_cores as u64)),
                             ("wall_secs".to_owned(), Value::Number(r.wall_secs)),
                             ("speedup_vs_1".to_owned(), Value::Number(r.speedup_vs_1)),
                             ("identical".to_owned(), Value::Bool(r.identical)),
@@ -143,9 +143,12 @@ fn main() {
         &[1_200, 2_000, 3_000]
     };
     let mode = if quick { "quick" } else { "full" };
-    let host_cores = ShardExec::host().threads();
+    let host = bench_host();
     let scenario = Scenario::campus();
-    println!("host cores: {host_cores}; scenario: fig11-campus ({mode})");
+    println!(
+        "host cores: {}; scenario: fig11-campus ({mode})",
+        host.cores
+    );
 
     let mut results: Vec<ShardResult> = Vec::new();
     let mut baseline: Option<(f64, String)> = None;
@@ -172,7 +175,7 @@ fn main() {
         });
     }
 
-    let json = results_json(mode, host_cores, memory_kbs, &results);
+    let json = results_json(mode, &host, memory_kbs, &results);
     if let Some(dir) = out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: could not create {}: {e}", dir.display());

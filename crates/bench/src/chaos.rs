@@ -21,7 +21,7 @@ use crate::timing::Stopwatch;
 use dtnflow_core::config::SimConfig;
 use dtnflow_mobility::Trace;
 use dtnflow_obs::json::Value;
-use dtnflow_obs::{Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
+use dtnflow_obs::{BenchHost, Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{FlowConfig, FlowRouter};
 use dtnflow_sim::{FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload};
 use dtnflow_snapshot::{
@@ -29,7 +29,7 @@ use dtnflow_snapshot::{
 };
 
 /// JSON schema tag for `BENCH_chaos.json`.
-pub const SCHEMA: &str = "dtnflow-chaos-bench-v1";
+pub const SCHEMA: &str = "dtnflow-chaos-bench-v2";
 
 /// The section layout of a chaos checkpoint container: run fingerprint,
 /// engine cursor, world state, router state, flight recorder.
@@ -600,11 +600,18 @@ pub fn sweep(quick: bool, seed: u64) -> Result<Vec<CaseResult>, SnapshotError> {
     Ok(results)
 }
 
-/// Render sweep results as the `BENCH_chaos.json` document.
-pub fn results_json(mode: &str, method: Method, results: &[CaseResult]) -> String {
+/// Render sweep results as the `BENCH_chaos.json` document, stamped
+/// with the measuring `host`.
+pub fn results_json(
+    mode: &str,
+    host: &BenchHost,
+    method: Method,
+    results: &[CaseResult],
+) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
         ("mode".to_owned(), Value::str(mode)),
+        ("host".to_owned(), host.to_json_value()),
         ("method".to_owned(), Value::str(method.name())),
         (
             "cases".to_owned(),

@@ -11,6 +11,7 @@
 
 pub mod chaos;
 pub mod experiments;
+pub mod host;
 pub mod report;
 pub mod runners;
 pub mod scenarios;

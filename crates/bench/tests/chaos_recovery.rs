@@ -185,11 +185,11 @@ fn checkpoint_written_event_lands_inside_the_snapshot_recorder() {
     assert_eq!(count, 1, "CheckpointWritten missing from snapshot recorder");
 }
 
-// ---- wheel-backed stranded-packet retries (DESIGN.md §14) -------------
+// ---- timer-backed stranded-packet retries (DESIGN.md §14) -------------
 
 /// The tiny outage cell with graceful degradation on and a configurable
 /// recovery→retry delay, so stranded-packet retries ride the engine
-/// timing wheel instead of firing inline at the recovery instant.
+/// timer queue instead of firing inline at the recovery instant.
 fn tiny_retry_inputs(seed: u64, retry_delay_secs: u64) -> ChaosInputs {
     let base = ChaosInputs::tiny(seed, FaultPlan::none());
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), seed);
@@ -205,12 +205,12 @@ fn tiny_retry_inputs(seed: u64, retry_delay_secs: u64) -> ChaosInputs {
 }
 
 /// The retry-timer token tag (`dtnflow_router`'s bit-63 namespace); the
-/// test asserts a pending wheel entry carries it across a checkpoint.
+/// test asserts a pending timer entry carries it across a checkpoint.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
 
 /// A delayed retry is an ordinary pending timer: a checkpoint taken at a
 /// boundary between a station's recovery and its retry firing contains
-/// the tagged wheel entry, and the restored run is byte-identical to the
+/// the tagged timer entry, and the restored run is byte-identical to the
 /// uninterrupted one — under the old inline scan the retry state would
 /// have been lost with the process.
 #[test]

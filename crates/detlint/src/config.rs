@@ -121,7 +121,7 @@ impl Default for Config {
                 },
                 FieldLiteralBinding {
                     struct_name: "BenchHost".into(),
-                    fn_name: "bench_json".into(),
+                    fn_name: "BenchHost::to_json_value".into(),
                 },
             ],
             // `fixtures` holds deliberate violations for detlint's own

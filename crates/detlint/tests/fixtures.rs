@@ -94,9 +94,8 @@ fn core_bad_fixture_fires_d1_p1_s1_in_the_hotpath_crate() {
 
 #[test]
 fn core_clean_fixture_passes_with_rebuilt_field_waivers() {
-    // Mirrors the live `TimingWheel` codec shape: canonical entry list
-    // on the wire, placement rebuilt on decode behind a reasoned S1
-    // waiver.
+    // A wheel-shaped codec: canonical entry list on the wire, slot
+    // placement rebuilt on decode behind a reasoned S1 waiver.
     assert_eq!(check("core/clean"), Vec::new());
 }
 

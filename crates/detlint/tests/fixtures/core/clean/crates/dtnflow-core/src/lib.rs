@@ -1,7 +1,7 @@
 // Fixture: dtnflow-core hot-path code written to policy — dense
 // containers instead of hash maps, typed errors instead of panics, and
 // a wheel-shaped codec whose rebuilt-on-decode fields carry reasoned
-// S1 waivers (mirroring the live `TimingWheel`). Never compiled.
+// S1 waivers (a derived slot index beside the wire list). Never compiled.
 
 pub struct MiniWheel {
     pub base: u64,

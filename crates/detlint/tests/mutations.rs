@@ -63,10 +63,10 @@ fn deleting_a_codec_line_turns_s1_red() {
 
 #[test]
 fn deleting_the_wheel_base_from_its_codec_turns_s1_red() {
-    // The timing wheel's codec writes the canonical sorted entry list;
-    // its only directly-serialized field is `base`. A refactor that
-    // drops the base write desynchronizes every restored schedule.
-    let rel = "crates/dtnflow-core/src/wheel.rs";
+    // The deadline queue's codec writes the sorted entry list; its only
+    // directly-serialized field is `base`. A refactor that drops the
+    // base write desynchronizes every restored schedule.
+    let rel = "crates/dtnflow-core/src/deadline.rs";
     let src = live_source(rel);
     assert_eq!(scan(rel, &src), Vec::new(), "live {rel} must scan clean");
 

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod deadline;
 pub mod dense;
 pub mod geometry;
 pub mod ids;
@@ -20,9 +21,9 @@ pub mod packet;
 pub mod rankidx;
 pub mod rngutil;
 pub mod time;
-pub mod wheel;
 
 pub use config::SimConfig;
+pub use deadline::{DeadlineEntry, DeadlineQueue};
 pub use dense::{DenseKey, DenseMap, DenseSet, LinkMatrix};
 pub use geometry::Point;
 pub use ids::{LandmarkId, NodeId, PacketId};
@@ -30,4 +31,3 @@ pub use metrics::{MetricsSummary, RunMetrics};
 pub use packet::{Packet, PacketLoc};
 pub use rankidx::{RankEntry, RankIndex};
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};
-pub use wheel::{TimingWheel, WheelEntry};

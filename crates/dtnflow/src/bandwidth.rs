@@ -218,71 +218,12 @@ impl BandwidthMatrix {
     }
 }
 
-/// One landmark's view of its transit links — a single-row façade over
-/// [`BandwidthMatrix`], kept as the stable single-landmark API (the
-/// worked-example and property tests for Eq. 4 speak it directly).
-#[derive(Debug, Clone)]
-pub struct BandwidthTable {
-    matrix: BandwidthMatrix,
-}
-
-impl BandwidthTable {
-    const ME: LandmarkId = LandmarkId(0);
-
-    /// Empty table for a network of `num_landmarks` landmarks.
-    pub fn new(num_landmarks: usize, alpha: f64) -> Self {
-        BandwidthTable {
-            matrix: BandwidthMatrix::new(num_landmarks, alpha),
-        }
-    }
-
-    /// A node arrived here, reporting `from` as its previous landmark.
-    pub fn record_arrival_from(&mut self, from: LandmarkId) {
-        self.matrix.record_arrival_from(Self::ME, from);
-    }
-
-    /// Close the current time unit: fold this unit's counts into the
-    /// smoothed incoming bandwidths (Eq. 4) and reset the counters.
-    pub fn end_of_unit(&mut self) {
-        self.matrix.end_of_unit_all();
-    }
-
-    /// The smoothed incoming bandwidth `B(from → me)`.
-    pub fn incoming(&self, from: LandmarkId) -> f64 {
-        self.matrix.incoming(Self::ME, from)
-    }
-
-    /// Apply a carried report of our outgoing bandwidth `B(me → to)`
-    /// measured at `to`, stamped with the measuring unit. Stale reports
-    /// (sequence not newer than the stored one) are discarded, as in the
-    /// paper. Returns whether the report was accepted.
-    pub fn apply_report(&mut self, to: LandmarkId, value: f64, unit_seq: u64) -> bool {
-        self.matrix.apply_report(Self::ME, to, value, unit_seq)
-    }
-
-    /// Best available estimate of the outgoing bandwidth `B(me → to)`:
-    /// a received report when present, else the symmetric assumption
-    /// (our incoming measurement of `to → me`).
-    pub fn outgoing(&self, to: LandmarkId) -> f64 {
-        self.matrix.outgoing(Self::ME, to)
-    }
-
-    /// All landmarks with usable outgoing bandwidth (the neighbour set of
-    /// the distance-vector protocol).
-    pub fn neighbors(&self, min_bandwidth: f64) -> Vec<LandmarkId> {
-        self.matrix.neighbors(Self::ME, min_bandwidth)
-    }
-
-    /// Expected per-hop delay of the link `me → to` in seconds, under the
-    /// configured delay model; `f64::INFINITY` when the link is unusable.
-    pub fn link_delay(&self, to: LandmarkId, flow: &FlowConfig, sim: &SimConfig) -> f64 {
-        self.matrix.link_delay(Self::ME, to, flow, sim)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The measuring landmark every test reads its row of.
+    const ME: LandmarkId = LandmarkId(0);
 
     fn lm(i: u16) -> LandmarkId {
         LandmarkId(i)
@@ -290,76 +231,76 @@ mod tests {
 
     #[test]
     fn ewma_follows_eq4() {
-        let mut t = BandwidthTable::new(3, 0.5);
-        t.record_arrival_from(lm(1));
-        t.record_arrival_from(lm(1));
-        t.end_of_unit();
-        assert!((t.incoming(lm(1)) - 1.0).abs() < 1e-12); // 0.5*2 + 0.5*0
-        t.record_arrival_from(lm(1));
-        t.end_of_unit();
-        assert!((t.incoming(lm(1)) - 1.0).abs() < 1e-12); // 0.5*1 + 0.5*1
-        t.end_of_unit();
-        assert!((t.incoming(lm(1)) - 0.5).abs() < 1e-12); // decays
-        assert_eq!(t.incoming(lm(2)), 0.0);
+        let mut t = BandwidthMatrix::new(3, 0.5);
+        t.record_arrival_from(ME, lm(1));
+        t.record_arrival_from(ME, lm(1));
+        t.end_of_unit_all();
+        assert!((t.incoming(ME, lm(1)) - 1.0).abs() < 1e-12); // 0.5*2 + 0.5*0
+        t.record_arrival_from(ME, lm(1));
+        t.end_of_unit_all();
+        assert!((t.incoming(ME, lm(1)) - 1.0).abs() < 1e-12); // 0.5*1 + 0.5*1
+        t.end_of_unit_all();
+        assert!((t.incoming(ME, lm(1)) - 0.5).abs() < 1e-12); // decays
+        assert_eq!(t.incoming(ME, lm(2)), 0.0);
     }
 
     #[test]
     fn reports_override_symmetry_and_staleness_is_rejected() {
-        let mut t = BandwidthTable::new(2, 0.5);
-        t.record_arrival_from(lm(1));
-        t.record_arrival_from(lm(1));
-        t.end_of_unit();
+        let mut t = BandwidthMatrix::new(2, 0.5);
+        t.record_arrival_from(ME, lm(1));
+        t.record_arrival_from(ME, lm(1));
+        t.end_of_unit_all();
         // No report: symmetric fallback uses incoming(1) = 1.0.
-        assert!((t.outgoing(lm(1)) - 1.0).abs() < 1e-12);
-        assert!(t.apply_report(lm(1), 3.0, 5));
-        assert!((t.outgoing(lm(1)) - 3.0).abs() < 1e-12);
+        assert!((t.outgoing(ME, lm(1)) - 1.0).abs() < 1e-12);
+        assert!(t.apply_report(ME, lm(1), 3.0, 5));
+        assert!((t.outgoing(ME, lm(1)) - 3.0).abs() < 1e-12);
         // Stale (same or older unit) reports are discarded.
-        assert!(!t.apply_report(lm(1), 9.0, 5));
-        assert!(!t.apply_report(lm(1), 9.0, 4));
-        assert!((t.outgoing(lm(1)) - 3.0).abs() < 1e-12);
-        assert!(t.apply_report(lm(1), 2.0, 6));
-        assert!((t.outgoing(lm(1)) - 2.0).abs() < 1e-12);
+        assert!(!t.apply_report(ME, lm(1), 9.0, 5));
+        assert!(!t.apply_report(ME, lm(1), 9.0, 4));
+        assert!((t.outgoing(ME, lm(1)) - 3.0).abs() < 1e-12);
+        assert!(t.apply_report(ME, lm(1), 2.0, 6));
+        assert!((t.outgoing(ME, lm(1)) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn neighbors_filter_by_bandwidth() {
-        let mut t = BandwidthTable::new(3, 1.0);
-        t.record_arrival_from(lm(1));
-        t.end_of_unit();
-        t.apply_report(lm(2), 0.01, 1);
-        let n = t.neighbors(0.05);
+        let mut t = BandwidthMatrix::new(3, 1.0);
+        t.record_arrival_from(ME, lm(1));
+        t.end_of_unit_all();
+        t.apply_report(ME, lm(2), 0.01, 1);
+        let n = t.neighbors(ME, 0.05);
         assert_eq!(n, vec![lm(1)]);
     }
 
     #[test]
     fn link_delay_models() {
-        let mut t = BandwidthTable::new(2, 1.0);
-        t.record_arrival_from(lm(1));
-        t.record_arrival_from(lm(1));
-        t.end_of_unit(); // B = 2
+        let mut t = BandwidthMatrix::new(2, 1.0);
+        t.record_arrival_from(ME, lm(1));
+        t.record_arrival_from(ME, lm(1));
+        t.end_of_unit_all(); // B = 2
         let sim = SimConfig::default(); // T = 3 days, S = 1 kB, M = 2000 kB
         let mut flow = FlowConfig::default();
-        let d = t.link_delay(lm(1), &flow, &sim);
+        let d = t.link_delay(ME, lm(1), &flow, &sim);
         assert!((d - 259_200.0 / 2.0).abs() < 1e-9);
         flow.delay_model = LinkDelayModel::Throughput;
-        let d2 = t.link_delay(lm(1), &flow, &sim);
+        let d2 = t.link_delay(ME, lm(1), &flow, &sim);
         assert!((d2 - 259_200.0 * 1_024.0 / (2.0 * 2_048_000.0)).abs() < 1e-9);
         // Dead link is infinite under both models.
-        assert!(t.link_delay(lm(0), &flow, &sim).is_infinite());
+        assert!(t.link_delay(ME, lm(0), &flow, &sim).is_infinite());
     }
 
     #[test]
     fn asymmetric_links_need_reports() {
         // One-way road: traffic flows 1 -> me only. The symmetric fallback
         // wrongly claims me -> 1 capacity; a report fixes it.
-        let mut t = BandwidthTable::new(2, 1.0);
+        let mut t = BandwidthMatrix::new(2, 1.0);
         for _ in 0..5 {
-            t.record_arrival_from(lm(1));
+            t.record_arrival_from(ME, lm(1));
         }
-        t.end_of_unit();
-        assert!((t.outgoing(lm(1)) - 5.0).abs() < 1e-12); // wrong (symmetry)
-        t.apply_report(lm(1), 0.0, 1); // the truth from the other side
-        assert_eq!(t.outgoing(lm(1)), 0.0);
-        assert!(t.neighbors(0.05).is_empty());
+        t.end_of_unit_all();
+        assert!((t.outgoing(ME, lm(1)) - 5.0).abs() < 1e-12); // wrong (symmetry)
+        t.apply_report(ME, lm(1), 0.0, 1); // the truth from the other side
+        assert_eq!(t.outgoing(ME, lm(1)), 0.0);
+        assert!(t.neighbors(ME, 0.05).is_empty());
     }
 }

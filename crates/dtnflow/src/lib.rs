@@ -6,7 +6,7 @@
 //! mobile nodes (§IV-C.2), and forwards each packet to the connected node
 //! most likely to transit to the packet's next-hop landmark (§IV-D).
 //!
-//! * [`bandwidth::BandwidthTable`] — Table III, Eq. 4;
+//! * [`bandwidth::BandwidthMatrix`] — Table III, Eq. 4;
 //! * [`routing_table::RoutingTable`] — Tables IV/V, Fig. 7;
 //! * [`config::FlowConfig`] — all knobs, including the §IV-E extensions;
 //! * [`router::FlowRouter`] — the `dtnflow_sim::Router` implementation;
@@ -26,7 +26,7 @@ pub mod observer;
 pub mod router;
 pub mod routing_table;
 
-pub use bandwidth::{BandwidthMatrix, BandwidthTable};
+pub use bandwidth::BandwidthMatrix;
 pub use config::{
     DeadEndConfig, DegradationConfig, FlowConfig, LinkDelayModel, LoadBalanceConfig, LoopInjection,
 };

@@ -27,7 +27,8 @@ use dtnflow_core::rankidx::{RankEntry, RankIndex};
 use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_predictor::{AccuracyTracker, MarkovPredictor, VisitHistory};
 use dtnflow_sim::{
-    EventBuffer, LossReason, Router, Sharding, SimEvent, TransferError, World, WorldView,
+    EventBuffer, LossReason, Router, ShardExec, ShardPlan, Sharding, SimEvent, TransferError,
+    World, WorldView,
 };
 use dtnflow_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::BTreeSet;
@@ -281,30 +282,29 @@ fn choose_next_cached(
 
 /// What one shard worker computed for one landmark at a unit boundary
 /// (DESIGN.md §13): the updated state to put back, buffered trace events,
-/// the packet-metadata stamps, and the fallback-reroute count — all
+/// the packet routing stamps, and the fallback-reroute count — all
 /// committed serially in ascending landmark order.
 struct LandmarkUnitResult {
     l: usize,
     st: LandmarkState,
     events: EventBuffer,
-    metas: Vec<(PacketId, PktMeta)>,
+    /// `(packet, next hop, expected delay)` per station packet.
+    stamps: Vec<(PacketId, Option<LandmarkId>, f64)>,
     fallbacks: u64,
 }
 
-/// The per-landmark §IV-C.1 unit-boundary work, as run by a shard worker
-/// on a taken-out [`LandmarkState`]: trace snapshot of the freshly-folded
-/// Eq. 4 estimates, staleness decay, correction/load-balance bookkeeping,
-/// routing-table recompute, and the station re-bucketing — byte-for-byte
-/// the same computation as the sequential loop body in `on_time_unit`,
-/// against the same pre-unit inputs:
+/// The per-landmark §IV-C.1 unit-boundary work, run on a taken-out
+/// [`LandmarkState`]: trace snapshot of the freshly-folded Eq. 4
+/// estimates, staleness decay, correction/load-balance bookkeeping,
+/// routing-table recompute, and the station re-bucketing. Every input
+/// is frozen for the whole boundary:
 ///
 /// * `bw` is read-only after the serial `end_of_unit_all` fold;
-/// * `meta` is the pre-unit stamp table — safe, because a packet sits at
-///   exactly one station, so no other landmark's rebucket touches its
-///   stamp this unit and the pre-unit `retries` is what the sequential
-///   interleaving reads too;
+/// * the routing stamps are returned rather than written, and a packet
+///   sits at exactly one station, so no other landmark's work touches
+///   its stamp this unit;
 /// * trace events go into the returned buffer, flushed in ascending
-///   landmark order by the commit phase — the sequential emission order.
+///   landmark order by the commit phase.
 #[allow(clippy::too_many_arguments)] // a worker gets exactly the shared read-only slices
 fn landmark_unit_work(
     l: usize,
@@ -316,10 +316,11 @@ fn landmark_unit_work(
     cfg: &FlowConfig,
     known_down: &[bool],
     route_epoch: u64,
-    meta: &[PktMeta],
 ) -> LandmarkUnitResult {
     let lm = LandmarkId::from(l);
     let mut events = EventBuffer::new();
+    // Snapshot the freshly-folded Eq. 4 estimates for the trace; only
+    // links with measured traffic are reported.
     if trace_on {
         for j in (0..st.overloaded.len()).map(LandmarkId::from) {
             let value = bw.incoming(lm, j);
@@ -334,6 +335,9 @@ fn landmark_unit_work(
             }
         }
     }
+    // Degradation: age out neighbour vectors that have not been
+    // refreshed (e.g. across a station outage) before the recompute
+    // below re-ranks routes.
     if let Some(deg) = &cfg.degradation {
         st.rt
             .decay_stale(unit, deg.staleness_max_age, deg.staleness_factor);
@@ -342,6 +346,8 @@ fn landmark_unit_work(
     st.seen_corrections.clear();
     st.pending_corrections
         .retain(|(born, _)| unit.saturating_sub(*born) <= 1);
+    // Load-balance rates: overloaded when incoming exceeds theta x
+    // outgoing with real pressure behind it.
     if let Some(lb) = &cfg.load_balance {
         for h in 0..st.overloaded.len() {
             st.overloaded[h] = st.lb_incoming[h] >= lb.min_incoming
@@ -352,27 +358,49 @@ fn landmark_unit_work(
     st.lb_outgoing.iter_mut().for_each(|c| *c = 0);
     st.rt
         .recompute(&|to| bw.link_delay(lm, to, cfg, view.config()));
-    // Rebucket against the (frozen) station contents: same packets, same
-    // ascending-id order as `FlowRouter::rebucket`.
+    let mut stamps = Vec::new();
+    let fallbacks = rebucket_station(
+        &mut st,
+        lm,
+        view,
+        cfg,
+        known_down,
+        route_epoch,
+        |pkt, next, expected| stamps.push((pkt, next, expected)),
+    );
+    LandmarkUnitResult {
+        l,
+        st,
+        events,
+        stamps,
+        fallbacks,
+    }
+}
+
+/// Rebuild a station's indices (by next hop, destination and
+/// destination node) from the packets it holds, in ascending packet-id
+/// order, choosing each next hop through the route cache. Every
+/// packet's new `(next hop, expected delay)` goes to `stamp`; returns
+/// the number of down-fallback reroutes. The one rebucket body, run by
+/// the unit boundary on a taken-out [`LandmarkState`] and by the
+/// station-down and retry paths in place.
+fn rebucket_station(
+    st: &mut LandmarkState,
+    lm: LandmarkId,
+    view: &WorldView<'_>,
+    cfg: &FlowConfig,
+    known_down: &[bool],
+    route_epoch: u64,
+    mut stamp: impl FnMut(PacketId, Option<LandmarkId>, f64),
+) -> u64 {
     st.clear_buckets();
-    let mut metas = Vec::new();
-    let mut fallbacks = 0u64;
+    let mut fallbacks = 0;
     for pkt in view.station_packets(lm) {
         let p = view.packet(pkt);
         let (next, expected, _, fellback) =
-            choose_next_cached(&mut st, cfg, known_down, route_epoch, lm, p.dst);
-        if fellback {
-            fallbacks += 1;
-        }
-        let retries = meta.get(pkt.index()).map_or(0, |m| m.retries);
-        metas.push((
-            pkt,
-            PktMeta {
-                next_hop: next,
-                expected,
-                retries,
-            },
-        ));
+            choose_next_cached(st, cfg, known_down, route_epoch, lm, p.dst);
+        fallbacks += u64::from(fellback);
+        stamp(pkt, next, expected);
         st.by_dst.get_or_default(p.dst).insert(pkt);
         if let Some(nh) = next {
             st.by_next_hop.get_or_default(nh).insert(pkt);
@@ -381,13 +409,18 @@ fn landmark_unit_work(
             st.by_dst_node.get_or_default(n).insert(pkt);
         }
     }
-    LandmarkUnitResult {
-        l,
-        st,
-        events,
-        metas,
-        fallbacks,
+    fallbacks
+}
+
+/// Give `pkt` a fresh next hop and expected delay, keeping its retry
+/// count.
+fn restamp(meta: &mut Vec<PktMeta>, pkt: PacketId, next_hop: Option<LandmarkId>, expected: f64) {
+    if meta.len() <= pkt.index() {
+        meta.resize(pkt.index() + 1, PktMeta::default());
     }
+    let m = &mut meta[pkt.index()];
+    m.next_hop = next_hop;
+    m.expected = expected;
 }
 
 /// Extension-event counters, for tests and diagnostics.
@@ -408,7 +441,7 @@ pub struct FlowStats {
 }
 
 /// Timer-token namespace tag for station-recovery retries (see
-/// [`FlowRouter::retry_token`]): retries ride the engine timing wheel as
+/// [`FlowRouter::retry_token`]): retries ride the engine timer queue as
 /// ordinary shard-local timer events, distinguished from dead-end timers
 /// by this bit.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
@@ -440,9 +473,9 @@ pub struct FlowRouter {
     /// list instead of rescanning every connected node per packet.
     rank: RankIndex,
     stats: FlowStats,
-    /// Reusable packet-id buffer for the per-contact and per-tick loops
-    /// (rebucket, uplink, §IV-E.4 delivery), taken and restored around
-    /// each use so the hot paths never allocate once warm.
+    /// Reusable packet-id buffer for the per-contact loops (uplink,
+    /// §IV-E.4 delivery), taken and restored around each use so the hot
+    /// paths never allocate once warm.
     // detlint: allow(S1, reason = "scratch buffer, empty between events by construction")
     scratch_pkts: Vec<PacketId>,
     /// Reusable per-bucket candidate buffer for `assign_to_node`.
@@ -704,15 +737,7 @@ impl FlowRouter {
         if fellback {
             self.stats.fallback_reroutes += 1;
         }
-        let retries = self.meta_of(pkt).retries;
-        self.set_meta(
-            pkt,
-            PktMeta {
-                next_hop: next,
-                expected,
-                retries,
-            },
-        );
+        restamp(&mut self.meta, pkt, next, expected);
 
         let st = &mut self.landmarks[lm.index()];
         st.by_dst.get_or_default(dst).insert(pkt);
@@ -792,15 +817,7 @@ impl FlowRouter {
                 self.unindex(lm, pkt, dst, world.packet(pkt).dst_node);
                 let st = &mut self.landmarks[lm.index()];
                 st.lb_outgoing[toward.index()] += 1;
-                let retries = self.meta_of(pkt).retries;
-                self.set_meta(
-                    pkt,
-                    PktMeta {
-                        next_hop: Some(toward),
-                        expected,
-                        retries,
-                    },
-                );
+                restamp(&mut self.meta, pkt, Some(toward), expected);
                 true
             }
             Err(TransferError::Expired) => {
@@ -1013,42 +1030,21 @@ impl FlowRouter {
 
     /// Rebuild a landmark's station indices after a routing-table refresh.
     fn rebucket(&mut self, world: &World, lm: LandmarkId) {
-        let mut packets = std::mem::take(&mut self.scratch_pkts);
-        packets.clear();
-        packets.extend(world.station_packets(lm));
-        self.landmarks[lm.index()].clear_buckets();
-        for &pkt in packets.iter() {
-            let p = world.packet(pkt);
-            let dst = p.dst;
-            let dst_node = p.dst_node;
-            let (next, expected, _, fellback) = self.choose_next(lm, dst);
-            if fellback {
-                self.stats.fallback_reroutes += 1;
-            }
-            let retries = self.meta_of(pkt).retries;
-            self.set_meta(
-                pkt,
-                PktMeta {
-                    next_hop: next,
-                    expected,
-                    retries,
-                },
-            );
-            let st = &mut self.landmarks[lm.index()];
-            st.by_dst.get_or_default(dst).insert(pkt);
-            if let Some(nh) = next {
-                st.by_next_hop.get_or_default(nh).insert(pkt);
-            }
-            if let Some(n) = dst_node {
-                st.by_dst_node.get_or_default(n).insert(pkt);
-            }
-        }
-        self.scratch_pkts = packets;
+        let meta = &mut self.meta;
+        self.stats.fallback_reroutes += rebucket_station(
+            &mut self.landmarks[lm.index()],
+            lm,
+            &world.view(),
+            &self.cfg,
+            &self.known_down,
+            self.route_epoch,
+            |pkt, next, expected| restamp(meta, pkt, next, expected),
+        );
     }
 
     /// The serial start of every unit boundary: scheduled loop injections
-    /// and the flat Eq. 4 bandwidth fold. Shared verbatim by the
-    /// sequential and sharded `on_time_unit` paths.
+    /// and the flat Eq. 4 bandwidth fold, both before any landmark's
+    /// unit work fans out.
     fn unit_prelude(&mut self, unit: u64) {
         self.current_unit = unit;
 
@@ -1075,30 +1071,23 @@ impl FlowRouter {
         self.bw.end_of_unit_all();
     }
 
-    /// Refresh §IV-E.4 registrations, reusing each node's buffer.
-    fn refresh_registrations(&mut self) {
-        let top = self.cfg.frequent_landmarks;
-        for n in 0..self.nodes.len() {
-            self.nodes[n]
-                .history
-                .frequent_landmarks_into(top, &mut self.registrations[n]);
-        }
-    }
-
-    /// [`FlowRouter::refresh_registrations`] fanned out over contiguous
-    /// node chunks. Each chunk pairs a read-only slice of node state with
-    /// the matching mutable slice of registration buffers — per-node
-    /// outputs are independent, so chunk order is immaterial and the
-    /// result is identical to the sequential walk.
-    fn refresh_registrations_sharded(&mut self, exec: &dtnflow_sim::ShardExec) {
+    /// Refresh §IV-E.4 registrations, reusing each node's buffer. The
+    /// nodes go out in contiguous chunks, one per thread when `exec`
+    /// fans out and there are enough nodes to pay for the spawns, else
+    /// as one chunk run inline. Each chunk pairs a read-only slice of
+    /// node state with the matching registration buffers; per-node
+    /// outputs are independent, so the chunking never shows.
+    fn refresh_registrations(&mut self, exec: &ShardExec) {
         /// Below this node count the spawn overhead dwarfs the refresh.
         const PAR_MIN: usize = 256;
-        if !exec.parallel() || self.nodes.len() < PAR_MIN {
-            self.refresh_registrations();
-            return;
-        }
+        let n = self.nodes.len();
+        let chunks = if exec.parallel() && n >= PAR_MIN {
+            exec.threads()
+        } else {
+            1
+        };
+        let chunk = n.div_ceil(chunks).max(1);
         let top = self.cfg.frequent_landmarks;
-        let chunk = self.nodes.len().div_ceil(exec.threads()).max(1);
         let parts: Vec<(&[NodeState], &mut [Vec<LandmarkId>])> = self
             .nodes
             .chunks(chunk)
@@ -1923,76 +1912,27 @@ impl Router for FlowRouter {
     }
 
     fn on_time_unit(&mut self, world: &mut World, unit: u64) {
-        self.unit_prelude(unit);
-
-        for l in 0..self.landmarks.len() {
-            let lm = LandmarkId::from(l);
-            {
-                let st = &mut self.landmarks[l];
-                // Snapshot the freshly-folded Eq. 4 estimates for the
-                // trace; only links with measured traffic are reported.
-                if world.trace_enabled() {
-                    for j in (0..st.overloaded.len()).map(LandmarkId::from) {
-                        let value = self.bw.incoming(lm, j);
-                        if value > 0.0 {
-                            world.emit(|at| SimEvent::BandwidthUpdated {
-                                at,
-                                from: j,
-                                to: lm,
-                                value,
-                            });
-                        }
-                    }
-                }
-                // Degradation: age out neighbour vectors that have not
-                // been refreshed (e.g. across a station outage) before
-                // the recompute below re-ranks routes.
-                if let Some(deg) = &self.cfg.degradation {
-                    st.rt
-                        .decay_stale(unit, deg.staleness_max_age, deg.staleness_factor);
-                }
-                st.unit_seq = unit;
-                st.seen_corrections.clear();
-                st.pending_corrections
-                    .retain(|(born, _)| unit.saturating_sub(*born) <= 1);
-                // Load-balance rates: overloaded when incoming exceeds
-                // theta x outgoing with real pressure behind it.
-                if let Some(lb) = &self.cfg.load_balance {
-                    for h in 0..st.overloaded.len() {
-                        st.overloaded[h] = st.lb_incoming[h] >= lb.min_incoming
-                            && st.lb_incoming[h] as f64 > lb.theta * st.lb_outgoing[h] as f64;
-                    }
-                }
-                st.lb_incoming.iter_mut().for_each(|c| *c = 0);
-                st.lb_outgoing.iter_mut().for_each(|c| *c = 0);
-            }
-            self.recompute_tables(lm, world);
-            self.rebucket(world, lm);
-        }
-
-        self.refresh_registrations();
+        let plan = ShardPlan::single(self.landmarks.len());
+        let exec = ShardExec::sequential();
+        self.on_time_unit_sharded(world, unit, &Sharding::new(&plan, &exec));
     }
 
-    /// [`FlowRouter::on_time_unit`]'s per-landmark loop fanned out over a
-    /// shard runtime (DESIGN.md §13): compute-parallel, commit-ordered.
+    /// [`FlowRouter::on_time_unit`] over a shard runtime (DESIGN.md §13):
+    /// compute-parallel, commit-ordered.
     ///
     /// The serial prelude (loop injections, the Eq. 4 fold) and every
     /// commit (state put-back, metadata stamps, stats, trace flush) run on
     /// the engine thread in ascending landmark order; only the
-    /// independent per-landmark work ([`landmark_unit_work`]) crosses
-    /// threads, one shard group per worker. Byte-identical to the
-    /// sequential path for any plan — pinned by the differential battery
-    /// in `crates/bench`.
+    /// independent per-landmark unit work crosses threads, one shard
+    /// group per worker. The sequential hook is this path over one group
+    /// on an inline executor, so every plan runs the same computation —
+    /// pinned by the differential battery in `crates/bench`.
     fn on_time_unit_sharded(&mut self, world: &mut World, unit: u64, shards: &Sharding<'_>) {
-        if !shards.is_parallel() {
-            self.on_time_unit(world, unit);
-            return;
-        }
         self.unit_prelude(unit);
 
         // Take each shard's landmark states out of the router (groups are
-        // ascending within a shard, so workers walk them in the sequential
-        // loop's relative order).
+        // ascending within a shard, so workers walk them in ascending
+        // order).
         let parts: Vec<Vec<(usize, LandmarkState)>> = shards
             .plan
             .groups()
@@ -2016,7 +1956,6 @@ impl Router for FlowRouter {
         let cfg = &self.cfg;
         let known_down = &self.known_down;
         let route_epoch = self.route_epoch;
-        let meta = &self.meta;
         let results = shards.exec.map_parts(parts, |_, group| {
             group
                 .into_iter()
@@ -2031,7 +1970,6 @@ impl Router for FlowRouter {
                         cfg,
                         known_down,
                         route_epoch,
-                        meta,
                     )
                 })
                 .collect::<Vec<LandmarkUnitResult>>()
@@ -2043,14 +1981,14 @@ impl Router for FlowRouter {
         all.sort_unstable_by_key(|r| r.l);
         for mut r in all {
             self.landmarks[r.l] = r.st;
-            for (pkt, m) in r.metas {
-                self.set_meta(pkt, m);
+            for (pkt, next, expected) in r.stamps {
+                restamp(&mut self.meta, pkt, next, expected);
             }
             self.stats.fallback_reroutes += r.fallbacks;
             world.flush_event_buffer(&mut r.events);
         }
 
-        self.refresh_registrations_sharded(shards.exec);
+        self.refresh_registrations(shards.exec);
     }
 
     fn on_observe(&mut self, world: &mut World, idx: usize) {
@@ -2151,20 +2089,18 @@ impl Router for FlowRouter {
         }
         // Re-stamp packets at other stations that were aimed at the downed
         // landmark, so carriers stop ferrying toward a dead end and the
-        // backup next hop takes over where one exists.
-        let affected: Vec<LandmarkId> = (0..self.landmarks.len())
-            .map(LandmarkId::from)
-            .filter(|&l| {
-                l != lm
-                    && world.station_is_up(l)
-                    && self.landmarks[l.index()]
-                        .by_next_hop
-                        .get(lm)
-                        .is_some_and(|s| !s.is_empty())
-            })
-            .collect();
-        for l in affected {
-            self.rebucket(world, l);
+        // backup next hop takes over where one exists. A rebucket touches
+        // only its own station, so no test below sees another's rebuild.
+        for l in (0..self.landmarks.len()).map(LandmarkId::from) {
+            let aimed_here = l != lm
+                && world.station_is_up(l)
+                && self.landmarks[l.index()]
+                    .by_next_hop
+                    .get(lm)
+                    .is_some_and(|s| !s.is_empty());
+            if aimed_here {
+                self.rebucket(world, l);
+            }
         }
     }
 
@@ -2175,7 +2111,7 @@ impl Router for FlowRouter {
             return;
         };
         // Recompute routes with the landmark available again, then hand
-        // the stranded-packet scan to the timing wheel: the retry fires
+        // the stranded-packet scan to the timer queue: the retry fires
         // as an ordinary shard-local timer event — immediately with the
         // default zero delay, or after the configured grace period (in
         // which case it survives checkpoints like any pending timer).

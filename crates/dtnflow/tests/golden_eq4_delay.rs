@@ -6,7 +6,10 @@
 
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_router::{BandwidthTable, FlowConfig, LinkDelayModel};
+use dtnflow_router::{BandwidthMatrix, FlowConfig, LinkDelayModel};
+
+/// The measuring landmark every test reads its row of.
+const ME: LandmarkId = LandmarkId(0);
 
 fn lm(i: u16) -> LandmarkId {
     LandmarkId(i)
@@ -19,38 +22,38 @@ fn lm(i: u16) -> LandmarkId {
 ///   B₄ = 0.2·2 + 0.8·0.544 = 0.8352
 #[test]
 fn ewma_matches_hand_computed_sequence() {
-    let mut t = BandwidthTable::new(2, 0.2);
+    let mut t = BandwidthMatrix::new(2, 0.2);
     let expected = [0.6, 0.68, 0.544, 0.8352];
     for (count, want) in [3u32, 1, 0, 2].into_iter().zip(expected) {
         for _ in 0..count {
-            t.record_arrival_from(lm(1));
+            t.record_arrival_from(ME, lm(1));
         }
-        t.end_of_unit();
+        t.end_of_unit_all();
         assert!(
-            (t.incoming(lm(1)) - want).abs() < 1e-12,
+            (t.incoming(ME, lm(1)) - want).abs() < 1e-12,
             "after count {count}: {} != {want}",
-            t.incoming(lm(1))
+            t.incoming(ME, lm(1))
         );
     }
     // A landmark with no arrivals stays at zero through every fold.
-    assert_eq!(t.incoming(lm(0)), 0.0);
+    assert_eq!(t.incoming(ME, lm(0)), 0.0);
 }
 
 /// Transit-interval model: `d = T/B`. With the default 3-day unit
 /// (T = 259 200 s) and B = 2 transits/unit, d = 129 600 s.
 #[test]
 fn transit_interval_delay_matches_formula() {
-    let mut t = BandwidthTable::new(2, 1.0);
-    t.record_arrival_from(lm(1));
-    t.record_arrival_from(lm(1));
-    t.end_of_unit();
+    let mut t = BandwidthMatrix::new(2, 1.0);
+    t.record_arrival_from(ME, lm(1));
+    t.record_arrival_from(ME, lm(1));
+    t.end_of_unit_all();
     let sim = SimConfig::default();
     assert_eq!(sim.time_unit.secs(), 259_200);
     let flow = FlowConfig {
         delay_model: LinkDelayModel::TransitInterval,
         ..FlowConfig::default()
     };
-    let d = t.link_delay(lm(1), &flow, &sim);
+    let d = t.link_delay(ME, lm(1), &flow, &sim);
     assert!((d - 129_600.0).abs() < 1e-9, "d = {d}");
 }
 
@@ -59,10 +62,10 @@ fn transit_interval_delay_matches_formula() {
 /// d = 259 200 · 1 024 / (2 · 2 048 000) = 64.8 s.
 #[test]
 fn throughput_delay_matches_formula() {
-    let mut t = BandwidthTable::new(2, 1.0);
-    t.record_arrival_from(lm(1));
-    t.record_arrival_from(lm(1));
-    t.end_of_unit();
+    let mut t = BandwidthMatrix::new(2, 1.0);
+    t.record_arrival_from(ME, lm(1));
+    t.record_arrival_from(ME, lm(1));
+    t.end_of_unit_all();
     let sim = SimConfig::default();
     assert_eq!(sim.packet_size, 1_024);
     assert_eq!(sim.node_memory, 2_048_000);
@@ -70,7 +73,7 @@ fn throughput_delay_matches_formula() {
         delay_model: LinkDelayModel::Throughput,
         ..FlowConfig::default()
     };
-    let d = t.link_delay(lm(1), &flow, &sim);
+    let d = t.link_delay(ME, lm(1), &flow, &sim);
     assert!((d - 64.8).abs() < 1e-9, "d = {d}");
 }
 
@@ -78,14 +81,14 @@ fn throughput_delay_matches_formula() {
 /// both models (the zero-bandwidth edge case — no division blow-up).
 #[test]
 fn zero_bandwidth_link_is_unusable() {
-    let t = BandwidthTable::new(2, 0.2);
+    let t = BandwidthMatrix::new(2, 0.2);
     let sim = SimConfig::default();
     for model in [LinkDelayModel::TransitInterval, LinkDelayModel::Throughput] {
         let flow = FlowConfig {
             delay_model: model,
             ..FlowConfig::default()
         };
-        assert!(t.link_delay(lm(1), &flow, &sim).is_infinite());
+        assert!(t.link_delay(ME, lm(1), &flow, &sim).is_infinite());
     }
 }
 
@@ -93,20 +96,20 @@ fn zero_bandwidth_link_is_unusable() {
 /// crossing the threshold flips it to a finite delay.
 #[test]
 fn below_min_bandwidth_is_unusable() {
-    let mut t = BandwidthTable::new(2, 0.2);
-    t.record_arrival_from(lm(1));
-    t.end_of_unit(); // B = 0.2·1 = 0.2
+    let mut t = BandwidthMatrix::new(2, 0.2);
+    t.record_arrival_from(ME, lm(1));
+    t.end_of_unit_all(); // B = 0.2·1 = 0.2
     let sim = SimConfig::default();
     let strict = FlowConfig {
         min_bandwidth: 0.25,
         ..FlowConfig::default()
     };
-    assert!(t.link_delay(lm(1), &strict, &sim).is_infinite());
+    assert!(t.link_delay(ME, lm(1), &strict, &sim).is_infinite());
     let lax = FlowConfig {
         min_bandwidth: 0.1,
         ..FlowConfig::default()
     };
-    let d = t.link_delay(lm(1), &lax, &sim);
+    let d = t.link_delay(ME, lm(1), &lax, &sim);
     assert!((d - 259_200.0 / 0.2).abs() < 1e-9, "d = {d}");
 }
 
@@ -114,14 +117,14 @@ fn below_min_bandwidth_is_unusable() {
 /// link becomes unusable even though incoming traffic suggests otherwise.
 #[test]
 fn zero_report_overrides_symmetric_fallback() {
-    let mut t = BandwidthTable::new(2, 1.0);
+    let mut t = BandwidthMatrix::new(2, 1.0);
     for _ in 0..4 {
-        t.record_arrival_from(lm(1));
+        t.record_arrival_from(ME, lm(1));
     }
-    t.end_of_unit(); // incoming B(1→me) = 4: symmetry would claim 4 back
+    t.end_of_unit_all(); // incoming B(1→me) = 4: symmetry would claim 4 back
     let sim = SimConfig::default();
     let flow = FlowConfig::default();
-    assert!((t.link_delay(lm(1), &flow, &sim) - 259_200.0 / 4.0).abs() < 1e-9);
-    assert!(t.apply_report(lm(1), 0.0, 1));
-    assert!(t.link_delay(lm(1), &flow, &sim).is_infinite());
+    assert!((t.link_delay(ME, lm(1), &flow, &sim) - 259_200.0 / 4.0).abs() < 1e-9);
+    assert!(t.apply_report(ME, lm(1), 0.0, 1));
+    assert!(t.link_delay(ME, lm(1), &flow, &sim).is_infinite());
 }

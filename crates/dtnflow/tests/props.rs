@@ -1,10 +1,13 @@
 //! Property tests for the DTN-FLOW routing substrate: the distance-vector
-//! table and the bandwidth table.
+//! table and the bandwidth matrix.
 
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_router::{BandwidthTable, FlowConfig, RoutingTable, StoredVector};
+use dtnflow_router::{BandwidthMatrix, FlowConfig, RoutingTable, StoredVector};
 use proptest::prelude::*;
+
+/// The measuring landmark the bandwidth properties read the row of.
+const ME: LandmarkId = LandmarkId(0);
 
 /// Random link-delay function over `n` landmarks as a dense vector.
 fn arb_links(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -98,15 +101,15 @@ proptest! {
         arrivals in proptest::collection::vec(0u8..20, 1..40),
         alpha in 0.05f64..1.0,
     ) {
-        let mut t = BandwidthTable::new(2, alpha);
+        let mut t = BandwidthMatrix::new(2, alpha);
         let max = *arrivals.iter().max().unwrap() as f64;
         for &count in &arrivals {
             for _ in 0..count {
-                t.record_arrival_from(LandmarkId(1));
+                t.record_arrival_from(ME, LandmarkId(1));
             }
-            t.end_of_unit();
+            t.end_of_unit_all();
             // EWMA of values in [0, max] stays in [0, max].
-            let b = t.incoming(LandmarkId(1));
+            let b = t.incoming(ME, LandmarkId(1));
             prop_assert!((0.0..=max + 1e-9).contains(&b), "b {b} max {max}");
         }
     }
@@ -115,18 +118,18 @@ proptest! {
     fn reports_are_monotone_in_seq(
         updates in proptest::collection::vec((0u64..50, 0u32..100), 1..40),
     ) {
-        let mut t = BandwidthTable::new(2, 0.5);
+        let mut t = BandwidthMatrix::new(2, 0.5);
         let mut best_seq = None;
         let mut current = None;
         for &(seq, val) in &updates {
-            let accepted = t.apply_report(LandmarkId(1), val as f64, seq);
+            let accepted = t.apply_report(ME, LandmarkId(1), val as f64, seq);
             let newer = best_seq.is_none_or(|s| seq > s);
             prop_assert_eq!(accepted, newer);
             if newer {
                 best_seq = Some(seq);
                 current = Some(val as f64);
             }
-            prop_assert_eq!(t.outgoing(LandmarkId(1)), current.unwrap());
+            prop_assert_eq!(t.outgoing(ME, LandmarkId(1)), current.unwrap());
         }
     }
 
@@ -135,12 +138,12 @@ proptest! {
         let sim = SimConfig::default();
         let flow = FlowConfig::default();
         let make = |count: u8| {
-            let mut t = BandwidthTable::new(2, 1.0);
+            let mut t = BandwidthMatrix::new(2, 1.0);
             for _ in 0..count {
-                t.record_arrival_from(LandmarkId(1));
+                t.record_arrival_from(ME, LandmarkId(1));
             }
-            t.end_of_unit();
-            t.link_delay(LandmarkId(1), &flow, &sim)
+            t.end_of_unit_all();
+            t.link_delay(ME, LandmarkId(1), &flow, &sim)
         };
         let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
         prop_assert!(make(hi) <= make(lo) + 1e-9);

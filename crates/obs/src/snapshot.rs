@@ -292,7 +292,7 @@ pub struct BenchEntry {
     pub events_dropped: u64,
 }
 
-/// The machine and build a `BENCH_obs.json` was measured on.
+/// The machine and build a `BENCH_*.json` file was measured on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchHost {
     /// Cores available to the measuring process.
@@ -303,18 +303,22 @@ pub struct BenchHost {
     pub git_revision: String,
 }
 
+impl BenchHost {
+    /// The `host` object every committed `BENCH_*.json` file carries.
+    pub fn to_json_value(&self) -> Value {
+        Value::object([
+            ("cores".to_owned(), Value::int(self.cores)),
+            ("profile".to_owned(), Value::str(&self.profile)),
+            ("git_revision".to_owned(), Value::str(&self.git_revision)),
+        ])
+    }
+}
+
 /// Build the `BENCH_obs.json` document (schema `dtnflow-obs-bench-v2`).
 pub fn bench_json(host: &BenchHost, entries: &[BenchEntry]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(BENCH_SCHEMA)),
-        (
-            "host".to_owned(),
-            Value::object([
-                ("cores".to_owned(), Value::int(host.cores)),
-                ("profile".to_owned(), Value::str(&host.profile)),
-                ("git_revision".to_owned(), Value::str(&host.git_revision)),
-            ]),
-        ),
+        ("host".to_owned(), host.to_json_value()),
         (
             "entries".to_owned(),
             Value::Array(

@@ -44,12 +44,4 @@ impl<'a> Sharding<'a> {
     pub fn new(plan: &'a ShardPlan, exec: &'a ShardExec) -> Sharding<'a> {
         Sharding { plan, exec }
     }
-
-    /// True when this runtime actually fans out (more than one shard and
-    /// a parallel executor). Single-shard or sequential runtimes take the
-    /// plain sequential code paths, which the parallel paths must match
-    /// byte-for-byte.
-    pub fn is_parallel(&self) -> bool {
-        self.exec.parallel() && self.plan.num_shards() > 1
-    }
 }

@@ -7,11 +7,11 @@ use crate::router::Router;
 use crate::workload::Workload;
 use crate::world::World;
 use dtnflow_core::config::SimConfig;
+use dtnflow_core::deadline::DeadlineQueue;
 use dtnflow_core::ids::{LandmarkId, NodeId};
 use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::Packet;
 use dtnflow_core::time::{SimDuration, SimTime};
-use dtnflow_core::wheel::TimingWheel;
 use dtnflow_mobility::Trace;
 use dtnflow_obs::{Recorder, SimEvent, TraceSink};
 use dtnflow_shard::{ShardExec, ShardPlan, Sharding};
@@ -282,11 +282,11 @@ pub struct SimSession<'a, R: Router + ?Sized> {
     plan: ShardPlan,
     // detlint: allow(S1, reason = "run input, not state: a throughput knob, never a semantic one")
     exec: ShardExec,
-    /// Pending router timers in a hierarchical timing wheel (DESIGN.md
-    /// §14): O(1) schedule, pops in exactly the `(at, seq)` order the
-    /// old binary heap produced (the wheel holds only `Timer` events,
-    /// whose kind priority is constant).
-    timers: TimingWheel,
+    /// Pending router timers in a sorted deadline queue (DESIGN.md §14):
+    /// pops in exactly the `(at, seq)` order the old binary heap
+    /// produced (the queue holds only `Timer` events, whose kind
+    /// priority is constant).
+    timers: DeadlineQueue,
     timer_seq: u64,
     // detlint: allow(S1, reason = "derived from the run's fault plan; resume() recomputes it from the same inputs")
     record_lost: Vec<bool>,
@@ -366,7 +366,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             next_static: 0,
             plan: shard_plan,
             exec,
-            timers: TimingWheel::new(),
+            timers: DeadlineQueue::new(),
             timer_seq: u64::MAX / 2,
             record_lost: build_record_lost(trace, plan),
             station_mode,
@@ -432,7 +432,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     /// The loop behind [`SimSession::run_to_unit`] and
     /// [`SimSession::step_events`]: pick the earlier of the static
-    /// schedule head and the timer wheel head, dispatch, repeat.
+    /// schedule head and the timer queue head, dispatch, repeat.
     fn run_core(&mut self, target: u64, mut budget: Option<usize>) -> RunStop {
         loop {
             if budget == Some(0) {
@@ -572,7 +572,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         }
     }
 
-    /// Move router-requested timers into the wheel.
+    /// Move router-requested timers into the timer queue.
     fn drain_timers(&mut self) {
         for (at, token) in self.world.pending_timers.drain(..) {
             self.timers.push(at.secs(), self.timer_seq, token);
@@ -584,15 +584,14 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     /// Encode the engine cursor: static-event index (the schedule is the
     /// same for every shard plan, so the value is shard-count-agnostic),
-    /// timer sequence counter, and the pending timers (sorted ascending,
-    /// so the encoding is canonical regardless of wheel internals — and
-    /// byte-identical to the format the old binary heap produced).
+    /// timer sequence counter, and the pending timers (ascending, so the
+    /// encoding is canonical — and byte-identical to the format the old
+    /// binary heap produced).
     pub fn encode_engine(&self, w: &mut Writer) {
         w.put_usize(self.next_static);
         w.put_u64(self.timer_seq);
-        let pending = self.timers.to_sorted_vec();
-        w.put_usize(pending.len());
-        for e in &pending {
+        w.put_usize(self.timers.len());
+        for e in self.timers.iter() {
             w.put_u64(e.at);
             w.put_u64(e.payload);
             w.put_u64(e.seq);
@@ -685,7 +684,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         }
         let timer_seq = engine.u64(CTX)?;
         let n = engine.seq_len("SimSession.timers")?;
-        let mut timers = TimingWheel::new();
+        let mut timers = DeadlineQueue::new();
         for _ in 0..n {
             let at = engine.u64(CTX)?;
             let token = engine.u64(CTX)?;

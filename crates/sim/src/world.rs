@@ -9,12 +9,12 @@
 
 use crate::store::PacketStore;
 use dtnflow_core::config::SimConfig;
+use dtnflow_core::deadline::DeadlineQueue;
 use dtnflow_core::dense::DenseSet;
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::{Packet, PacketLoc};
 use dtnflow_core::time::SimTime;
-use dtnflow_core::wheel::{TimingWheel, WheelEntry};
 use dtnflow_obs::{EventBuffer, LossKind, Place, SimEvent, TraceSink};
 use dtnflow_snapshot::{Reader, SnapshotError, Writer};
 
@@ -187,18 +187,16 @@ pub struct World {
     /// (fault injection; `true` outside fault runs). Routers must skip
     /// predictor/history learning when this is `false`.
     visit_recorded: bool,
-    /// Packet deadlines in a hierarchical timing wheel (DESIGN.md §14).
+    /// Packet deadlines in a sorted deadline queue (DESIGN.md §14).
     /// Every created non-stillborn packet is filed once at creation
-    /// under `(deadline, id)`; purges drain the wheel instead of
+    /// under `(deadline, id)`; purges pop due entries instead of
     /// scanning all packets. Because every packet shares `cfg.ttl`,
-    /// deadlines are non-decreasing in packet id, so the wheel's
-    /// `(deadline, id)` drain order IS the ascending-id order the old
-    /// scan produced. Entries of packets that died early (delivered,
-    /// lost, expired on touch) stay filed and are skipped when drained.
-    expiry: TimingWheel,
-    /// Reusable drain buffer for [`World::purge_expired`].
-    // detlint: allow(S1, reason = "scratch buffer, always cleared before use")
-    scratch_fired: Vec<WheelEntry>,
+    /// deadlines are non-decreasing in packet id, so each push is an
+    /// append and the `(deadline, id)` drain order IS the ascending-id
+    /// order the old scan produced. Entries of packets that died early
+    /// (delivered, lost, expired on touch) stay filed and are skipped
+    /// when drained.
+    expiry: DeadlineQueue,
     /// Timers requested by the router, drained by the engine.
     pub(crate) pending_timers: Vec<(SimTime, u64)>,
     /// Attached observability sink (`None` = tracing disabled; event
@@ -257,8 +255,7 @@ impl World {
             node_failed: vec![false; num_nodes],
             awaiting_recovery: vec![None; num_landmarks],
             visit_recorded: true,
-            expiry: TimingWheel::new(),
-            scratch_fired: Vec::new(),
+            expiry: DeadlineQueue::new(),
             pending_timers: Vec::new(),
             trace: None,
             cfg,
@@ -854,7 +851,7 @@ impl World {
         }
         let start = place_of(p.loc);
         let deadline = p.deadline();
-        // The wheel's (deadline, id) drain order equals ascending id only
+        // The queue's (deadline, id) drain order equals ascending id only
         // while deadlines are non-decreasing in id: shared ttl + monotone
         // creation times. Guard the invariant the purge order rests on.
         debug_assert!(
@@ -900,27 +897,21 @@ impl World {
 
     /// Drop every live packet whose TTL has elapsed.
     ///
-    /// Drains the expiry wheel up to `now` instead of scanning all
-    /// packets: the drained entries arrive in `(deadline, id)` order —
-    /// equal to the ascending-id order of the scan this replaces, since
-    /// deadlines are non-decreasing in id (see `create_packet`) — and
-    /// the drain condition `deadline <= now` is exactly
-    /// `Packet::is_expired_at`. Entries whose packet already died
-    /// (delivered, lost, expired on touch) are skipped, mirroring the
-    /// old scan's `is_live` filter.
+    /// Pops the due expiry entries instead of scanning all packets:
+    /// they arrive in `(deadline, id)` order — equal to the ascending-id
+    /// order of the scan this replaces, since deadlines are
+    /// non-decreasing in id (see `create_packet`) — and the due
+    /// condition `deadline <= now` is exactly `Packet::is_expired_at`.
+    /// Entries whose packet already died (delivered, lost, expired on
+    /// touch) are skipped, mirroring the old scan's `is_live` filter.
     pub(crate) fn purge_expired(&mut self) {
-        let now = self.now;
-        let mut fired = std::mem::take(&mut self.scratch_fired);
-        fired.clear();
-        self.expiry.drain_up_to(now.secs(), &mut fired);
-        for e in &fired {
+        let now = self.now.secs();
+        while let Some(e) = self.expiry.pop_due(now) {
             let pkt = PacketId::from(e.payload as usize);
             if self.packets[pkt.index()].loc.is_live() {
                 self.expire_packet(pkt);
             }
         }
-        fired.clear();
-        self.scratch_fired = fired;
     }
 
     /// Drain a worker-filled event buffer into the attached sink, or
@@ -1167,13 +1158,10 @@ impl World {
             });
         }
         let visit_recorded = r.bool(CTX)?;
-        let expiry = TimingWheel::decode(r)?;
-        if expiry
-            .peek_min()
-            .is_some_and(|e| e.payload as usize >= packets.len())
-        {
-            // Wheel payloads are packet ids; the minimum check catches
-            // gross mismatches cheaply (full validation would rescan).
+        let expiry = DeadlineQueue::decode(r)?;
+        // Expiry payloads are packet ids: one naming a packet that does
+        // not exist would panic the next purge.
+        if expiry.iter().any(|e| e.payload >= packets.len() as u64) {
             return Err(SnapshotError::Corrupt { context: CTX });
         }
         let n = r.seq_len("World.pending_timers")?;
@@ -1206,7 +1194,6 @@ impl World {
             awaiting_recovery,
             visit_recorded,
             expiry,
-            scratch_fired: Vec::new(),
             pending_timers,
             trace: None,
         })
@@ -1392,6 +1379,24 @@ mod tests {
         let mut w = world();
         w.record_table_exchange(100);
         assert!((w.metrics().maintenance_ops - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decode_rejects_an_expiry_entry_naming_a_missing_packet() {
+        let mut w = world();
+        let p = w.create_packet(lm(0), lm(1), None, false);
+        let decode = |w: &World| {
+            let mut buf = Writer::new();
+            w.encode_state(&mut buf);
+            let bytes = buf.into_bytes();
+            World::decode_state(&mut Reader::new(&bytes), w.config().clone(), 3, 3).map(|_| ())
+        };
+        assert_eq!(decode(&w), Ok(()));
+        // A later entry naming packet 999 of 1: without the check the
+        // world decodes and the next purge indexes past `packets`.
+        let deadline = w.packet(p).deadline().secs();
+        w.expiry.push(deadline + 1, 999, 999);
+        assert_eq!(decode(&w), Err(SnapshotError::Corrupt { context: "World" }));
     }
 
     #[test]
