@@ -10,9 +10,14 @@ use dtnflow_bench::chaos::{
     boundary_inside_outage, checkpoint, outage_plan, run_segment, run_straight, run_with_kills,
     ChaosInputs, SegmentEnd, SECTIONS,
 };
+use dtnflow_core::config::SimConfig;
+use dtnflow_core::geometry::Point;
+use dtnflow_core::ids::{LandmarkId, NodeId};
+use dtnflow_core::time::{SimTime, DAY};
+use dtnflow_mobility::{Trace, Visit};
 use dtnflow_obs::{Recorder, SimEvent, DEFAULT_RING_CAPACITY};
-use dtnflow_router::{DegradationConfig, FlowConfig, FlowRouter};
-use dtnflow_sim::{FaultPlan, SimSession};
+use dtnflow_router::{DegradationConfig, FlowConfig, FlowRouter, LoopInjection};
+use dtnflow_sim::{FaultPlan, SimSession, Workload};
 use dtnflow_snapshot::{validate, Reader, SnapshotError, SnapshotFile};
 
 /// Take one checkpoint of the tiny cell at `unit`, for corruption tests.
@@ -320,7 +325,7 @@ fn wheel_retries_fire_in_station_scan_order() {
     }
 }
 
-// ---- committed snapshot golden -----------------------------------------
+// ---- committed snapshot goldens ----------------------------------------
 
 /// A mid-run checkpoint of [`golden_inputs`] at unit `max_unit() / 2`,
 /// committed as raw bytes. It pins the whole container — run
@@ -328,6 +333,11 @@ fn wheel_retries_fire_in_station_scan_order() {
 /// flight recorder — so any change to the static schedule, the cursor
 /// or a codec shows up as a byte diff here.
 const MID_RUN_GOLDEN: &[u8] = include_bytes!("goldens/chaos_tiny13_mid.snap");
+
+/// The same kind of checkpoint for [`loop_inputs`]. It pins the codec
+/// branches the tiny cell leaves empty: queued and carried §IV-E.2 loop
+/// corrections, seen-correction keys and order-2 Markov counts.
+const LOOP_GOLDEN: &[u8] = include_bytes!("goldens/chaos_loops13_mid.snap");
 
 /// The tiny cell under its seed-13 station-outage plan, with graceful
 /// degradation on so retry timers are pending at the checkpoint.
@@ -342,42 +352,136 @@ fn golden_inputs(shards: usize) -> ChaosInputs {
     .with_shards(shards)
 }
 
-#[test]
-fn mid_run_snapshot_matches_the_committed_golden() {
-    for shards in [1, 4] {
-        let inp = golden_inputs(shards);
-        let unit = inp.max_unit() / 2;
-        let bytes = match run_segment(&inp, None, Some(unit)).expect("segment runs") {
-            SegmentEnd::Paused(b) => b,
-            SegmentEnd::Finished(_) => panic!("tiny run ended before unit {unit}"),
-        };
-        let first_diff = bytes.iter().zip(MID_RUN_GOLDEN).position(|(a, b)| a != b);
-        assert!(
-            bytes == MID_RUN_GOLDEN,
-            "shards={shards}: snapshot ({} B) drifted from the golden ({} B), \
-             first differing byte {first_diff:?}",
-            bytes.len(),
-            MID_RUN_GOLDEN.len()
-        );
+/// A 2-node / 3-landmark corridor whose l0↔l1 leg runs at twice the
+/// bandwidth of l1↔l2, so a falsified near-zero claim at l0/l1 makes
+/// packets for l2 bounce and real loops form. Every DTN-FLOW extension
+/// is on, the predictor has order 2, and the seed-13 outage plan runs.
+fn loop_inputs(shards: usize) -> ChaosInputs {
+    let mut visits = Vec::new();
+    let mut stay = |node: u32, lm: u16, start: u64| {
+        visits.push(Visit::new(
+            NodeId(node),
+            LandmarkId(lm),
+            SimTime(start),
+            SimTime(start + 6_000),
+        ));
+    };
+    for d in 0..20u64 {
+        let base = d * 86_400;
+        // Node 0: two l0→l1→l0 round trips a day; node 1: one l1→l2→l1.
+        for (k, s) in [(0u64, 1_000u64), (1, 43_000)] {
+            let o = base + s + k;
+            stay(0, 0, o);
+            stay(0, 1, o + 10_000);
+            stay(0, 0, o + 20_000);
+        }
+        stay(1, 1, base + 30_000);
+        stay(1, 2, base + 40_000);
+        stay(1, 1, base + 50_000);
+    }
+    let positions = (0..3).map(|i| Point::new(i as f64 * 500.0, 0.0)).collect();
+    let trace = Trace::new("loop-corridor", 2, 3, positions, visits).expect("corridor trace");
+    let cfg = SimConfig {
+        packets_per_landmark_per_day: 6.0,
+        ttl: DAY.mul(3),
+        time_unit: DAY,
+        seed: 13,
+        ..SimConfig::default()
+    };
+    let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
+    let plan = outage_plan(&trace, cfg.time_unit.secs(), 13);
+    let flow = FlowConfig {
+        order_k: 2,
+        inject_loops: vec![LoopInjection {
+            at_unit: 4,
+            members: vec![LandmarkId(0), LandmarkId(1)],
+            dest: LandmarkId(2),
+        }],
+        ..FlowConfig::with_all_extensions()
+    };
+    ChaosInputs {
+        trace,
+        cfg,
+        flow,
+        workload,
+        plan,
+        shards,
+    }
+}
+
+/// The inputs a golden was taken from, by shard count.
+type GoldenInputs = fn(usize) -> ChaosInputs;
+
+/// Each committed golden with the inputs it was taken from.
+const GOLDENS: [(&str, &[u8], GoldenInputs); 2] = [
+    ("chaos_tiny13_mid", MID_RUN_GOLDEN, golden_inputs),
+    ("chaos_loops13_mid", LOOP_GOLDEN, loop_inputs),
+];
+
+fn mid_run_snapshot(inp: &ChaosInputs) -> Vec<u8> {
+    let unit = inp.max_unit() / 2;
+    match run_segment(inp, None, Some(unit)).expect("segment runs") {
+        SegmentEnd::Paused(b) => b,
+        SegmentEnd::Finished(_) => panic!("run ended before unit {unit}"),
     }
 }
 
 #[test]
+fn mid_run_snapshot_matches_the_committed_golden() {
+    for (name, golden, inputs) in GOLDENS {
+        for shards in [1, 4] {
+            let bytes = mid_run_snapshot(&inputs(shards));
+            let first_diff = bytes.iter().zip(golden).position(|(a, b)| a != b);
+            assert!(
+                bytes == golden,
+                "{name} shards={shards}: snapshot ({} B) drifted from the golden ({} B), \
+                 first differing byte {first_diff:?}",
+                bytes.len(),
+                golden.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn loop_golden_holds_corrections_and_order2_counts() {
+    let inp = loop_inputs(1);
+    let bytes = mid_run_snapshot(&inp);
+    let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
+    let mut r = Reader::new(&file.section("router").expect("router section").payload);
+    let router = FlowRouter::restore_state(
+        &mut r,
+        inp.flow.clone(),
+        inp.trace.num_nodes(),
+        inp.trace.num_landmarks(),
+    )
+    .expect("router restores");
+    let [queued, carried, seen, order2] = router.correction_census();
+    assert!(
+        queued > 0 && carried > 0 && seen > 0 && order2 > 0,
+        "checkpoint leaves a codec branch empty: queued {queued}, carried {carried}, \
+         seen {seen}, order-2 nodes {order2}"
+    );
+}
+
+#[test]
 fn resume_from_the_committed_golden_matches_the_straight_run() {
-    let straight = run_straight(&golden_inputs(1)).expect("straight run");
-    assert!(straight.conservation_holds());
-    for shards in [1, 4] {
-        let art = match run_segment(&golden_inputs(shards), Some(MID_RUN_GOLDEN), None)
-            .expect("golden snapshot restores")
-        {
-            SegmentEnd::Finished(a) => a,
-            SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
-        };
-        assert!(art.conservation_holds());
-        assert!(
-            art.matches(&straight),
-            "resume from the golden at shards={shards} diverged from the straight run"
-        );
+    for (name, golden, inputs) in GOLDENS {
+        let straight = run_straight(&inputs(1)).expect("straight run");
+        assert!(straight.conservation_holds());
+        for shards in [1, 4] {
+            let art = match run_segment(&inputs(shards), Some(golden), None)
+                .expect("golden snapshot restores")
+            {
+                SegmentEnd::Finished(a) => a,
+                SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
+            };
+            assert!(art.conservation_holds());
+            assert!(
+                art.matches(&straight),
+                "resume from {name} at shards={shards} diverged from the straight run"
+            );
+        }
     }
 }
 

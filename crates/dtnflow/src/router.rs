@@ -577,6 +577,39 @@ impl FlowRouter {
         &self.registrations[node.index()]
     }
 
+    /// How much §IV-E.2 loop-correction and order ≥ 2 Markov state the
+    /// router holds: `[queued corrections, corrections carried by nodes,
+    /// seen-correction keys, nodes with non-empty order ≥ 2 counts]`.
+    /// Snapshot tests use it to show a checkpoint reaches those codec
+    /// branches.
+    pub fn correction_census(&self) -> [usize; 4] {
+        let carried = self
+            .nodes
+            .iter()
+            .filter_map(|ns| ns.carried.as_ref())
+            .map(|c| c.corrections.len())
+            .sum();
+        let map_counts = self
+            .nodes
+            .iter()
+            .filter(|ns| {
+                ns.predictor.order() >= 2 && ns.predictor.observations() > ns.predictor.order()
+            })
+            .count();
+        [
+            self.landmarks
+                .iter()
+                .map(|st| st.pending_corrections.len())
+                .sum(),
+            carried,
+            self.landmarks
+                .iter()
+                .map(|st| st.seen_corrections.len())
+                .sum(),
+            map_counts,
+        ]
+    }
+
     /// §IV-E.4: send a packet from `src`'s subarea to a mobile node, by
     /// copying it to each of the destination node's registered frequent
     /// landmarks. Returns the created packet copies (empty if the node has
