@@ -39,21 +39,27 @@
 //!   landmark walk.
 //! * `dense_map_churn` — insert/lookup/iterate/remove cycle on the
 //!   `DenseMap` that backs all of the above.
+//! * `snapshot_codec` — decode then re-encode the router, world and obs
+//!   sections of the tiny mid-run checkpoint (the `chaos_tiny13_mid`
+//!   golden's state), so the `--strict` gate covers codec speed.
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
 //! scheduler hiccup cannot move the pinned numbers by much. The output
 //! carries the measuring host (cores, build profile, git revision).
 
+use dtnflow_bench::chaos::{outage_plan, run_segment, ChaosInputs, SegmentEnd};
 use dtnflow_bench::host::bench_host;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_core::dense::DenseMap;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::{DeadlineQueue, RankIndex};
 use dtnflow_obs::json::{parse, Value};
-use dtnflow_obs::BenchHost;
+use dtnflow_obs::{BenchHost, Recorder};
 use dtnflow_predictor::MarkovPredictor;
 use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable};
+use dtnflow_sim::{FaultPlan, World};
+use dtnflow_snapshot::{Reader, SnapshotFile, Writer};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -301,6 +307,30 @@ fn bench_dense_map_churn(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
+fn bench_snapshot_codec(samples: usize, ops: u64) -> BenchResult {
+    let base = ChaosInputs::tiny(13, FaultPlan::none());
+    let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
+    let flow = FlowConfig::with_degradation();
+    let inp = ChaosInputs { plan, flow, ..base };
+    let Ok(SegmentEnd::Paused(bytes)) = run_segment(&inp, None, Some(inp.max_unit() / 2)) else {
+        panic!("the tiny run pauses at its mid-run boundary");
+    };
+    let file = SnapshotFile::parse(&bytes).expect("checkpoint parses");
+    let section = |name| Reader::new(&file.section(name).expect("section").payload);
+    let (n, l) = (inp.trace.num_nodes(), inp.trace.num_landmarks());
+    run_bench("snapshot_codec", samples, ops, |_| {
+        let mut r = section("router");
+        let router = FlowRouter::restore_state(&mut r, inp.flow.clone(), n, l);
+        let world = World::decode_state(&mut section("world"), inp.cfg.clone(), n, l);
+        let rec = Recorder::decode(&mut section("obs"));
+        let mut w = Writer::new();
+        router.expect("router decodes").save_state(&mut w);
+        world.expect("world decodes").encode_state(&mut w);
+        rec.expect("recorder decodes").encode(&mut w);
+        w.len() as u64
+    })
+}
+
 fn results_json(mode: &str, host: &BenchHost, results: &[BenchResult]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
@@ -458,6 +488,7 @@ fn main() {
         bench_ewma_fold(samples, ops / 10),
         bench_markov_update(samples, ops),
         bench_dense_map_churn(samples, ops),
+        bench_snapshot_codec(samples, ops / 20),
     ];
     for r in &results {
         println!(

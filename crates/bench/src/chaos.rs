@@ -25,7 +25,8 @@ use dtnflow_obs::{BenchHost, Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY
 use dtnflow_router::{FlowConfig, FlowRouter};
 use dtnflow_sim::{FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload};
 use dtnflow_snapshot::{
-    validate_schema, Reader, SchemaSection, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
+    validate_schema, Codec, Reader, SchemaSection, SnapshotBuilder, SnapshotError, SnapshotFile,
+    Writer,
 };
 
 /// JSON schema tag for `BENCH_chaos.json`.
@@ -215,27 +216,10 @@ pub fn canonicalize_obs(mut s: Snapshot) -> Snapshot {
     s
 }
 
-fn encode_meta(inp: &ChaosInputs, unit: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_usize(inp.trace.num_nodes());
-    w.put_usize(inp.trace.num_landmarks());
-    w.put_u64(inp.trace.duration().secs());
-    w.put_u64(inp.cfg.seed);
-    w.put_u64(inp.cfg.time_unit.secs());
-    w.put_usize(inp.workload.len());
-    w.put_usize(inp.plan.station_outages.len());
-    w.put_usize(inp.plan.node_outages.len());
-    w.put_usize(inp.plan.truncations.len());
-    w.put_usize(inp.plan.lost_records.len());
-    w.put_u64(unit);
-    w.into_bytes()
-}
-
-/// Validate the snapshot fingerprint against the run inputs and return
-/// the unit the checkpoint was taken at.
-fn check_meta(r: &mut Reader<'_>, inp: &ChaosInputs) -> Result<u64, SnapshotError> {
-    const CTX: &str = "chaos.meta";
-    let fields: [(&str, u64); 10] = [
+/// The run fingerprint a checkpoint's `meta` section carries, in wire
+/// order; the paused unit follows it.
+fn fingerprint(inp: &ChaosInputs) -> [(&'static str, u64); 10] {
+    [
         ("num_nodes", inp.trace.num_nodes() as u64),
         ("num_landmarks", inp.trace.num_landmarks() as u64),
         ("duration_secs", inp.trace.duration().secs()),
@@ -246,16 +230,28 @@ fn check_meta(r: &mut Reader<'_>, inp: &ChaosInputs) -> Result<u64, SnapshotErro
         ("node_outages", inp.plan.node_outages.len() as u64),
         ("truncations", inp.plan.truncations.len() as u64),
         ("lost_records", inp.plan.lost_records.len() as u64),
-    ];
-    for (name, expected) in fields {
-        let found = r.u64(CTX)?;
+    ]
+}
+
+fn encode_meta(inp: &ChaosInputs, unit: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    fingerprint(inp).map(|(_, v)| v).encode(&mut w);
+    unit.encode(&mut w);
+    w.into_bytes()
+}
+
+/// Validate the snapshot fingerprint against the run inputs and return
+/// the unit the checkpoint was taken at.
+fn check_meta(r: &mut Reader<'_>, inp: &ChaosInputs) -> Result<u64, SnapshotError> {
+    for (name, expected) in fingerprint(inp) {
+        let found = u64::decode(r)?;
         if found != expected {
             return Err(SnapshotError::Mismatch {
                 context: format!("chaos.meta.{name}: snapshot has {found}, run has {expected}"),
             });
         }
     }
-    r.u64(CTX)
+    u64::decode(r)
 }
 
 /// Snapshot a session paused at the boundary of `unit`. The
@@ -300,6 +296,46 @@ pub enum SegmentEnd {
     Finished(Box<RunArtifacts>),
 }
 
+/// Restore a parsed checkpoint without simulating: the schema, the run
+/// fingerprint, the router section (placed in `router`), the flight
+/// recorder, then the engine and world sections through
+/// [`SimSession::resume_sharded`]. Returns the paused session and the
+/// unit the checkpoint was taken at.
+pub fn resume<'a>(
+    inp: &ChaosInputs,
+    file: &SnapshotFile,
+    router: &'a mut Option<FlowRouter>,
+) -> Result<(SimSession<'a, FlowRouter>, u64), SnapshotError> {
+    validate_schema(file, &SECTIONS)?;
+    let section = |name| Ok::<_, SnapshotError>(Reader::new(&file.section(name)?.payload));
+    let mut mr = section("meta")?;
+    let unit = check_meta(&mut mr, inp)?;
+    mr.finish("meta")?;
+    let mut rr = section("router")?;
+    let (nodes, landmarks) = (inp.trace.num_nodes(), inp.trace.num_landmarks());
+    let restored = FlowRouter::restore_state(&mut rr, inp.flow.clone(), nodes, landmarks)?;
+    rr.finish("router")?;
+    let mut or = section("obs")?;
+    let rec = Recorder::decode(&mut or)?;
+    or.finish("obs")?;
+    let (mut er, mut wr) = (section("engine")?, section("world")?);
+    let session = SimSession::resume_sharded(
+        &inp.trace,
+        &inp.cfg,
+        &inp.workload,
+        &inp.plan,
+        router.insert(restored),
+        Some(Box::new(rec)),
+        &mut er,
+        &mut wr,
+        ShardPlan::contiguous(landmarks, inp.shards),
+        ShardExec::new(inp.shards),
+    )?;
+    er.finish("engine")?;
+    wr.finish("world")?;
+    Ok((session, unit))
+}
+
 /// One simulated process lifetime: start fresh (`snapshot: None`) or
 /// restore from snapshot bytes, then run to the `kill_at` unit boundary
 /// (checkpointing there) or to completion. Nothing but the returned
@@ -309,76 +345,36 @@ pub fn run_segment(
     snapshot: Option<&[u8]>,
     kill_at: Option<u64>,
 ) -> Result<SegmentEnd, SnapshotError> {
-    let (mut router, parsed) = match snapshot {
-        None => (
-            FlowRouter::new(
+    let mut router = None;
+    let mut session = match snapshot {
+        None => {
+            let fresh = FlowRouter::new(
                 inp.flow.clone(),
                 inp.trace.num_nodes(),
                 inp.trace.num_landmarks(),
-            ),
-            None,
-        ),
-        Some(bytes) => {
-            let file = SnapshotFile::parse(bytes)?;
-            validate_schema(&file, &SECTIONS)?;
-            let mut mr = Reader::new(&file.section("meta")?.payload);
-            let unit = check_meta(&mut mr, inp)?;
-            mr.finish("meta")?;
-            let mut rr = Reader::new(&file.section("router")?.payload);
-            let router = FlowRouter::restore_state(
-                &mut rr,
-                inp.flow.clone(),
-                inp.trace.num_nodes(),
-                inp.trace.num_landmarks(),
-            )?;
-            rr.finish("router")?;
-            (router, Some((file, unit)))
-        }
-    };
-    let shard_plan = ShardPlan::contiguous(inp.trace.num_landmarks(), inp.shards);
-    let exec = ShardExec::new(inp.shards);
-    let mut session = match &parsed {
-        None => SimSession::start_sharded(
-            &inp.trace,
-            &inp.cfg,
-            &inp.workload,
-            &inp.plan,
-            &mut router,
-            Some(Box::new(Recorder::new(DEFAULT_RING_CAPACITY))),
-            shard_plan,
-            exec,
-        ),
-        Some((file, _)) => {
-            let mut or = Reader::new(&file.section("obs")?.payload);
-            let rec = Recorder::decode(&mut or)?;
-            or.finish("obs")?;
-            let mut er = Reader::new(&file.section("engine")?.payload);
-            let mut wr = Reader::new(&file.section("world")?.payload);
-            let s = SimSession::resume_sharded(
+            );
+            SimSession::start_sharded(
                 &inp.trace,
                 &inp.cfg,
                 &inp.workload,
                 &inp.plan,
-                &mut router,
-                Some(Box::new(rec)),
-                &mut er,
-                &mut wr,
-                shard_plan,
-                exec,
-            )?;
-            er.finish("engine")?;
-            wr.finish("world")?;
-            s
+                router.insert(fresh),
+                Some(Box::new(Recorder::new(DEFAULT_RING_CAPACITY))),
+                ShardPlan::contiguous(inp.trace.num_landmarks(), inp.shards),
+                ShardExec::new(inp.shards),
+            )
+        }
+        Some(bytes) => {
+            let (mut session, unit) = resume(inp, &SnapshotFile::parse(bytes)?, &mut router)?;
+            let total = bytes.len() as u64;
+            session.emit(|at| SimEvent::Restored {
+                at,
+                unit,
+                bytes: total,
+            });
+            session
         }
     };
-    if let Some((_, unit)) = parsed {
-        let total = snapshot.map(|b| b.len() as u64).unwrap_or(0);
-        session.emit(|at| SimEvent::Restored {
-            at,
-            unit,
-            bytes: total,
-        });
-    }
     match kill_at {
         Some(unit) => {
             if session.run_to_unit(unit) {
@@ -437,10 +433,7 @@ pub fn run_with_kills(
 fn collect(out: SimOutcome) -> RunArtifacts {
     let mut w = Writer::new();
     out.metrics.encode(&mut w);
-    w.put_usize(out.packets.len());
-    for p in &out.packets {
-        p.encode(&mut w);
-    }
+    out.packets.encode(&mut w);
     let summary = out.metrics.summary();
     let csv_row = format!(
         "{:.3},{:.0},{},{:.0}",

@@ -7,8 +7,8 @@
 //! panics.
 
 use dtnflow_bench::chaos::{
-    boundary_inside_outage, checkpoint, outage_plan, run_segment, run_straight, run_with_kills,
-    ChaosInputs, SegmentEnd, SECTIONS,
+    boundary_inside_outage, checkpoint, outage_plan, resume, run_segment, run_straight,
+    run_with_kills, ChaosInputs, SegmentEnd, SECTIONS,
 };
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::geometry::Point;
@@ -18,7 +18,10 @@ use dtnflow_mobility::{Trace, Visit};
 use dtnflow_obs::{Recorder, SimEvent, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{DegradationConfig, FlowConfig, FlowRouter, LoopInjection};
 use dtnflow_sim::{FaultPlan, SimSession, Workload};
-use dtnflow_snapshot::{validate, Reader, SnapshotError, SnapshotFile};
+use dtnflow_snapshot::{
+    validate_schema, Codec, Reader, SnapshotBuilder, SnapshotError, SnapshotFile,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Take one checkpoint of the tiny cell at `unit`, for corruption tests.
 fn tiny_snapshot(unit: u64) -> Vec<u8> {
@@ -83,12 +86,11 @@ fn tiny_kill_inside_station_outage_is_byte_identical() {
 #[test]
 fn snapshot_validates_and_lists_all_sections() {
     let bytes = tiny_snapshot(3);
-    let info = validate(&bytes).expect("snapshot validates");
     let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
+    validate_schema(&file, &SECTIONS).expect("snapshot matches the chaos schema");
     for s in &SECTIONS {
         assert!(file.section(s.name).is_ok(), "missing section {}", s.name);
     }
-    assert!(info.to_json().contains("\"router\""));
 }
 
 #[test]
@@ -245,22 +247,17 @@ fn delayed_retry_timer_survives_checkpoint_restore() {
     // The snapshot's engine section holds the tagged retry timer.
     let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
     let engine = file.section("engine").expect("engine section");
-    let mut r = Reader::new(&engine.payload);
-    let _dispatched = r.usize("engine").expect("cursor");
-    let _timer_seq = r.u64("engine").expect("timer_seq");
-    let pending = r.usize("engine").expect("pending count");
-    let mut tagged = 0;
-    for _ in 0..pending {
-        let _at = r.u64("engine").expect("at");
-        let payload = r.u64("engine").expect("payload");
-        let _seq = r.u64("engine").expect("seq");
-        if payload & RETRY_TOKEN_TAG != 0 {
-            tagged += 1;
-        }
-    }
+    // Cursor, timer sequence, then the pending `(at, payload, seq)` timers.
+    let (_cursor, _timer_seq, timers): (usize, u64, Vec<(u64, u64, u64)>) =
+        Codec::decode(&mut Reader::new(&engine.payload)).expect("engine section decodes");
+    let tagged = timers
+        .iter()
+        .filter(|&&(_, payload, _)| payload & RETRY_TOKEN_TAG != 0)
+        .count();
     assert!(
         tagged > 0,
-        "no tagged retry timer pending at unit {kill} (of {pending} timers)"
+        "no tagged retry timer pending at unit {kill} (of {} timers)",
+        timers.len()
     );
 
     let art = match run_segment(&inp, Some(&bytes), None).expect("resume runs") {
@@ -483,6 +480,60 @@ fn resume_from_the_committed_golden_matches_the_straight_run() {
             );
         }
     }
+}
+
+// ---- malformed payloads behind valid checksums -------------------------
+
+/// Every section decoder a restore runs — schema, run fingerprint,
+/// router, flight recorder, engine and world — with no simulation.
+fn restore_only(inp: &ChaosInputs, bytes: &[u8]) -> Result<(), SnapshotError> {
+    resume(inp, &SnapshotFile::parse(bytes)?, &mut None).map(drop)
+}
+
+/// At every `stride`-th offset of every section payload of both goldens,
+/// overwrite 8 bytes (fewer at the payload's end) with each boundary
+/// value, re-stamp the checksums and restore. The checksums pass, so the
+/// decoders themselves see the damage: each case must come back `Ok` or
+/// as a typed error, never as a panic.
+fn sweep_malformed_payloads(stride: usize) {
+    const BOUNDARY: [u64; 4] = [0, 1, u32::MAX as u64, u64::MAX];
+    for (name, golden, inputs) in GOLDENS {
+        let inp = inputs(1);
+        let file = SnapshotFile::parse(golden).expect("golden parses");
+        for (i, target) in file.sections.iter().enumerate() {
+            for at in (0..target.payload.len()).step_by(stride) {
+                for value in BOUNDARY {
+                    let mut builder = SnapshotBuilder::new();
+                    for (j, s) in file.sections.iter().enumerate() {
+                        let mut payload = s.payload.clone();
+                        if j == i {
+                            let end = (at + 8).min(payload.len());
+                            payload[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+                        }
+                        builder.add_section(&s.name, s.version, payload);
+                    }
+                    let bytes = builder.finish();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| restore_only(&inp, &bytes)));
+                    assert!(
+                        outcome.is_ok(),
+                        "{name}: `{}` payload with {value:#x} at offset {at} panicked",
+                        target.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_payloads_are_typed_errors_sampled() {
+    sweep_malformed_payloads(101);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "every offset; run with --release")]
+fn malformed_payloads_are_typed_errors_at_every_offset() {
+    sweep_malformed_payloads(1);
 }
 
 #[test]

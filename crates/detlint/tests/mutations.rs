@@ -43,7 +43,7 @@ fn deleting_a_codec_line_turns_s1_red() {
     let src = live_source(rel);
     assert_eq!(scan(rel, &src), Vec::new(), "live {rel} must scan clean");
 
-    let needle = "w.put_u32(self.hops);";
+    let needle = "self.hops.encode(w);";
     assert!(src.contains(needle), "mutation anchor moved in {rel}");
     let mutated: String = src
         .lines()
@@ -70,7 +70,7 @@ fn deleting_the_wheel_base_from_its_codec_turns_s1_red() {
     let src = live_source(rel);
     assert_eq!(scan(rel, &src), Vec::new(), "live {rel} must scan clean");
 
-    let needle = "w.put_u64(self.base);";
+    let needle = "self.base.encode(w);";
     assert!(src.contains(needle), "mutation anchor moved in {rel}");
     let mutated: String = src
         .lines()
@@ -117,7 +117,7 @@ fn deleting_the_rank_index_from_the_router_codec_turns_s1_red() {
     // The route-cache hit counter travels through the landmark codec
     // the same way: dropping it must fire too (restored lineages would
     // report diverged observability totals).
-    let needle = "w.put_u64(st.cache_hits);";
+    let needle = "self.cache_hits.encode(w);";
     assert!(src.contains(needle), "mutation anchor moved in {rel}");
     let mutated: String = src
         .lines()

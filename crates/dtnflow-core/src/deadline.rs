@@ -10,7 +10,7 @@
 //! function of the pushed `(at, seq)` pairs, independent of push order
 //! and of checkpoint/restore.
 
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::collections::VecDeque;
 
 /// One scheduled item: fires at tick `at`, tie-broken by `seq`, and
@@ -103,40 +103,44 @@ impl DeadlineQueue {
     pub fn iter(&self) -> impl Iterator<Item = &DeadlineEntry> {
         self.entries.iter()
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): `base`, then the entries in
-    /// ascending `(at, seq)` order.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.base);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.at);
-            w.put_u64(e.seq);
-            w.put_u64(e.payload);
-        }
+impl Codec for DeadlineEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.at.encode(w);
+        self.seq.encode(w);
+        self.payload.encode(w);
     }
 
-    /// Inverse of [`DeadlineQueue::encode`]; rejects entries whose keys
-    /// are not strictly ascending, so decoding then re-encoding is
-    /// byte-stable.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        const CTX: &str = "DeadlineQueue";
-        let base = r.u64(CTX)?;
-        let n = r.seq_len(CTX)?;
-        // An entry takes 24 bytes: a count the input cannot hold
-        // allocates no more than the input could.
-        let mut entries: VecDeque<DeadlineEntry> =
-            VecDeque::with_capacity(n.min(r.remaining() / 24));
-        for _ in 0..n {
-            let e = DeadlineEntry {
-                at: r.u64(CTX)?,
-                seq: r.u64(CTX)?,
-                payload: r.u64(CTX)?,
-            };
-            if entries.back().is_some_and(|p| e.key() <= p.key()) {
-                return Err(SnapshotError::Corrupt { context: CTX });
-            }
-            entries.push_back(e);
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(DeadlineEntry {
+            at: Codec::decode(r)?,
+            seq: Codec::decode(r)?,
+            payload: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): `base`, then the entries in
+/// ascending `(at, seq)` order. Decode rejects entries whose keys are
+/// not strictly ascending, so decoding then re-encoding is byte-stable.
+impl Codec for DeadlineQueue {
+    fn encode(&self, w: &mut Writer) {
+        self.base.encode(w);
+        self.entries.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let base = Codec::decode(r)?;
+        let entries: VecDeque<DeadlineEntry> = Codec::decode(r)?;
+        if entries
+            .iter()
+            .zip(entries.iter().skip(1))
+            .any(|(a, b)| b.key() <= a.key())
+        {
+            return Err(SnapshotError::Corrupt {
+                context: "DeadlineQueue",
+            });
         }
         Ok(DeadlineQueue { base, entries })
     }

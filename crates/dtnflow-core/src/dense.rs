@@ -16,7 +16,7 @@
 //!   for per-directed-link tables (EWMA bandwidth, Eq. 4).
 
 use crate::ids::{LandmarkId, NodeId, PacketId};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::marker::PhantomData;
 
 /// A key that is (or wraps) a small dense integer index.
@@ -242,41 +242,64 @@ impl<K: DenseKey, V> DenseMap<K, V> {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.slots.iter_mut().filter_map(Option::as_mut)
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): present entries in ascending
-    /// key order, values via `enc`. Canonical — slot capacity (trailing
-    /// empty slots) is not observable and is not preserved.
-    pub fn encode_with(&self, w: &mut Writer, mut enc: impl FnMut(&mut Writer, &V)) {
-        w.put_usize(self.len);
-        for (k, v) in self.iter() {
-            w.put_u64(k.index() as u64);
-            enc(w, v);
-        }
+/// Read one `u64` dense index as a key: `Corrupt` unless it is below
+/// `dim` and within `K`'s range.
+fn decode_key<K: DenseKey>(
+    r: &mut Reader<'_>,
+    dim: usize,
+    context: &'static str,
+) -> Result<K, SnapshotError> {
+    let i = r.usize(context)?;
+    if i >= dim || i > K::MAX_INDEX {
+        return Err(SnapshotError::Corrupt { context });
+    }
+    Ok(K::from_index(i))
+}
+
+/// Checkpoint encoding (DESIGN.md §11): the present entries as a
+/// sequence of `(u64 index, value)` pairs in ascending key order.
+/// Canonical — slot capacity (trailing empty slots) is not observable
+/// and is not preserved.
+impl<K: DenseKey, V: Codec> Codec for DenseMap<K, V> {
+    fn encode(&self, w: &mut Writer) {
+        let present = self.slots.iter().enumerate();
+        let present = present.filter_map(|(i, s)| Some((i, s.as_ref()?)));
+        w.put_seq(self.len, present, |w, (i, v)| {
+            w.put_usize(i);
+            v.encode(w);
+        });
     }
 
-    /// Inverse of [`DenseMap::encode_with`]. Rejects out-of-order keys so
-    /// decoding then re-encoding is byte-stable.
-    pub fn decode_with<E>(
-        r: &mut Reader<'_>,
-        mut dec: impl FnMut(&mut Reader<'_>) -> Result<V, E>,
-    ) -> Result<Self, SnapshotError>
-    where
-        E: Into<SnapshotError>,
-    {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Self::decode_below(r, usize::MAX)
+    }
+}
+
+impl<K: DenseKey, V: Codec> DenseMap<K, V> {
+    /// [`Codec::decode`] for a map whose keys must lie below `dim`, a
+    /// dimension the restoring caller knows. Keys are checked before any
+    /// slot is allocated, so a corrupt key cannot size the slot vector;
+    /// out-of-order keys are rejected so decoding then re-encoding is
+    /// byte-stable.
+    pub fn decode_below(r: &mut Reader<'_>, dim: usize) -> Result<Self, SnapshotError> {
         const CTX: &str = "DenseMap";
-        let n = r.seq_len(CTX)?;
-        let mut map = Self::new();
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let idx = r.usize(CTX)?;
-            if idx > K::MAX_INDEX || prev.is_some_and(|p| idx <= p) {
-                return Err(SnapshotError::Corrupt { context: CTX });
-            }
-            prev = Some(idx);
-            let v = dec(r).map_err(Into::into)?;
-            map.insert(K::from_index(idx), v);
+        let entries = r.seq(CTX, |r| Ok((decode_key::<K>(r, dim, CTX)?, V::decode(r)?)))?;
+        if entries.windows(2).any(|p| p[1].0 <= p[0].0) {
+            return Err(SnapshotError::Corrupt { context: CTX });
         }
-        Ok(map)
+        let len = entries.len();
+        let mut slots = Vec::new();
+        slots.resize_with(entries.last().map_or(0, |(k, _)| k.index() + 1), || None);
+        for (k, v) in entries {
+            slots[k.index()] = Some(v);
+        }
+        Ok(DenseMap {
+            slots,
+            len,
+            _key: PhantomData,
+        })
     }
 }
 
@@ -382,29 +405,23 @@ impl<K: DenseKey> DenseSet<K> {
     pub fn clear(&mut self) {
         self.sorted.clear();
     }
+}
 
-    /// Checkpoint encoding: the members as ascending indexes.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.sorted.len());
-        for k in &self.sorted {
-            w.put_u64(k.index() as u64);
-        }
+/// Checkpoint encoding: the members as a sequence of ascending `u64`
+/// indexes. Decode rejects unsorted or duplicate members so re-encoding
+/// is byte-stable.
+impl<K: DenseKey> Codec for DenseSet<K> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_seq(self.sorted.len(), &self.sorted, |w, k| {
+            w.put_usize(k.index())
+        });
     }
 
-    /// Inverse of [`DenseSet::encode`]; rejects unsorted or duplicate
-    /// members so re-encoding is byte-stable.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         const CTX: &str = "DenseSet";
-        let n = r.seq_len(CTX)?;
-        let mut sorted = Vec::with_capacity(n);
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let idx = r.usize(CTX)?;
-            if idx > K::MAX_INDEX || prev.is_some_and(|p| idx <= p) {
-                return Err(SnapshotError::Corrupt { context: CTX });
-            }
-            prev = Some(idx);
-            sorted.push(K::from_index(idx));
+        let sorted: Vec<K> = r.seq(CTX, |r| decode_key(r, usize::MAX, CTX))?;
+        if sorted.windows(2).any(|p| p[1] <= p[0]) {
+            return Err(SnapshotError::Corrupt { context: CTX });
         }
         Ok(DenseSet { sorted })
     }
@@ -518,29 +535,6 @@ impl LinkMatrix {
         self.cells.iter().all(|v| v.is_nan())
     }
 
-    /// Checkpoint encoding: side length plus every cell as raw IEEE-754
-    /// bits (`NaN` "absent" markers survive byte-exactly).
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.n);
-        for &v in &self.cells {
-            w.put_f64(v);
-        }
-    }
-
-    /// Inverse of [`LinkMatrix::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        const CTX: &str = "LinkMatrix";
-        let n = r.usize(CTX)?;
-        let cells_len = n
-            .checked_mul(n)
-            .ok_or(SnapshotError::Corrupt { context: CTX })?;
-        let mut cells = Vec::with_capacity(cells_len.min(r.remaining() / 8 + 1));
-        for _ in 0..cells_len {
-            cells.push(r.f64(CTX)?);
-        }
-        Ok(LinkMatrix { n, cells })
-    }
-
     /// Present cells in ascending `(from, to)` order — the iteration
     /// order of the `BTreeMap<(u16, u16), f64>` this type replaces.
     pub fn iter(&self) -> impl Iterator<Item = (u16, u16, f64)> + '_ {
@@ -553,6 +547,27 @@ impl LinkMatrix {
                 let to = LandmarkId::from(i % self.n).0;
                 (from, to, v)
             })
+    }
+}
+
+/// Checkpoint encoding: the side length, then every cell as raw
+/// IEEE-754 bits with no count (`NaN` "absent" markers survive
+/// byte-exactly).
+impl Codec for LinkMatrix {
+    fn encode(&self, w: &mut Writer) {
+        self.n.encode(w);
+        for v in &self.cells {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let n: usize = Codec::decode(r)?;
+        let cells = n.checked_mul(n).ok_or(SnapshotError::Corrupt {
+            context: "LinkMatrix",
+        })?;
+        let cells = r.items(cells, f64::decode)?;
+        Ok(LinkMatrix { n, cells })
     }
 }
 

@@ -31,3 +31,29 @@ pub use metrics::{MetricsSummary, RunMetrics};
 pub use packet::{Packet, PacketLoc};
 pub use rankidx::{RankEntry, RankIndex};
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};
+
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
+
+/// Ids and times travel as their inner integer (DESIGN.md §11).
+macro_rules! newtype_codec {
+    ($($t:ident($inner:ty)),*) => {$(
+        impl Codec for $t {
+            #[inline]
+            fn encode(&self, w: &mut Writer) {
+                self.0.encode(w);
+            }
+            #[inline]
+            fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+                <$inner>::decode(r).map($t)
+            }
+        }
+    )*};
+}
+
+newtype_codec!(
+    NodeId(u32),
+    LandmarkId(u16),
+    PacketId(u32),
+    SimTime(u64),
+    SimDuration(u64)
+);

@@ -2,7 +2,7 @@
 //! success rate, average delay, forwarding cost and overall (total) cost.
 
 use crate::time::SimDuration;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Counters accumulated while a simulation runs.
 #[derive(Debug, Clone, Default)]
@@ -140,56 +140,31 @@ impl RunMetrics {
     /// order. `maintenance_ops` travels as raw IEEE-754 bits so the
     /// accumulated float is restored bit-exactly.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.generated);
-        w.put_u64(self.delivered);
-        w.put_u64(self.expired);
-        w.put_usize(self.delays.len());
-        for &d in &self.delays {
-            w.put_u64(d);
-        }
-        w.put_u64(self.forwarding_ops);
-        w.put_f64(self.maintenance_ops);
-        w.put_u64(self.lost_to_outage);
-        w.put_u64(self.lost_to_churn);
-        w.put_u64(self.retries);
-        w.put_usize(self.recovery_secs.len());
-        for &s in &self.recovery_secs {
-            w.put_u64(s);
-        }
+        self.generated.encode(w);
+        self.delivered.encode(w);
+        self.expired.encode(w);
+        self.delays.encode(w);
+        self.forwarding_ops.encode(w);
+        self.maintenance_ops.encode(w);
+        self.lost_to_outage.encode(w);
+        self.lost_to_churn.encode(w);
+        self.retries.encode(w);
+        self.recovery_secs.encode(w);
     }
 
     /// Inverse of [`RunMetrics::encode`].
     pub fn decode(r: &mut Reader<'_>) -> Result<RunMetrics, SnapshotError> {
-        const CTX: &str = "RunMetrics";
-        let generated = r.u64(CTX)?;
-        let delivered = r.u64(CTX)?;
-        let expired = r.u64(CTX)?;
-        let n = r.seq_len("RunMetrics.delays")?;
-        let mut delays = Vec::with_capacity(n);
-        for _ in 0..n {
-            delays.push(r.u64(CTX)?);
-        }
-        let forwarding_ops = r.u64(CTX)?;
-        let maintenance_ops = r.f64(CTX)?;
-        let lost_to_outage = r.u64(CTX)?;
-        let lost_to_churn = r.u64(CTX)?;
-        let retries = r.u64(CTX)?;
-        let n = r.seq_len("RunMetrics.recovery_secs")?;
-        let mut recovery_secs = Vec::with_capacity(n);
-        for _ in 0..n {
-            recovery_secs.push(r.u64(CTX)?);
-        }
         Ok(RunMetrics {
-            generated,
-            delivered,
-            expired,
-            delays,
-            forwarding_ops,
-            maintenance_ops,
-            lost_to_outage,
-            lost_to_churn,
-            retries,
-            recovery_secs,
+            generated: Codec::decode(r)?,
+            delivered: Codec::decode(r)?,
+            expired: Codec::decode(r)?,
+            delays: Codec::decode(r)?,
+            forwarding_ops: Codec::decode(r)?,
+            maintenance_ops: Codec::decode(r)?,
+            lost_to_outage: Codec::decode(r)?,
+            lost_to_churn: Codec::decode(r)?,
+            retries: Codec::decode(r)?,
+            recovery_secs: Codec::decode(r)?,
         })
     }
 

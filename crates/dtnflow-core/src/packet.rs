@@ -7,7 +7,7 @@
 
 use crate::ids::{LandmarkId, NodeId, PacketId};
 use crate::time::{SimDuration, SimTime};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Where a packet currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,96 +139,70 @@ impl Packet {
         }
     }
 
-    /// Checkpoint encoding (DESIGN.md §11): every field in declaration
-    /// order; byte-deterministic.
+    /// Checkpoint encoding: the [`Codec`] form, callable without the
+    /// trait in scope.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.id.0);
-        w.put_u16(self.src.0);
-        w.put_u16(self.dst.0);
-        match self.dst_node {
-            None => w.put_u8(0),
-            Some(n) => {
-                w.put_u8(1);
-                w.put_u32(n.0);
-            }
-        }
-        w.put_u64(self.created.secs());
-        w.put_u64(self.ttl.secs());
-        match self.loc {
-            PacketLoc::PendingAtSource(lm) => {
-                w.put_u8(0);
-                w.put_u16(lm.0);
-            }
-            PacketLoc::OnNode(n) => {
-                w.put_u8(1);
-                w.put_u32(n.0);
-            }
-            PacketLoc::AtStation(lm) => {
-                w.put_u8(2);
-                w.put_u16(lm.0);
-            }
-            PacketLoc::Delivered(t) => {
-                w.put_u8(3);
-                w.put_u64(t.secs());
-            }
+        Codec::encode(self, w);
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): every field in declaration
+/// order; byte-deterministic.
+impl Codec for Packet {
+    fn encode(&self, w: &mut Writer) {
+        self.id.encode(w);
+        self.src.encode(w);
+        self.dst.encode(w);
+        self.dst_node.encode(w);
+        self.created.encode(w);
+        self.ttl.encode(w);
+        self.loc.encode(w);
+        self.visited.encode(w);
+        self.hops.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Packet, SnapshotError> {
+        Ok(Packet {
+            id: Codec::decode(r)?,
+            src: Codec::decode(r)?,
+            dst: Codec::decode(r)?,
+            dst_node: Codec::decode(r)?,
+            created: Codec::decode(r)?,
+            ttl: Codec::decode(r)?,
+            loc: Codec::decode(r)?,
+            visited: Codec::decode(r)?,
+            hops: Codec::decode(r)?,
+        })
+    }
+}
+
+/// One tag byte (declaration order), then the variant's payload.
+impl Codec for PacketLoc {
+    fn encode(&self, w: &mut Writer) {
+        match *self {
+            PacketLoc::PendingAtSource(lm) => (0u8, lm).encode(w),
+            PacketLoc::OnNode(n) => (1u8, n).encode(w),
+            PacketLoc::AtStation(lm) => (2u8, lm).encode(w),
+            PacketLoc::Delivered(t) => (3u8, t).encode(w),
             PacketLoc::Expired => w.put_u8(4),
             PacketLoc::Lost => w.put_u8(5),
         }
-        w.put_usize(self.visited.len());
-        for lm in &self.visited {
-            w.put_u16(lm.0);
-        }
-        w.put_u32(self.hops);
     }
 
-    /// Inverse of [`Packet::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Packet, SnapshotError> {
-        const CTX: &str = "Packet";
-        let id = PacketId(r.u32(CTX)?);
-        let src = LandmarkId(r.u16(CTX)?);
-        let dst = LandmarkId(r.u16(CTX)?);
-        let dst_node = match r.u8(CTX)? {
-            0 => None,
-            1 => Some(NodeId(r.u32(CTX)?)),
-            t => {
-                return Err(SnapshotError::InvalidTag {
-                    context: "Packet.dst_node",
-                    tag: t as u64,
-                })
-            }
-        };
-        let created = SimTime(r.u64(CTX)?);
-        let ttl = SimDuration(r.u64(CTX)?);
-        let loc = match r.u8(CTX)? {
-            0 => PacketLoc::PendingAtSource(LandmarkId(r.u16(CTX)?)),
-            1 => PacketLoc::OnNode(NodeId(r.u32(CTX)?)),
-            2 => PacketLoc::AtStation(LandmarkId(r.u16(CTX)?)),
-            3 => PacketLoc::Delivered(SimTime(r.u64(CTX)?)),
+    fn decode(r: &mut Reader<'_>) -> Result<PacketLoc, SnapshotError> {
+        Ok(match r.u8("PacketLoc")? {
+            0 => PacketLoc::PendingAtSource(Codec::decode(r)?),
+            1 => PacketLoc::OnNode(Codec::decode(r)?),
+            2 => PacketLoc::AtStation(Codec::decode(r)?),
+            3 => PacketLoc::Delivered(Codec::decode(r)?),
             4 => PacketLoc::Expired,
             5 => PacketLoc::Lost,
-            t => {
+            tag => {
                 return Err(SnapshotError::InvalidTag {
                     context: "PacketLoc",
-                    tag: t as u64,
+                    tag: tag.into(),
                 })
             }
-        };
-        let n = r.seq_len("Packet.visited")?;
-        let mut visited = Vec::with_capacity(n);
-        for _ in 0..n {
-            visited.push(LandmarkId(r.u16(CTX)?));
-        }
-        let hops = r.u32(CTX)?;
-        Ok(Packet {
-            id,
-            src,
-            dst,
-            dst_node,
-            created,
-            ttl,
-            loc,
-            visited,
-            hops,
         })
     }
 }

@@ -23,7 +23,7 @@
 //! lowest member id, matching the scan the index replaces.
 
 use crate::dense::DenseMap;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::cmp::Ordering;
 
 /// One ranked candidate: `member` scores `score` toward the target.
@@ -119,66 +119,58 @@ impl RankIndex {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): group count, then per
-    /// group the non-empty targets ascending, each with its ranked
-    /// entry list. Canonical — empty lists are never written.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.groups.len());
-        for g in &self.groups {
-            let present = g.values().filter(|v| !v.is_empty()).count();
-            w.put_usize(present);
-            for (target, list) in g.iter() {
-                if list.is_empty() {
-                    continue;
-                }
-                w.put_u16(target);
-                w.put_usize(list.len());
-                for e in list {
-                    w.put_f64(e.score);
-                    w.put_u32(e.member);
-                }
-            }
-        }
+impl Codec for RankEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.score.encode(w);
+        self.member.encode(w);
     }
 
-    /// Inverse of [`RankIndex::encode`]; rejects unsorted targets,
-    /// unsorted entries, and empty lists so decoding then re-encoding
-    /// is byte-stable.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RankEntry {
+            score: Codec::decode(r)?,
+            member: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): the groups as a sequence, each
+/// one a sequence of `(target, ranked list)` pairs in ascending target
+/// order. Targets travel as `u16`, not as the `u64` index a
+/// [`DenseMap`] writes. Canonical: lists are never empty (`remove`
+/// drops an emptied target), and decode rejects unsorted targets,
+/// unsorted entries and empty lists, so decoding then re-encoding is
+/// byte-stable.
+impl Codec for RankIndex {
+    fn encode(&self, w: &mut Writer) {
+        w.put_seq(self.groups.len(), &self.groups, |w, g| {
+            w.put_seq(g.len(), g.iter(), |w, (target, list)| {
+                target.encode(w);
+                list.encode(w);
+            });
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         const CTX: &str = "RankIndex";
-        let groups = r.seq_len(CTX)?;
-        let mut idx = RankIndex::new(groups);
-        for g in 0..groups {
-            let targets = r.seq_len(CTX)?;
-            let mut prev_target: Option<u16> = None;
-            for _ in 0..targets {
-                let target = r.u16(CTX)?;
-                if prev_target.is_some_and(|p| target <= p) {
+        let groups = r.seq(CTX, |r| {
+            let lists: Vec<(u16, Vec<RankEntry>)> = Codec::decode(r)?;
+            let mut group = DenseMap::new();
+            let mut prev_target = None;
+            for (target, list) in lists {
+                let sorted = list
+                    .windows(2)
+                    .all(|p| p[0].rank_cmp(&p[1]) == Ordering::Less);
+                if list.is_empty() || !sorted || prev_target.is_some_and(|p| target <= p) {
                     return Err(SnapshotError::Corrupt { context: CTX });
                 }
                 prev_target = Some(target);
-                let n = r.seq_len(CTX)?;
-                if n == 0 {
-                    return Err(SnapshotError::Corrupt { context: CTX });
-                }
-                let mut list = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let score = r.f64(CTX)?;
-                    let member = r.u32(CTX)?;
-                    let e = RankEntry { score, member };
-                    if list
-                        .last()
-                        .is_some_and(|p: &RankEntry| p.rank_cmp(&e) != Ordering::Less)
-                    {
-                        return Err(SnapshotError::Corrupt { context: CTX });
-                    }
-                    list.push(e);
-                }
-                idx.groups[g].insert(target, list);
+                group.insert(target, list);
             }
-        }
-        Ok(idx)
+            Ok(group)
+        })?;
+        Ok(RankIndex { groups })
     }
 }
 

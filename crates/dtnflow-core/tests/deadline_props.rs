@@ -6,7 +6,7 @@
 //! already-drained frontier) and far-future ones.
 
 use dtnflow_core::{DeadlineEntry, DeadlineQueue};
-use dtnflow_snapshot::{Reader, Writer};
+use dtnflow_snapshot::{Codec, Reader, Writer};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]

@@ -16,7 +16,7 @@ use crate::config::{FlowConfig, LinkDelayModel};
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::dense::LinkMatrix;
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// All landmarks' transit-link measurements in one flat `n×n` store.
 ///
@@ -154,66 +154,42 @@ impl BandwidthMatrix {
             LinkDelayModel::Throughput => t * sim.packet_size as f64 / (b * sim.node_memory as f64),
         }
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): counts, smoothed EWMA cells
-    /// (raw f64 bits), carried reports, and alpha.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.n);
-        for &c in &self.counts {
-            w.put_u32(c);
+/// Checkpoint encoding (DESIGN.md §11): the side `n`, then the flat
+/// `n×n` counts, smoothed EWMA cells (raw f64 bits) and carried reports
+/// with no count, then alpha.
+impl Codec for BandwidthMatrix {
+    fn encode(&self, w: &mut Writer) {
+        self.n.encode(w);
+        for c in &self.counts {
+            c.encode(w);
         }
         self.incoming.encode(w);
         for slot in &self.reported {
-            match slot {
-                None => w.put_u8(0),
-                Some((v, seq)) => {
-                    w.put_u8(1);
-                    w.put_f64(*v);
-                    w.put_u64(*seq);
-                }
-            }
+            slot.encode(w);
         }
-        w.put_f64(self.alpha);
+        self.alpha.encode(w);
     }
 
-    /// Inverse of [`BandwidthMatrix::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<BandwidthMatrix, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<BandwidthMatrix, SnapshotError> {
         const CTX: &str = "BandwidthMatrix";
-        let n = r.usize(CTX)?;
+        let n: usize = Codec::decode(r)?;
         let cells = n
             .checked_mul(n)
             .ok_or(SnapshotError::Corrupt { context: CTX })?;
-        if cells > r.remaining() / 4 {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let mut counts = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            counts.push(r.u32(CTX)?);
-        }
-        let incoming = LinkMatrix::decode(r)?;
+        let counts = r.items(cells, Codec::decode)?;
+        let incoming: LinkMatrix = Codec::decode(r)?;
         if incoming.side() != n {
             return Err(SnapshotError::Corrupt { context: CTX });
         }
-        let mut reported = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            reported.push(match r.u8(CTX)? {
-                0 => None,
-                1 => Some((r.f64(CTX)?, r.u64(CTX)?)),
-                t => {
-                    return Err(SnapshotError::InvalidTag {
-                        context: "BandwidthMatrix.reported",
-                        tag: t as u64,
-                    })
-                }
-            });
-        }
-        let alpha = r.f64(CTX)?;
+        let reported = r.items(cells, Codec::decode)?;
         Ok(BandwidthMatrix {
             n,
             counts,
             incoming,
             reported,
-            alpha,
+            alpha: Codec::decode(r)?,
         })
     }
 }

@@ -7,7 +7,7 @@
 //! averages over all landmarks.
 
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// One observation point's averages over all landmarks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,65 +67,36 @@ impl TableObserver {
     pub fn rows(&self) -> &[ObservationRow] {
         &self.rows
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): the previous next-hop columns
-    /// (stability baseline) and the accumulated rows.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.prev_next_hops.len());
-        for col in &self.prev_next_hops {
-            w.put_usize(col.len());
-            for hop in col {
-                match hop {
-                    None => w.put_u8(0),
-                    Some(l) => {
-                        w.put_u8(1);
-                        w.put_u16(l.0);
-                    }
-                }
-            }
-        }
-        w.put_usize(self.rows.len());
-        for row in &self.rows {
-            w.put_usize(row.index);
-            w.put_f64(row.avg_coverage);
-            w.put_f64(row.avg_stability);
-        }
+impl Codec for ObservationRow {
+    fn encode(&self, w: &mut Writer) {
+        self.index.encode(w);
+        self.avg_coverage.encode(w);
+        self.avg_stability.encode(w);
     }
 
-    /// Inverse of [`TableObserver::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<TableObserver, SnapshotError> {
-        const CTX: &str = "TableObserver";
-        let n = r.seq_len("TableObserver.prev_next_hops")?;
-        let mut prev_next_hops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = r.seq_len("TableObserver.column")?;
-            let mut col = Vec::with_capacity(m);
-            for _ in 0..m {
-                col.push(match r.u8(CTX)? {
-                    0 => None,
-                    1 => Some(LandmarkId(r.u16(CTX)?)),
-                    t => {
-                        return Err(SnapshotError::InvalidTag {
-                            context: "TableObserver.hop",
-                            tag: t as u64,
-                        })
-                    }
-                });
-            }
-            prev_next_hops.push(col);
-        }
-        let nr = r.seq_len("TableObserver.rows")?;
-        let mut rows = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            rows.push(ObservationRow {
-                index: r.usize(CTX)?,
-                avg_coverage: r.f64(CTX)?,
-                avg_stability: r.f64(CTX)?,
-            });
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ObservationRow {
+            index: Codec::decode(r)?,
+            avg_coverage: Codec::decode(r)?,
+            avg_stability: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): the previous next-hop columns
+/// (stability baseline) and the accumulated rows.
+impl Codec for TableObserver {
+    fn encode(&self, w: &mut Writer) {
+        self.prev_next_hops.encode(w);
+        self.rows.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<TableObserver, SnapshotError> {
         Ok(TableObserver {
-            prev_next_hops,
-            rows,
+            prev_next_hops: Codec::decode(r)?,
+            rows: Codec::decode(r)?,
         })
     }
 }

@@ -19,7 +19,7 @@
 use crate::bandwidth::BandwidthMatrix;
 use crate::config::{FlowConfig, LoopInjection};
 use crate::observer::{ObservationRow, TableObserver};
-use crate::routing_table::{decode_opt_lm, encode_opt_lm, RoutingTable, StoredVector};
+use crate::routing_table::{RoutingTable, StoredVector};
 use dtnflow_core::dense::{DenseMap, DenseSet};
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::packet::PacketLoc;
@@ -30,7 +30,7 @@ use dtnflow_sim::{
     EventBuffer, LossReason, Router, ShardExec, ShardPlan, Sharding, SimEvent, TransferError,
     World, WorldView,
 };
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::collections::BTreeSet;
 
 /// Routing-table snapshot + control info a node carries between landmarks.
@@ -68,7 +68,7 @@ struct NodeState {
     /// The prediction currently in force: (made at, predicted next, prob).
     predicted: Option<(LandmarkId, LandmarkId, f64)>,
     /// Where the node is and since when (while connected).
-    arrival: Option<(LandmarkId, dtnflow_core::time::SimTime)>,
+    arrival: Option<(LandmarkId, SimTime)>,
     last_landmark: Option<LandmarkId>,
     carried: Option<Carried>,
     /// Bumped on every arrive/depart; stale dead-end timers no-op.
@@ -583,30 +583,14 @@ impl FlowRouter {
     /// Snapshot tests use it to show a checkpoint reaches those codec
     /// branches.
     pub fn correction_census(&self) -> [usize; 4] {
-        let carried = self
-            .nodes
-            .iter()
-            .filter_map(|ns| ns.carried.as_ref())
-            .map(|c| c.corrections.len())
-            .sum();
-        let map_counts = self
-            .nodes
-            .iter()
-            .filter(|ns| {
-                ns.predictor.order() >= 2 && ns.predictor.observations() > ns.predictor.order()
-            })
-            .count();
+        let lms = &self.landmarks;
+        let carried = self.nodes.iter().filter_map(|ns| ns.carried.as_ref());
+        let order2 = |p: &MarkovPredictor| p.order() >= 2 && p.observations() > p.order();
         [
-            self.landmarks
-                .iter()
-                .map(|st| st.pending_corrections.len())
-                .sum(),
-            carried,
-            self.landmarks
-                .iter()
-                .map(|st| st.seen_corrections.len())
-                .sum(),
-            map_counts,
+            lms.iter().map(|st| st.pending_corrections.len()).sum(),
+            carried.map(|c| c.corrections.len()).sum(),
+            lms.iter().map(|st| st.seen_corrections.len()).sum(),
+            self.nodes.iter().filter(|ns| order2(&ns.predictor)).count(),
         ]
     }
 
@@ -1212,502 +1196,260 @@ impl FlowRouter {
     /// `stats.fallback_reroutes` and would diverge from the
     /// uninterrupted run.
     pub fn save_state(&self, w: &mut Writer) {
-        w.put_usize(self.nodes.len());
-        for ns in &self.nodes {
-            encode_node_state(w, ns);
-        }
-        w.put_usize(self.landmarks.len());
-        for st in &self.landmarks {
-            encode_landmark_state(w, st);
-        }
+        self.nodes.encode(w);
+        w.put_seq(self.landmarks.len(), &self.landmarks, |w, st| st.encode(w));
         self.bw.encode(w);
-        w.put_usize(self.meta.len());
-        for m in &self.meta {
-            encode_opt_lm(w, m.next_hop);
-            w.put_f64(m.expected);
-            w.put_u32(m.retries);
-        }
+        self.meta.encode(w);
         self.observer.encode(w);
-        w.put_u64(self.current_unit);
-        w.put_usize(self.registrations.len());
-        for reg in &self.registrations {
-            w.put_usize(reg.len());
-            for l in reg {
-                w.put_u16(l.0);
-            }
-        }
-        w.put_usize(self.known_down.len());
-        for &d in &self.known_down {
-            w.put_u8(d as u8);
-        }
-        w.put_u64(self.route_epoch);
+        self.current_unit.encode(w);
+        self.registrations.encode(w);
+        self.known_down.encode(w);
+        self.route_epoch.encode(w);
         self.rank.encode(w);
-        w.put_u64(self.stats.dead_ends_detected);
-        w.put_u64(self.stats.loops_detected);
-        w.put_u64(self.stats.lb_reroutes);
-        w.put_u64(self.stats.tables_received);
-        w.put_u64(self.stats.reports_applied);
-        w.put_u64(self.stats.fallback_reroutes);
-        w.put_u64(self.stats.stranded_requeues);
-        w.put_u64(self.stats.stranded_drops);
+        self.stats.encode(w);
     }
 
     /// Inverse of [`FlowRouter::save_state`]. The caller supplies the
     /// same `FlowConfig` and network dimensions the checkpointed run was
     /// started with; a snapshot whose dimensions disagree is rejected
-    /// with [`SnapshotError::Mismatch`].
+    /// with [`SnapshotError::Mismatch`], and per-landmark or per-node
+    /// tables of the wrong length with [`SnapshotError::Corrupt`].
     pub fn restore_state(
         r: &mut Reader<'_>,
         cfg: FlowConfig,
         num_nodes: usize,
         num_landmarks: usize,
     ) -> Result<FlowRouter, SnapshotError> {
-        const CTX: &str = "FlowRouter";
         cfg.validate();
-        let n = r.seq_len("FlowRouter.nodes")?;
-        if n != num_nodes {
-            return Err(SnapshotError::Mismatch {
-                context: format!("FlowRouter.nodes: snapshot has {n}, run has {num_nodes}"),
-            });
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(decode_node_state(r, num_landmarks)?);
-        }
-        let nl = r.seq_len("FlowRouter.landmarks")?;
-        if nl != num_landmarks {
-            return Err(SnapshotError::Mismatch {
-                context: format!(
-                    "FlowRouter.landmarks: snapshot has {nl}, run has {num_landmarks}"
-                ),
-            });
-        }
-        let mut landmarks = Vec::with_capacity(nl);
-        for l in 0..nl {
-            landmarks.push(decode_landmark_state(
-                r,
-                LandmarkId::from(l),
-                num_landmarks,
-            )?);
-        }
-        let bw = BandwidthMatrix::decode(r)?;
-        if bw.side() != num_landmarks {
-            return Err(SnapshotError::Mismatch {
-                context: format!(
-                    "FlowRouter.bw: snapshot side {}, run has {num_landmarks}",
-                    bw.side()
-                ),
-            });
-        }
-        let nm = r.seq_len("FlowRouter.meta")?;
-        let mut meta = Vec::with_capacity(nm);
-        for _ in 0..nm {
-            meta.push(PktMeta {
-                next_hop: decode_opt_lm(r, "PktMeta.next_hop")?,
-                expected: r.f64(CTX)?,
-                retries: r.u32(CTX)?,
-            });
-        }
-        let observer = TableObserver::decode(r)?;
-        let current_unit = r.u64(CTX)?;
-        let nr = r.seq_len("FlowRouter.registrations")?;
-        if nr != num_nodes {
-            return Err(SnapshotError::Corrupt {
-                context: "FlowRouter.registrations",
-            });
-        }
-        let mut registrations = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            let k = r.seq_len("FlowRouter.registration")?;
-            let mut reg = Vec::with_capacity(k);
-            for _ in 0..k {
-                reg.push(LandmarkId(r.u16(CTX)?));
-            }
-            registrations.push(reg);
-        }
-        let nd = r.seq_len("FlowRouter.known_down")?;
-        if nd != num_landmarks {
-            return Err(SnapshotError::Corrupt {
-                context: "FlowRouter.known_down",
-            });
-        }
-        let mut known_down = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            known_down.push(decode_bool(r, "FlowRouter.known_down")?);
-        }
-        let route_epoch = r.u64(CTX)?;
-        let rank = RankIndex::decode(r)?;
-        if rank.groups() != num_landmarks {
-            return Err(SnapshotError::Corrupt {
-                context: "FlowRouter.rank",
-            });
-        }
-        let stats = FlowStats {
-            dead_ends_detected: r.u64(CTX)?,
-            loops_detected: r.u64(CTX)?,
-            lb_reroutes: r.u64(CTX)?,
-            tables_received: r.u64(CTX)?,
-            reports_applied: r.u64(CTX)?,
-            fallback_reroutes: r.u64(CTX)?,
-            stranded_requeues: r.u64(CTX)?,
-            stranded_drops: r.u64(CTX)?,
-        };
-        let injections = cfg.inject_loops.clone();
-        Ok(FlowRouter {
+        let router = FlowRouter {
+            nodes: Codec::decode(r)?,
+            landmarks: r.seq("FlowRouter.landmarks", |r| {
+                LandmarkState::decode(r, num_nodes)
+            })?,
+            bw: Codec::decode(r)?,
+            meta: Codec::decode(r)?,
+            observer: Codec::decode(r)?,
+            current_unit: Codec::decode(r)?,
+            injections: cfg.inject_loops.clone(),
             cfg,
-            nodes,
-            landmarks,
-            bw,
-            meta,
-            observer,
-            current_unit,
-            injections,
-            registrations,
-            known_down,
-            route_epoch,
-            rank,
-            stats,
+            registrations: Codec::decode(r)?,
+            known_down: Codec::decode(r)?,
+            route_epoch: Codec::decode(r)?,
+            rank: Codec::decode(r)?,
+            stats: Codec::decode(r)?,
             scratch_pkts: Vec::new(),
             scratch_bucket: Vec::new(),
             scratch_dist: Vec::new(),
+        };
+        let dims = [
+            ("nodes", router.nodes.len(), num_nodes),
+            ("landmarks", router.landmarks.len(), num_landmarks),
+            ("bw", router.bw.side(), num_landmarks),
+        ];
+        for (field, found, run) in dims {
+            if found != run {
+                return Err(SnapshotError::Mismatch {
+                    context: format!("FlowRouter.{field}: snapshot has {found}, run has {run}"),
+                });
+            }
+        }
+        // Landmark `l`'s state, with one per-destination cell per landmark.
+        let landmark_fits = |(l, st): (usize, &LandmarkState)| {
+            let lens = [
+                st.rt.size(),
+                st.lb_incoming.len(),
+                st.lb_outgoing.len(),
+                st.overloaded.len(),
+                st.route_cache.len(),
+            ];
+            st.rt.me().index() == l && lens.iter().all(|&n| n == num_landmarks)
+        };
+        let mut carried = router.nodes.iter().filter_map(|ns| ns.carried.as_ref());
+        let valid = router.landmarks.iter().enumerate().all(landmark_fits)
+            && carried.all(|c| c.vector.len() == num_landmarks)
+            && router.registrations.len() == num_nodes
+            && router.known_down.len() == num_landmarks
+            && router.rank.groups() == num_landmarks;
+        if !valid {
+            return Err(SnapshotError::Corrupt {
+                context: "FlowRouter",
+            });
+        }
+        Ok(router)
+    }
+}
+
+// ---- checkpoint codec (module-private state) ------------------------------
+
+impl Codec for Correction {
+    fn encode(&self, w: &mut Writer) {
+        self.dest.encode(w);
+        self.members.encode(w);
+        self.hops_left.encode(w);
+        self.claims.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Correction {
+            dest: Codec::decode(r)?,
+            members: Codec::decode(r)?,
+            hops_left: Codec::decode(r)?,
+            claims: Codec::decode(r)?,
         })
     }
 }
 
-// ---- checkpoint codec helpers (module-private state) ----------------------
-
-fn encode_correction(w: &mut Writer, c: &Correction) {
-    w.put_u16(c.dest.0);
-    w.put_usize(c.members.len());
-    for m in &c.members {
-        w.put_u16(m.0);
+impl Codec for Carried {
+    fn encode(&self, w: &mut Writer) {
+        self.from.encode(w);
+        self.seq.encode(w);
+        self.vector.encode(w);
+        self.entries.encode(w);
+        self.report.encode(w);
+        self.corrections.encode(w);
     }
-    w.put_u32(c.hops_left);
-    w.put_usize(c.claims.len());
-    for &(l, d) in &c.claims {
-        w.put_u16(l);
-        w.put_f64(d);
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Carried {
+            from: Codec::decode(r)?,
+            seq: Codec::decode(r)?,
+            vector: Codec::decode(r)?,
+            entries: Codec::decode(r)?,
+            report: Codec::decode(r)?,
+            corrections: Codec::decode(r)?,
+        })
     }
 }
 
-fn decode_correction(r: &mut Reader<'_>) -> Result<Correction, SnapshotError> {
-    const CTX: &str = "Correction";
-    let dest = LandmarkId(r.u16(CTX)?);
-    let nm = r.seq_len("Correction.members")?;
-    let mut members = Vec::with_capacity(nm);
-    for _ in 0..nm {
-        members.push(LandmarkId(r.u16(CTX)?));
+impl Codec for NodeState {
+    fn encode(&self, w: &mut Writer) {
+        self.predictor.encode(w);
+        self.accuracy.encode(w);
+        self.history.encode(w);
+        self.predicted.encode(w);
+        self.arrival.encode(w);
+        self.last_landmark.encode(w);
+        self.carried.encode(w);
+        self.episode.encode(w);
     }
-    let hops_left = r.u32(CTX)?;
-    let nc = r.seq_len("Correction.claims")?;
-    let mut claims = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        claims.push((r.u16(CTX)?, r.f64(CTX)?));
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(NodeState {
+            predictor: Codec::decode(r)?,
+            accuracy: Codec::decode(r)?,
+            history: Codec::decode(r)?,
+            predicted: Codec::decode(r)?,
+            arrival: Codec::decode(r)?,
+            last_landmark: Codec::decode(r)?,
+            carried: Codec::decode(r)?,
+            episode: Codec::decode(r)?,
+        })
     }
-    Ok(Correction {
-        dest,
-        members,
-        hops_left,
-        claims,
-    })
 }
 
-fn encode_node_state(w: &mut Writer, ns: &NodeState) {
-    ns.predictor.encode(w);
-    ns.accuracy.encode(w);
-    ns.history.encode(w);
-    match ns.predicted {
-        None => w.put_u8(0),
-        Some((at, to, p)) => {
-            w.put_u8(1);
-            w.put_u16(at.0);
-            w.put_u16(to.0);
-            w.put_f64(p);
-        }
+impl Codec for RouteCacheCell {
+    fn encode(&self, w: &mut Writer) {
+        self.computed.encode(w);
+        self.epoch.encode(w);
+        self.next.encode(w);
+        self.expected.encode(w);
+        self.lb_diverted.encode(w);
+        self.fellback.encode(w);
     }
-    match ns.arrival {
-        None => w.put_u8(0),
-        Some((lm, since)) => {
-            w.put_u8(1);
-            w.put_u16(lm.0);
-            w.put_u64(since.secs());
-        }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RouteCacheCell {
+            computed: Codec::decode(r)?,
+            epoch: Codec::decode(r)?,
+            next: Codec::decode(r)?,
+            expected: Codec::decode(r)?,
+            lb_diverted: Codec::decode(r)?,
+            fellback: Codec::decode(r)?,
+        })
     }
-    encode_opt_lm(w, ns.last_landmark);
-    match &ns.carried {
-        None => w.put_u8(0),
-        Some(c) => {
-            w.put_u8(1);
-            w.put_u16(c.from.0);
-            w.put_u64(c.seq);
-            w.put_usize(c.vector.len());
-            for &v in &c.vector {
-                w.put_f64(v);
-            }
-            w.put_usize(c.entries);
-            match c.report {
-                None => w.put_u8(0),
-                Some((to, value, seq)) => {
-                    w.put_u8(1);
-                    w.put_u16(to.0);
-                    w.put_f64(value);
-                    w.put_u64(seq);
-                }
-            }
-            w.put_usize(c.corrections.len());
-            for corr in &c.corrections {
-                encode_correction(w, corr);
-            }
-        }
-    }
-    w.put_u64(ns.episode);
 }
 
-fn decode_node_state(r: &mut Reader<'_>, num_landmarks: usize) -> Result<NodeState, SnapshotError> {
-    const CTX: &str = "NodeState";
-    let predictor = MarkovPredictor::decode(r)?;
-    let accuracy = AccuracyTracker::decode(r)?;
-    let history = VisitHistory::decode(r)?;
-    let predicted = match r.u8(CTX)? {
-        0 => None,
-        1 => Some((
-            LandmarkId(r.u16(CTX)?),
-            LandmarkId(r.u16(CTX)?),
-            r.f64(CTX)?,
-        )),
-        t => {
-            return Err(SnapshotError::InvalidTag {
-                context: "NodeState.predicted",
-                tag: t as u64,
-            })
-        }
-    };
-    let arrival = match r.u8(CTX)? {
-        0 => None,
-        1 => Some((LandmarkId(r.u16(CTX)?), SimTime(r.u64(CTX)?))),
-        t => {
-            return Err(SnapshotError::InvalidTag {
-                context: "NodeState.arrival",
-                tag: t as u64,
-            })
-        }
-    };
-    let last_landmark = decode_opt_lm(r, "NodeState.last_landmark")?;
-    let carried = match r.u8(CTX)? {
-        0 => None,
-        1 => {
-            let from = LandmarkId(r.u16(CTX)?);
-            let seq = r.u64(CTX)?;
-            let nv = r.seq_len("Carried.vector")?;
-            if nv != num_landmarks {
-                return Err(SnapshotError::Corrupt {
-                    context: "Carried.vector",
-                });
-            }
-            let mut vector = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                vector.push(r.f64("Carried")?);
-            }
-            let entries = r.usize("Carried")?;
-            let report = match r.u8("Carried")? {
-                0 => None,
-                1 => Some((
-                    LandmarkId(r.u16("Carried")?),
-                    r.f64("Carried")?,
-                    r.u64("Carried")?,
-                )),
-                t => {
-                    return Err(SnapshotError::InvalidTag {
-                        context: "Carried.report",
-                        tag: t as u64,
-                    })
-                }
-            };
-            let nc = r.seq_len("Carried.corrections")?;
-            let mut corrections = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                corrections.push(decode_correction(r)?);
-            }
-            Some(Carried {
-                from,
-                seq,
-                vector,
-                entries,
-                report,
-                corrections,
-            })
-        }
-        t => {
-            return Err(SnapshotError::InvalidTag {
-                context: "NodeState.carried",
-                tag: t as u64,
-            })
-        }
-    };
-    let episode = r.u64(CTX)?;
-    Ok(NodeState {
-        predictor,
-        accuracy,
-        history,
-        predicted,
-        arrival,
-        last_landmark,
-        carried,
-        episode,
-    })
+impl LandmarkState {
+    fn encode(&self, w: &mut Writer) {
+        self.rt.encode(w);
+        self.by_next_hop.encode(w);
+        self.by_dst.encode(w);
+        self.by_dst_node.encode(w);
+        self.pending_corrections.encode(w);
+        self.seen_corrections.encode(w);
+        self.lb_incoming.encode(w);
+        self.lb_outgoing.encode(w);
+        self.overloaded.encode(w);
+        self.unit_seq.encode(w);
+        // The route cache travels verbatim (cells, then the counters): a
+        // restored lineage must serve the same hits and misses as the
+        // uninterrupted run, and a cold cache would diverge the counters.
+        self.route_cache.encode(w);
+        self.cache_hits.encode(w);
+        self.cache_misses.encode(w);
+    }
+
+    /// Inverse of [`LandmarkState::encode`]. `by_dst_node` keys are
+    /// node ids, checked against `num_nodes` before the map allocates
+    /// a slot for them.
+    fn decode(r: &mut Reader<'_>, num_nodes: usize) -> Result<Self, SnapshotError> {
+        Ok(LandmarkState {
+            rt: Codec::decode(r)?,
+            by_next_hop: Codec::decode(r)?,
+            by_dst: Codec::decode(r)?,
+            by_dst_node: DenseMap::decode_below(r, num_nodes)?,
+            pending_corrections: Codec::decode(r)?,
+            seen_corrections: Codec::decode(r)?,
+            lb_incoming: Codec::decode(r)?,
+            lb_outgoing: Codec::decode(r)?,
+            overloaded: Codec::decode(r)?,
+            unit_seq: Codec::decode(r)?,
+            route_cache: Codec::decode(r)?,
+            cache_hits: Codec::decode(r)?,
+            cache_misses: Codec::decode(r)?,
+        })
+    }
 }
 
-fn encode_landmark_state(w: &mut Writer, st: &LandmarkState) {
-    st.rt.encode(w);
-    st.by_next_hop.encode_with(w, |w, s| s.encode(w));
-    st.by_dst.encode_with(w, |w, s| s.encode(w));
-    st.by_dst_node.encode_with(w, |w, s| s.encode(w));
-    w.put_usize(st.pending_corrections.len());
-    for (born, c) in &st.pending_corrections {
-        w.put_u64(*born);
-        encode_correction(w, c);
+impl Codec for PktMeta {
+    fn encode(&self, w: &mut Writer) {
+        self.next_hop.encode(w);
+        self.expected.encode(w);
+        self.retries.encode(w);
     }
-    w.put_usize(st.seen_corrections.len());
-    for &(a, b) in &st.seen_corrections {
-        w.put_u16(a);
-        w.put_u16(b);
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(PktMeta {
+            next_hop: Codec::decode(r)?,
+            expected: Codec::decode(r)?,
+            retries: Codec::decode(r)?,
+        })
     }
-    w.put_usize(st.lb_incoming.len());
-    for &v in &st.lb_incoming {
-        w.put_u64(v);
-    }
-    w.put_usize(st.lb_outgoing.len());
-    for &v in &st.lb_outgoing {
-        w.put_u64(v);
-    }
-    w.put_usize(st.overloaded.len());
-    for &b in &st.overloaded {
-        w.put_u8(b as u8);
-    }
-    w.put_u64(st.unit_seq);
-    // The route cache travels verbatim (cells, then the counters): a
-    // restored lineage must serve the same hits and misses as the
-    // uninterrupted run, and a cold cache would diverge the counters.
-    w.put_usize(st.route_cache.len());
-    for c in &st.route_cache {
-        w.put_u64(c.computed);
-        w.put_u64(c.epoch);
-        encode_opt_lm(w, c.next);
-        w.put_f64(c.expected);
-        w.put_u8(c.lb_diverted as u8);
-        w.put_u8(c.fellback as u8);
-    }
-    w.put_u64(st.cache_hits);
-    w.put_u64(st.cache_misses);
 }
 
-fn decode_landmark_state(
-    r: &mut Reader<'_>,
-    me: LandmarkId,
-    num_landmarks: usize,
-) -> Result<LandmarkState, SnapshotError> {
-    const CTX: &str = "LandmarkState";
-    let rt = RoutingTable::decode(r)?;
-    if rt.me() != me || rt.size() != num_landmarks {
-        return Err(SnapshotError::Mismatch {
-            context: format!(
-                "LandmarkState.rt: snapshot is for landmark {} of {}, expected {} of {num_landmarks}",
-                rt.me().0,
-                rt.size(),
-                me.0
-            ),
-        });
+impl Codec for FlowStats {
+    fn encode(&self, w: &mut Writer) {
+        self.dead_ends_detected.encode(w);
+        self.loops_detected.encode(w);
+        self.lb_reroutes.encode(w);
+        self.tables_received.encode(w);
+        self.reports_applied.encode(w);
+        self.fallback_reroutes.encode(w);
+        self.stranded_requeues.encode(w);
+        self.stranded_drops.encode(w);
     }
-    let by_next_hop = DenseMap::decode_with(r, DenseSet::decode)?;
-    let by_dst = DenseMap::decode_with(r, DenseSet::decode)?;
-    let by_dst_node = DenseMap::decode_with(r, DenseSet::decode)?;
-    let np = r.seq_len("LandmarkState.pending_corrections")?;
-    let mut pending_corrections = Vec::with_capacity(np);
-    for _ in 0..np {
-        let born = r.u64(CTX)?;
-        pending_corrections.push((born, decode_correction(r)?));
-    }
-    let ns = r.seq_len("LandmarkState.seen_corrections")?;
-    let mut seen_corrections = BTreeSet::new();
-    let mut prev: Option<(u16, u16)> = None;
-    for _ in 0..ns {
-        let key = (r.u16(CTX)?, r.u16(CTX)?);
-        if prev.is_some_and(|p| key <= p) {
-            return Err(SnapshotError::Corrupt {
-                context: "LandmarkState.seen_corrections",
-            });
-        }
-        prev = Some(key);
-        seen_corrections.insert(key);
-    }
-    let expect_vec_u64 = |r: &mut Reader<'_>, context: &'static str| {
-        let n = r.seq_len(context)?;
-        if n != num_landmarks {
-            return Err(SnapshotError::Corrupt { context });
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(r.u64(context)?);
-        }
-        Ok(v)
-    };
-    let lb_incoming = expect_vec_u64(r, "LandmarkState.lb_incoming")?;
-    let lb_outgoing = expect_vec_u64(r, "LandmarkState.lb_outgoing")?;
-    let no = r.seq_len("LandmarkState.overloaded")?;
-    if no != num_landmarks {
-        return Err(SnapshotError::Corrupt {
-            context: "LandmarkState.overloaded",
-        });
-    }
-    let mut overloaded = Vec::with_capacity(no);
-    for _ in 0..no {
-        overloaded.push(decode_bool(r, "LandmarkState.overloaded")?);
-    }
-    let unit_seq = r.u64(CTX)?;
-    let nc = r.seq_len("LandmarkState.route_cache")?;
-    if nc != num_landmarks {
-        return Err(SnapshotError::Corrupt {
-            context: "LandmarkState.route_cache",
-        });
-    }
-    let mut route_cache = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        route_cache.push(RouteCacheCell {
-            computed: r.u64("RouteCacheCell")?,
-            epoch: r.u64("RouteCacheCell")?,
-            next: decode_opt_lm(r, "RouteCacheCell.next")?,
-            expected: r.f64("RouteCacheCell")?,
-            lb_diverted: decode_bool(r, "RouteCacheCell.lb_diverted")?,
-            fellback: decode_bool(r, "RouteCacheCell.fellback")?,
-        });
-    }
-    let cache_hits = r.u64(CTX)?;
-    let cache_misses = r.u64(CTX)?;
-    Ok(LandmarkState {
-        rt,
-        by_next_hop,
-        by_dst,
-        by_dst_node,
-        pending_corrections,
-        seen_corrections,
-        lb_incoming,
-        lb_outgoing,
-        overloaded,
-        unit_seq,
-        route_cache,
-        cache_hits,
-        cache_misses,
-    })
-}
 
-fn decode_bool(r: &mut Reader<'_>, context: &'static str) -> Result<bool, SnapshotError> {
-    match r.u8(context)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(SnapshotError::InvalidTag {
-            context,
-            tag: t as u64,
-        }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(FlowStats {
+            dead_ends_detected: Codec::decode(r)?,
+            loops_detected: Codec::decode(r)?,
+            lb_reroutes: Codec::decode(r)?,
+            tables_received: Codec::decode(r)?,
+            reports_applied: Codec::decode(r)?,
+            fallback_reroutes: Codec::decode(r)?,
+            stranded_requeues: Codec::decode(r)?,
+            stranded_drops: Codec::decode(r)?,
+        })
     }
 }
 
@@ -2696,5 +2438,38 @@ mod tests {
         let (n, e) = FlowRouter::decode_token(FlowRouter::timer_token(NodeId(123), 456));
         assert_eq!(n, NodeId(123));
         assert_eq!(e, 456);
+    }
+
+    /// `by_dst_node` keys are node ids: a snapshot naming a node the run
+    /// does not have is a typed error, raised before the station index
+    /// allocates a slot per id up to that key.
+    #[test]
+    fn restore_rejects_a_station_index_naming_a_missing_node() {
+        let (num_nodes, num_landmarks) = (4, 3);
+        let router = FlowRouter::new(FlowConfig::default(), num_nodes, num_landmarks);
+        let mut w = Writer::new();
+        router.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // Landmark 0's `by_dst_node` count follows the node states, the
+        // landmark count and landmark 0's first three fields.
+        let mut prefix = Writer::new();
+        router.nodes.encode(&mut prefix);
+        prefix.put_usize(num_landmarks);
+        let st = &router.landmarks[0];
+        st.rt.encode(&mut prefix);
+        st.by_next_hop.encode(&mut prefix);
+        st.by_dst.encode(&mut prefix);
+        let at = prefix.len();
+        assert_eq!(bytes[at..at + 8], [0; 8], "empty by_dst_node count");
+        for (node, ok) in [(3, true), (4, false), (u64::from(u32::MAX), false)] {
+            let mut entry = Writer::new();
+            entry.put_usize(1);
+            entry.put_u64(node);
+            DenseSet::<PacketId>::new().encode(&mut entry);
+            let bad = [&bytes[..at], entry.as_bytes(), &bytes[at + 8..]].concat();
+            let mut r = Reader::new(&bad);
+            let got = FlowRouter::restore_state(&mut r, FlowConfig::default(), 4, 3);
+            assert_eq!(got.is_ok(), ok, "by_dst_node key {node}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 
 use dtnflow_core::dense::DenseMap;
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// One routing-table row (Table V layout: destination, next hop, overall
 /// delay, backup next hop, backup delay).
@@ -299,102 +299,74 @@ impl RoutingTable {
     pub fn table_size(&self) -> usize {
         self.entries.iter().filter(|e| e.delay.is_finite()).count()
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): stored vectors, computed
-    /// entries AND the revision counter are all serialized verbatim —
-    /// entries are *not* recomputed on restore (recompute needs the live
-    /// link-delay closure, and the revision counter feeds the Fig. 8
-    /// observer, so both must survive exactly).
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u16(self.me.0);
-        w.put_usize(self.num);
-        self.vectors.encode_with(w, |w, v| {
-            w.put_u64(v.seq);
-            w.put_usize(v.delays.len());
-            for &d in &v.delays {
-                w.put_f64(d);
-            }
-        });
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            encode_opt_lm(w, e.next);
-            w.put_f64(e.delay);
-            encode_opt_lm(w, e.backup);
-            w.put_f64(e.backup_delay);
-        }
-        w.put_u64(self.revision);
-        w.put_u64(self.computed);
+impl Codec for RouteEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.next.encode(w);
+        self.delay.encode(w);
+        self.backup.encode(w);
+        self.backup_delay.encode(w);
     }
 
-    /// Inverse of [`RoutingTable::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<RoutingTable, SnapshotError> {
-        const CTX: &str = "RoutingTable";
-        let me = LandmarkId(r.u16(CTX)?);
-        let num = r.usize(CTX)?;
-        if me.index() >= num {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let vectors = DenseMap::decode_with(r, |r| {
-            let seq = r.u64("StoredVector")?;
-            let n = r.seq_len("StoredVector.delays")?;
-            if n != num {
-                return Err(SnapshotError::Corrupt {
-                    context: "StoredVector",
-                });
-            }
-            let mut delays = Vec::with_capacity(n);
-            for _ in 0..n {
-                delays.push(r.f64("StoredVector")?);
-            }
-            Ok::<_, SnapshotError>(StoredVector { seq, delays })
-        })?;
-        let n = r.seq_len("RoutingTable.entries")?;
-        if n != num {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(RouteEntry {
-                next: decode_opt_lm(r, "RouteEntry.next")?,
-                delay: r.f64(CTX)?,
-                backup: decode_opt_lm(r, "RouteEntry.backup")?,
-                backup_delay: r.f64(CTX)?,
-            });
-        }
-        let revision = r.u64(CTX)?;
-        let computed = r.u64(CTX)?;
-        Ok(RoutingTable {
-            me,
-            num,
-            vectors,
-            entries,
-            revision,
-            computed,
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RouteEntry {
+            next: Codec::decode(r)?,
+            delay: Codec::decode(r)?,
+            backup: Codec::decode(r)?,
+            backup_delay: Codec::decode(r)?,
         })
     }
 }
 
-pub(crate) fn encode_opt_lm(w: &mut Writer, lm: Option<LandmarkId>) {
-    match lm {
-        None => w.put_u8(0),
-        Some(l) => {
-            w.put_u8(1);
-            w.put_u16(l.0);
-        }
+impl Codec for StoredVector {
+    fn encode(&self, w: &mut Writer) {
+        self.seq.encode(w);
+        self.delays.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(StoredVector {
+            seq: Codec::decode(r)?,
+            delays: Codec::decode(r)?,
+        })
     }
 }
 
-pub(crate) fn decode_opt_lm(
-    r: &mut Reader<'_>,
-    context: &'static str,
-) -> Result<Option<LandmarkId>, SnapshotError> {
-    match r.u8(context)? {
-        0 => Ok(None),
-        1 => Ok(Some(LandmarkId(r.u16(context)?))),
-        t => Err(SnapshotError::InvalidTag {
-            context,
-            tag: t as u64,
-        }),
+/// Checkpoint encoding (DESIGN.md §11): stored vectors, computed
+/// entries AND the revision counter are all serialized verbatim —
+/// entries are *not* recomputed on restore (recompute needs the live
+/// link-delay closure, and the revision counter feeds the Fig. 8
+/// observer, so both must survive exactly). Decode rejects vectors and
+/// entry lists whose length is not the table's landmark count.
+impl Codec for RoutingTable {
+    fn encode(&self, w: &mut Writer) {
+        self.me.encode(w);
+        self.num.encode(w);
+        self.vectors.encode(w);
+        self.entries.encode(w);
+        self.revision.encode(w);
+        self.computed.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<RoutingTable, SnapshotError> {
+        let rt = RoutingTable {
+            me: Codec::decode(r)?,
+            num: Codec::decode(r)?,
+            vectors: Codec::decode(r)?,
+            entries: Codec::decode(r)?,
+            revision: Codec::decode(r)?,
+            computed: Codec::decode(r)?,
+        };
+        if rt.me.index() >= rt.num
+            || rt.entries.len() != rt.num
+            || rt.vectors.values().any(|v| v.delays.len() != rt.num)
+        {
+            return Err(SnapshotError::Corrupt {
+                context: "RoutingTable",
+            });
+        }
+        Ok(rt)
     }
 }
 

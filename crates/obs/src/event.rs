@@ -10,7 +10,7 @@ use std::fmt;
 
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::time::{SimDuration, SimTime};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Where a packet currently sits, from the tracer's point of view.
 ///
@@ -279,19 +279,21 @@ impl SimEvent {
             SimEvent::UnitBoundary { .. } => 20,
         }
     }
+}
 
-    /// Binary encoding for checkpoints (DESIGN.md §11): one tag byte
-    /// (the kind index) followed by the variant's fields in declaration
-    /// order. Byte-deterministic; floats travel as raw bits.
-    pub fn encode(&self, w: &mut Writer) {
+/// Binary encoding for checkpoints (DESIGN.md §11): one tag byte (the
+/// kind index), the timestamp, then the variant's fields in declaration
+/// order. Byte-deterministic; floats travel as raw bits. Decode rejects
+/// unknown tag bytes with a typed error.
+impl Codec for SimEvent {
+    fn encode(&self, w: &mut Writer) {
         w.put_u8(self.kind_index() as u8);
-        w.put_u64(self.at().secs());
+        self.at().encode(w);
         match *self {
             SimEvent::ContactOpen { node, lm, .. } | SimEvent::ContactClose { node, lm, .. } => {
-                w.put_u32(node.0);
-                w.put_u16(lm.0);
+                (node, lm).encode(w);
             }
-            SimEvent::UnitBoundary { unit, .. } => w.put_u64(unit),
+            SimEvent::UnitBoundary { unit, .. } => unit.encode(w),
             SimEvent::PacketGenerated {
                 pkt,
                 src,
@@ -299,16 +301,10 @@ impl SimEvent {
                 start,
                 ..
             } => {
-                w.put_u32(pkt.0);
-                w.put_u16(src.0);
-                w.put_u16(dst.0);
+                (pkt, src, dst).encode(w);
                 encode_opt_place(w, start);
             }
-            SimEvent::PacketForwarded { pkt, from, to, .. } => {
-                w.put_u32(pkt.0);
-                encode_place(w, from);
-                encode_place(w, to);
-            }
+            SimEvent::PacketForwarded { pkt, from, to, .. } => (pkt, from, to).encode(w),
             SimEvent::PacketDelivered {
                 pkt,
                 lm,
@@ -317,34 +313,22 @@ impl SimEvent {
                 from,
                 ..
             } => {
-                w.put_u32(pkt.0);
-                w.put_u16(lm.0);
-                w.put_u64(delay.0);
-                w.put_u32(hops);
-                encode_place(w, from);
+                (pkt, lm, delay).encode(w);
+                (hops, from).encode(w);
             }
-            SimEvent::PacketExpired { pkt, from, .. } => {
-                w.put_u32(pkt.0);
-                encode_place(w, from);
-            }
+            SimEvent::PacketExpired { pkt, from, .. } => (pkt, from).encode(w),
             SimEvent::PacketLost {
                 pkt, from, kind, ..
             } => {
-                w.put_u32(pkt.0);
+                pkt.encode(w);
                 encode_opt_place(w, from);
-                w.put_u8(match kind {
-                    LossKind::Outage => 0,
-                    LossKind::Churn => 1,
-                });
+                kind.encode(w);
             }
-            SimEvent::StationDown { lm, .. } | SimEvent::StationUp { lm, .. } => w.put_u16(lm.0),
+            SimEvent::StationDown { lm, .. } | SimEvent::StationUp { lm, .. } => lm.encode(w),
             SimEvent::NodeFailed {
                 node, lost_packets, ..
-            } => {
-                w.put_u32(node.0);
-                w.put_u64(lost_packets);
-            }
-            SimEvent::NodeRecovered { node, .. } => w.put_u32(node.0),
+            } => (node, lost_packets).encode(w),
+            SimEvent::NodeRecovered { node, .. } => node.encode(w),
             SimEvent::TableExchanged {
                 from,
                 to,
@@ -352,18 +336,12 @@ impl SimEvent {
                 accepted,
                 ..
             } => {
-                w.put_u16(from.0);
-                w.put_u16(to.0);
-                w.put_usize(entries);
-                w.put_bool(accepted);
+                (from, to).encode(w);
+                (entries, accepted).encode(w);
             }
             SimEvent::BandwidthUpdated {
                 from, to, value, ..
-            } => {
-                w.put_u16(from.0);
-                w.put_u16(to.0);
-                w.put_f64(value);
-            }
+            } => (from, to, value).encode(w),
             SimEvent::MisTransit {
                 pkt,
                 node,
@@ -371,226 +349,210 @@ impl SimEvent {
                 uploaded,
                 ..
             } => {
-                w.put_u32(pkt.0);
-                w.put_u32(node.0);
-                w.put_u16(lm.0);
-                w.put_bool(uploaded);
+                (pkt, node, lm).encode(w);
+                uploaded.encode(w);
             }
-            SimEvent::RetryQueued { lm, pkt, .. } => {
-                w.put_u16(lm.0);
-                w.put_u32(pkt.0);
-            }
+            SimEvent::RetryQueued { lm, pkt, .. } => (lm, pkt).encode(w),
             SimEvent::RouteCacheHit { lm, count, .. }
-            | SimEvent::RouteCacheMiss { lm, count, .. } => {
-                w.put_u16(lm.0);
-                w.put_u64(count);
-            }
+            | SimEvent::RouteCacheMiss { lm, count, .. } => (lm, count).encode(w),
             SimEvent::RouteCoverage {
                 lm,
                 coverage,
                 revision,
                 ..
-            } => {
-                w.put_u16(lm.0);
-                w.put_f64(coverage);
-                w.put_u64(revision);
-            }
+            } => (lm, coverage, revision).encode(w),
             SimEvent::CheckpointWritten { unit, bytes, .. }
-            | SimEvent::Restored { unit, bytes, .. } => {
-                w.put_u64(unit);
-                w.put_u64(bytes);
-            }
+            | SimEvent::Restored { unit, bytes, .. } => (unit, bytes).encode(w),
         }
     }
 
-    /// Inverse of [`SimEvent::encode`]; rejects unknown tag bytes with a
-    /// typed error.
-    pub fn decode(r: &mut Reader<'_>) -> Result<SimEvent, SnapshotError> {
-        const CTX: &str = "SimEvent";
-        let tag = r.u8(CTX)?;
-        let at = SimTime(r.u64(CTX)?);
+    fn decode(r: &mut Reader<'_>) -> Result<SimEvent, SnapshotError> {
+        let tag = r.u8("SimEvent")?;
+        let at = Codec::decode(r)?;
         Ok(match tag {
             0 => SimEvent::BandwidthUpdated {
                 at,
-                from: LandmarkId(r.u16(CTX)?),
-                to: LandmarkId(r.u16(CTX)?),
-                value: r.f64(CTX)?,
+                from: Codec::decode(r)?,
+                to: Codec::decode(r)?,
+                value: Codec::decode(r)?,
             },
             1 => SimEvent::CheckpointWritten {
                 at,
-                unit: r.u64(CTX)?,
-                bytes: r.u64(CTX)?,
+                unit: Codec::decode(r)?,
+                bytes: Codec::decode(r)?,
             },
             2 => SimEvent::ContactClose {
                 at,
-                node: NodeId(r.u32(CTX)?),
-                lm: LandmarkId(r.u16(CTX)?),
+                node: Codec::decode(r)?,
+                lm: Codec::decode(r)?,
             },
             3 => SimEvent::ContactOpen {
                 at,
-                node: NodeId(r.u32(CTX)?),
-                lm: LandmarkId(r.u16(CTX)?),
+                node: Codec::decode(r)?,
+                lm: Codec::decode(r)?,
             },
             4 => SimEvent::MisTransit {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
-                node: NodeId(r.u32(CTX)?),
-                lm: LandmarkId(r.u16(CTX)?),
-                uploaded: r.bool(CTX)?,
+                pkt: Codec::decode(r)?,
+                node: Codec::decode(r)?,
+                lm: Codec::decode(r)?,
+                uploaded: Codec::decode(r)?,
             },
             5 => SimEvent::NodeFailed {
                 at,
-                node: NodeId(r.u32(CTX)?),
-                lost_packets: r.u64(CTX)?,
+                node: Codec::decode(r)?,
+                lost_packets: Codec::decode(r)?,
             },
             6 => SimEvent::NodeRecovered {
                 at,
-                node: NodeId(r.u32(CTX)?),
+                node: Codec::decode(r)?,
             },
             7 => SimEvent::PacketDelivered {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
-                lm: LandmarkId(r.u16(CTX)?),
-                delay: SimDuration(r.u64(CTX)?),
-                hops: r.u32(CTX)?,
-                from: decode_place(r)?,
+                pkt: Codec::decode(r)?,
+                lm: Codec::decode(r)?,
+                delay: Codec::decode(r)?,
+                hops: Codec::decode(r)?,
+                from: Codec::decode(r)?,
             },
             8 => SimEvent::PacketExpired {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
-                from: decode_place(r)?,
+                pkt: Codec::decode(r)?,
+                from: Codec::decode(r)?,
             },
             9 => SimEvent::PacketForwarded {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
-                from: decode_place(r)?,
-                to: decode_place(r)?,
+                pkt: Codec::decode(r)?,
+                from: Codec::decode(r)?,
+                to: Codec::decode(r)?,
             },
             10 => SimEvent::PacketGenerated {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
-                src: LandmarkId(r.u16(CTX)?),
-                dst: LandmarkId(r.u16(CTX)?),
+                pkt: Codec::decode(r)?,
+                src: Codec::decode(r)?,
+                dst: Codec::decode(r)?,
                 start: decode_opt_place(r)?,
             },
             11 => SimEvent::PacketLost {
                 at,
-                pkt: PacketId(r.u32(CTX)?),
+                pkt: Codec::decode(r)?,
                 from: decode_opt_place(r)?,
-                kind: match r.u8(CTX)? {
-                    0 => LossKind::Outage,
-                    1 => LossKind::Churn,
-                    k => {
-                        return Err(SnapshotError::InvalidTag {
-                            context: "LossKind",
-                            tag: k as u64,
-                        })
-                    }
-                },
+                kind: Codec::decode(r)?,
             },
             12 => SimEvent::Restored {
                 at,
-                unit: r.u64(CTX)?,
-                bytes: r.u64(CTX)?,
+                unit: Codec::decode(r)?,
+                bytes: Codec::decode(r)?,
             },
             13 => SimEvent::RetryQueued {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
-                pkt: PacketId(r.u32(CTX)?),
+                lm: Codec::decode(r)?,
+                pkt: Codec::decode(r)?,
             },
             14 => SimEvent::RouteCacheHit {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
-                count: r.u64(CTX)?,
+                lm: Codec::decode(r)?,
+                count: Codec::decode(r)?,
             },
             15 => SimEvent::RouteCacheMiss {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
-                count: r.u64(CTX)?,
+                lm: Codec::decode(r)?,
+                count: Codec::decode(r)?,
             },
             16 => SimEvent::RouteCoverage {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
-                coverage: r.f64(CTX)?,
-                revision: r.u64(CTX)?,
+                lm: Codec::decode(r)?,
+                coverage: Codec::decode(r)?,
+                revision: Codec::decode(r)?,
             },
             17 => SimEvent::StationDown {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
+                lm: Codec::decode(r)?,
             },
             18 => SimEvent::StationUp {
                 at,
-                lm: LandmarkId(r.u16(CTX)?),
+                lm: Codec::decode(r)?,
             },
             19 => SimEvent::TableExchanged {
                 at,
-                from: LandmarkId(r.u16(CTX)?),
-                to: LandmarkId(r.u16(CTX)?),
-                entries: r.usize(CTX)?,
-                accepted: r.bool(CTX)?,
+                from: Codec::decode(r)?,
+                to: Codec::decode(r)?,
+                entries: Codec::decode(r)?,
+                accepted: Codec::decode(r)?,
             },
             20 => SimEvent::UnitBoundary {
                 at,
-                unit: r.u64(CTX)?,
+                unit: Codec::decode(r)?,
             },
-            t => {
+            tag => {
                 return Err(SnapshotError::InvalidTag {
-                    context: CTX,
-                    tag: t as u64,
+                    context: "SimEvent",
+                    tag: tag.into(),
                 })
             }
         })
     }
 }
 
-fn encode_place(w: &mut Writer, p: Place) {
-    match p {
-        Place::Pending(lm) => {
-            w.put_u8(0);
-            w.put_u16(lm.0);
+/// One tag byte (declaration order), then the id.
+impl Codec for Place {
+    fn encode(&self, w: &mut Writer) {
+        match *self {
+            Place::Pending(lm) => (0u8, lm).encode(w),
+            Place::Node(n) => (1u8, n).encode(w),
+            Place::Station(lm) => (2u8, lm).encode(w),
         }
-        Place::Node(n) => {
-            w.put_u8(1);
-            w.put_u32(n.0);
-        }
-        Place::Station(lm) => {
-            w.put_u8(2);
-            w.put_u16(lm.0);
-        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Place, SnapshotError> {
+        decode_opt_place(r)?.ok_or(SnapshotError::InvalidTag {
+            context: "Place",
+            tag: 255,
+        })
     }
 }
 
+/// `Option<Place>` is not the generic 0/1 option tag: `None` is the tag
+/// byte 255, and `Some` is the place's own tag and id.
 fn encode_opt_place(w: &mut Writer, p: Option<Place>) {
     match p {
         None => w.put_u8(255),
-        Some(p) => encode_place(w, p),
-    }
-}
-
-fn decode_place(r: &mut Reader<'_>) -> Result<Place, SnapshotError> {
-    const CTX: &str = "Place";
-    match r.u8(CTX)? {
-        0 => Ok(Place::Pending(LandmarkId(r.u16(CTX)?))),
-        1 => Ok(Place::Node(NodeId(r.u32(CTX)?))),
-        2 => Ok(Place::Station(LandmarkId(r.u16(CTX)?))),
-        t => Err(SnapshotError::InvalidTag {
-            context: CTX,
-            tag: t as u64,
-        }),
+        Some(p) => p.encode(w),
     }
 }
 
 fn decode_opt_place(r: &mut Reader<'_>) -> Result<Option<Place>, SnapshotError> {
-    const CTX: &str = "Option<Place>";
-    match r.u8(CTX)? {
-        255 => Ok(None),
-        0 => Ok(Some(Place::Pending(LandmarkId(r.u16(CTX)?)))),
-        1 => Ok(Some(Place::Node(NodeId(r.u32(CTX)?)))),
-        2 => Ok(Some(Place::Station(LandmarkId(r.u16(CTX)?)))),
-        t => Err(SnapshotError::InvalidTag {
-            context: CTX,
-            tag: t as u64,
-        }),
+    Ok(Some(match r.u8("Place")? {
+        0 => Place::Pending(Codec::decode(r)?),
+        1 => Place::Node(Codec::decode(r)?),
+        2 => Place::Station(Codec::decode(r)?),
+        255 => return Ok(None),
+        tag => {
+            return Err(SnapshotError::InvalidTag {
+                context: "Place",
+                tag: tag.into(),
+            })
+        }
+    }))
+}
+
+impl Codec for LossKind {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(match self {
+            LossKind::Outage => 0,
+            LossKind::Churn => 1,
+        });
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<LossKind, SnapshotError> {
+        match r.u8("LossKind")? {
+            0 => Ok(LossKind::Outage),
+            1 => Ok(LossKind::Churn),
+            tag => Err(SnapshotError::InvalidTag {
+                context: "LossKind",
+                tag: tag.into(),
+            }),
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! tree bookkeeping on the per-event fold.
 
 use dtnflow_core::dense::{DenseMap, LinkMatrix};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 use crate::event::{LossKind, Place, SimEvent, KIND_COUNT, KIND_TAGS};
 
@@ -108,28 +108,25 @@ impl EventCounts {
     pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter().map(|(_, c)| c)
     }
+}
 
-    /// Checkpoint encoding: the full flat counter array (zeroes included),
-    /// length-prefixed so a build with more kinds rejects older payloads.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(KIND_COUNT);
-        for &c in &self.counts {
-            w.put_u64(c);
-        }
+/// Checkpoint encoding: the full flat counter array (zeroes included)
+/// after its length, so a build with more kinds rejects older payloads.
+impl Codec for EventCounts {
+    fn encode(&self, w: &mut Writer) {
+        KIND_COUNT.encode(w);
+        self.counts.encode(w);
     }
 
-    /// Inverse of [`EventCounts::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        const CTX: &str = "EventCounts";
-        let n = r.usize(CTX)?;
-        if n != KIND_COUNT {
-            return Err(SnapshotError::Corrupt { context: CTX });
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        if usize::decode(r)? != KIND_COUNT {
+            return Err(SnapshotError::Corrupt {
+                context: "EventCounts",
+            });
         }
-        let mut counts = [0u64; KIND_COUNT];
-        for c in &mut counts {
-            *c = r.u64(CTX)?;
-        }
-        Ok(EventCounts { counts })
+        Ok(EventCounts {
+            counts: Codec::decode(r)?,
+        })
     }
 }
 
@@ -173,107 +170,6 @@ impl ObsMetrics {
     /// Fresh, empty registries.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Checkpoint encoding (DESIGN.md §11): every registry in field
-    /// order. Floats travel as raw bits, so a restored fold continues
-    /// bit-exactly where the checkpointed one stopped.
-    pub fn encode(&self, w: &mut Writer) {
-        self.landmarks.encode_with(w, |w, c| {
-            w.put_u64(c.generated);
-            w.put_u64(c.uplinks);
-            w.put_u64(c.downlinks);
-            w.put_u64(c.delivered);
-            w.put_u64(c.expired);
-            w.put_u64(c.lost);
-            w.put_u64(c.mis_transits);
-            w.put_u64(c.mis_transit_uploads);
-            w.put_u64(c.retries);
-            w.put_u64(c.table_exchanges);
-            w.put_u64(c.queue_depth);
-            w.put_u64(c.queue_peak);
-        });
-        self.bandwidth.encode(w);
-        self.coverage.encode_with(w, |w, &(cov, rev)| {
-            w.put_f64(cov);
-            w.put_u64(rev);
-        });
-        self.route_cache.encode_with(w, |w, &(hits, misses)| {
-            w.put_u64(hits);
-            w.put_u64(misses);
-        });
-        self.event_counts.encode(w);
-        for &b in &self.delay_hist {
-            w.put_u64(b);
-        }
-        for &b in &self.hop_hist {
-            w.put_u64(b);
-        }
-        w.put_u64(self.totals.generated);
-        w.put_u64(self.totals.delivered);
-        w.put_u64(self.totals.expired);
-        w.put_u64(self.totals.lost_outage);
-        w.put_u64(self.totals.lost_churn);
-        w.put_u64(self.totals.forwards);
-        w.put_u64(self.totals.contacts_opened);
-        w.put_u64(self.totals.contacts_closed);
-        w.put_u64(self.totals.expired_on_node);
-    }
-
-    /// Inverse of [`ObsMetrics::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        const CTX: &str = "ObsMetrics";
-        let landmarks = DenseMap::decode_with(r, |r| {
-            Ok::<_, SnapshotError>(LandmarkCounters {
-                generated: r.u64(CTX)?,
-                uplinks: r.u64(CTX)?,
-                downlinks: r.u64(CTX)?,
-                delivered: r.u64(CTX)?,
-                expired: r.u64(CTX)?,
-                lost: r.u64(CTX)?,
-                mis_transits: r.u64(CTX)?,
-                mis_transit_uploads: r.u64(CTX)?,
-                retries: r.u64(CTX)?,
-                table_exchanges: r.u64(CTX)?,
-                queue_depth: r.u64(CTX)?,
-                queue_peak: r.u64(CTX)?,
-            })
-        })?;
-        let bandwidth = LinkMatrix::decode(r)?;
-        let coverage =
-            DenseMap::decode_with(r, |r| Ok::<_, SnapshotError>((r.f64(CTX)?, r.u64(CTX)?)))?;
-        let route_cache =
-            DenseMap::decode_with(r, |r| Ok::<_, SnapshotError>((r.u64(CTX)?, r.u64(CTX)?)))?;
-        let event_counts = EventCounts::decode(r)?;
-        let mut delay_hist = [0u64; DELAY_BUCKETS];
-        for b in &mut delay_hist {
-            *b = r.u64(CTX)?;
-        }
-        let mut hop_hist = [0u64; HOP_BUCKETS];
-        for b in &mut hop_hist {
-            *b = r.u64(CTX)?;
-        }
-        let totals = Totals {
-            generated: r.u64(CTX)?,
-            delivered: r.u64(CTX)?,
-            expired: r.u64(CTX)?,
-            lost_outage: r.u64(CTX)?,
-            lost_churn: r.u64(CTX)?,
-            forwards: r.u64(CTX)?,
-            contacts_opened: r.u64(CTX)?,
-            contacts_closed: r.u64(CTX)?,
-            expired_on_node: r.u64(CTX)?,
-        };
-        Ok(ObsMetrics {
-            landmarks,
-            bandwidth,
-            coverage,
-            route_cache,
-            event_counts,
-            delay_hist,
-            hop_hist,
-            totals,
-        })
     }
 
     fn lm(&mut self, id: u16) -> &mut LandmarkCounters {
@@ -399,6 +295,97 @@ impl ObsMetrics {
                 self.route_cache.get_or_default(lm.0).1 = count;
             }
         }
+    }
+}
+
+impl Codec for LandmarkCounters {
+    fn encode(&self, w: &mut Writer) {
+        self.generated.encode(w);
+        self.uplinks.encode(w);
+        self.downlinks.encode(w);
+        self.delivered.encode(w);
+        self.expired.encode(w);
+        self.lost.encode(w);
+        self.mis_transits.encode(w);
+        self.mis_transit_uploads.encode(w);
+        self.retries.encode(w);
+        self.table_exchanges.encode(w);
+        self.queue_depth.encode(w);
+        self.queue_peak.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(LandmarkCounters {
+            generated: Codec::decode(r)?,
+            uplinks: Codec::decode(r)?,
+            downlinks: Codec::decode(r)?,
+            delivered: Codec::decode(r)?,
+            expired: Codec::decode(r)?,
+            lost: Codec::decode(r)?,
+            mis_transits: Codec::decode(r)?,
+            mis_transit_uploads: Codec::decode(r)?,
+            retries: Codec::decode(r)?,
+            table_exchanges: Codec::decode(r)?,
+            queue_depth: Codec::decode(r)?,
+            queue_peak: Codec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for Totals {
+    fn encode(&self, w: &mut Writer) {
+        self.generated.encode(w);
+        self.delivered.encode(w);
+        self.expired.encode(w);
+        self.lost_outage.encode(w);
+        self.lost_churn.encode(w);
+        self.forwards.encode(w);
+        self.contacts_opened.encode(w);
+        self.contacts_closed.encode(w);
+        self.expired_on_node.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Totals {
+            generated: Codec::decode(r)?,
+            delivered: Codec::decode(r)?,
+            expired: Codec::decode(r)?,
+            lost_outage: Codec::decode(r)?,
+            lost_churn: Codec::decode(r)?,
+            forwards: Codec::decode(r)?,
+            contacts_opened: Codec::decode(r)?,
+            contacts_closed: Codec::decode(r)?,
+            expired_on_node: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): every registry in field order.
+/// Floats travel as raw bits, so a restored fold continues bit-exactly
+/// where the checkpointed one stopped.
+impl Codec for ObsMetrics {
+    fn encode(&self, w: &mut Writer) {
+        self.landmarks.encode(w);
+        self.bandwidth.encode(w);
+        self.coverage.encode(w);
+        self.route_cache.encode(w);
+        self.event_counts.encode(w);
+        self.delay_hist.encode(w);
+        self.hop_hist.encode(w);
+        self.totals.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ObsMetrics {
+            landmarks: Codec::decode(r)?,
+            bandwidth: Codec::decode(r)?,
+            coverage: Codec::decode(r)?,
+            route_cache: Codec::decode(r)?,
+            event_counts: Codec::decode(r)?,
+            delay_hist: Codec::decode(r)?,
+            hop_hist: Codec::decode(r)?,
+            totals: Codec::decode(r)?,
+        })
     }
 }
 

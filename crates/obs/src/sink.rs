@@ -11,7 +11,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 use crate::event::SimEvent;
 use crate::metrics::ObsMetrics;
@@ -157,41 +157,29 @@ impl Recorder {
     /// recorder continues recording byte-identically to one that never
     /// stopped.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.recorded);
-        w.put_u64(self.dropped);
-        w.put_usize(self.ring.len());
-        for ev in &self.ring {
-            ev.encode(w);
-        }
+        self.capacity.encode(w);
+        self.recorded.encode(w);
+        self.dropped.encode(w);
+        self.ring.encode(w);
         self.metrics.encode(w);
     }
 
-    /// Inverse of [`Recorder::encode`].
+    /// Inverse of [`Recorder::encode`]. The ring preallocates only the
+    /// events it holds, never the capacity the payload claims.
     pub fn decode(r: &mut Reader<'_>) -> Result<Recorder, SnapshotError> {
-        const CTX: &str = "Recorder";
-        let capacity = r.usize(CTX)?;
-        if capacity == 0 {
-            return Err(SnapshotError::Corrupt { context: CTX });
+        let rec = Recorder {
+            capacity: Codec::decode(r)?,
+            recorded: Codec::decode(r)?,
+            dropped: Codec::decode(r)?,
+            ring: Codec::decode(r)?,
+            metrics: Codec::decode(r)?,
+        };
+        if rec.capacity == 0 || rec.ring.len() > rec.capacity {
+            return Err(SnapshotError::Corrupt {
+                context: "Recorder",
+            });
         }
-        let recorded = r.u64(CTX)?;
-        let dropped = r.u64(CTX)?;
-        let n = r.seq_len("Recorder.ring")?;
-        if n > capacity {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let mut ring = VecDeque::with_capacity(capacity);
-        for _ in 0..n {
-            ring.push_back(SimEvent::decode(r)?);
-        }
-        let metrics = ObsMetrics::decode(r)?;
-        Ok(Recorder {
-            capacity,
-            ring,
-            recorded,
-            dropped,
-            metrics,
-        })
+        Ok(rec)
     }
 }
 
@@ -268,6 +256,20 @@ mod tests {
         let back = Recorder::downcast(boxed).unwrap();
         assert_eq!(back.recorded(), 1);
         assert!(Recorder::downcast(Box::new(NoopSink)).is_none());
+    }
+
+    #[test]
+    fn decode_trusts_no_ring_capacity_for_preallocation() {
+        let mut r = Recorder::new(4);
+        r.record(unit_event(1));
+        let mut w = Writer::new();
+        r.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        // The capacity leads the payload; the ring holds one event.
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let back = Recorder::decode(&mut Reader::new(&bytes)).expect("valid payload");
+        assert_eq!(back.capacity() as u64, u64::MAX);
+        assert_eq!(back.len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! correct prediction and down on an incorrect one.
 
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Multiplicative per-landmark prediction-accuracy estimates for one node.
 #[derive(Debug, Clone)]
@@ -55,45 +55,34 @@ impl AccuracyTracker {
         }
     }
 
-    /// Checkpoint encoding (DESIGN.md §11): estimates and factors as raw
-    /// f64 bits. Decode constructs the struct directly rather than going
-    /// through [`AccuracyTracker::with_factors`], so mid-run states (where
-    /// an estimate may sit above `init`) restore without tripping the
-    /// constructor's parameter asserts.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.acc.len());
-        for &a in &self.acc {
-            w.put_f64(a);
-        }
-        w.put_f64(self.up);
-        w.put_f64(self.down);
-        w.put_f64(self.floor);
-    }
-
-    /// Inverse of [`AccuracyTracker::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<AccuracyTracker, SnapshotError> {
-        const CTX: &str = "AccuracyTracker";
-        let n = r.seq_len("AccuracyTracker.acc")?;
-        let mut acc = Vec::with_capacity(n);
-        for _ in 0..n {
-            acc.push(r.f64(CTX)?);
-        }
-        let up = r.f64(CTX)?;
-        let down = r.f64(CTX)?;
-        let floor = r.f64(CTX)?;
-        Ok(AccuracyTracker {
-            acc,
-            up,
-            down,
-            floor,
-        })
-    }
-
     /// The overall transit probability `p_a(lm) * p_pred` used for carrier
     /// ranking.
     #[inline]
     pub fn overall(&self, lm: LandmarkId, predicted_prob: f64) -> f64 {
         self.get(lm) * predicted_prob
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): estimates and factors as raw
+/// f64 bits. Decode constructs the struct directly rather than going
+/// through [`AccuracyTracker::with_factors`], so mid-run states (where
+/// an estimate may sit above `init`) restore without tripping the
+/// constructor's parameter asserts.
+impl Codec for AccuracyTracker {
+    fn encode(&self, w: &mut Writer) {
+        self.acc.encode(w);
+        self.up.encode(w);
+        self.down.encode(w);
+        self.floor.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<AccuracyTracker, SnapshotError> {
+        Ok(AccuracyTracker {
+            acc: Codec::decode(r)?,
+            up: Codec::decode(r)?,
+            down: Codec::decode(r)?,
+            floor: Codec::decode(r)?,
+        })
     }
 }
 

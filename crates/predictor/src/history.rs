@@ -3,7 +3,7 @@
 
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::time::{SimDuration, SimTime};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// One row of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,49 +119,6 @@ impl VisitHistory {
         }
     }
 
-    /// Checkpoint encoding (DESIGN.md §11): rows then stay sums, both
-    /// serialized verbatim (the rows are *not* replayed through
-    /// [`VisitHistory::record`] on decode, so its ordering asserts never
-    /// fire on a valid snapshot).
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u16(e.landmark.0);
-            w.put_u64(e.start.secs());
-            w.put_u64(e.end.secs());
-        }
-        w.put_usize(self.stay_sums.len());
-        for &(sum, n) in &self.stay_sums {
-            w.put_u64(sum);
-            w.put_u32(n);
-        }
-    }
-
-    /// Inverse of [`VisitHistory::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<VisitHistory, SnapshotError> {
-        const CTX: &str = "VisitHistory";
-        let n = r.seq_len("VisitHistory.entries")?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(HistoryEntry {
-                landmark: LandmarkId(r.u16(CTX)?),
-                start: SimTime(r.u64(CTX)?),
-                end: SimTime(r.u64(CTX)?),
-            });
-        }
-        let m = r.seq_len("VisitHistory.stay_sums")?;
-        let mut stay_sums = Vec::with_capacity(m);
-        for _ in 0..m {
-            stay_sums.push((r.u64(CTX)?, r.u32(CTX)?));
-        }
-        for e in &entries {
-            if e.landmark.index() >= stay_sums.len() {
-                return Err(SnapshotError::Corrupt { context: CTX });
-            }
-        }
-        Ok(VisitHistory { entries, stay_sums })
-    }
-
     /// Dead-end test (§IV-E.1): has a stay of `elapsed` at `landmark`
     /// exceeded `gamma` times the node's average — either its overall
     /// average stay (regular-route dead end) or its average at this
@@ -184,6 +141,50 @@ impl VisitHistory {
             avg.is_some_and(|a| a.secs() > 0 && elapsed.secs() as f64 > gamma * a.secs() as f64)
         };
         exceeded(overall) || exceeded(here)
+    }
+}
+
+impl Codec for HistoryEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.landmark.encode(w);
+        self.start.encode(w);
+        self.end.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(HistoryEntry {
+            landmark: Codec::decode(r)?,
+            start: Codec::decode(r)?,
+            end: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): rows then stay sums, both
+/// serialized verbatim (the rows are *not* replayed through
+/// [`VisitHistory::record`] on decode, so its ordering asserts never
+/// fire on a valid snapshot). Decode rejects a row naming a landmark
+/// with no stay-sum slot.
+impl Codec for VisitHistory {
+    fn encode(&self, w: &mut Writer) {
+        self.entries.encode(w);
+        self.stay_sums.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<VisitHistory, SnapshotError> {
+        let h = VisitHistory {
+            entries: Codec::decode(r)?,
+            stay_sums: Codec::decode(r)?,
+        };
+        if h.entries
+            .iter()
+            .any(|e| e.landmark.index() >= h.stay_sums.len())
+        {
+            return Err(SnapshotError::Corrupt {
+                context: "VisitHistory",
+            });
+        }
+        Ok(h)
     }
 }
 

@@ -13,7 +13,7 @@
 //! concatenation. The prediction is the `c` maximizing this probability.
 
 use dtnflow_core::ids::LandmarkId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 
 /// Maximum supported order: contexts are packed into a `u64` key with 16
@@ -274,122 +274,6 @@ impl MarkovPredictor {
         out
     }
 
-    /// Checkpoint encoding (DESIGN.md §11): order, recent context, the
-    /// count store (tagged flat/map) and the observation counter.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.k);
-        w.put_usize(self.recent.len());
-        for lm in &self.recent {
-            w.put_u16(lm.0);
-        }
-        match &self.counts {
-            Counts::Flat(flat) => {
-                w.put_u8(0);
-                w.put_usize(flat.n);
-                for &c in &flat.counts {
-                    w.put_u32(c);
-                }
-                for &t in &flat.totals {
-                    w.put_u32(t);
-                }
-            }
-            Counts::Map(map) => {
-                w.put_u8(1);
-                w.put_usize(map.len());
-                for (&key, stats) in map {
-                    w.put_u64(key);
-                    w.put_u32(stats.total);
-                    w.put_usize(stats.next.len());
-                    for (&lm, &c) in &stats.next {
-                        w.put_u16(lm);
-                        w.put_u32(c);
-                    }
-                }
-            }
-        }
-        w.put_usize(self.observations);
-    }
-
-    /// Inverse of [`MarkovPredictor::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<MarkovPredictor, SnapshotError> {
-        const CTX: &str = "MarkovPredictor";
-        let k = r.usize(CTX)?;
-        if !(1..=MAX_ORDER).contains(&k) {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let n = r.seq_len("MarkovPredictor.recent")?;
-        if n > k {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let mut recent = Vec::with_capacity(k);
-        for _ in 0..n {
-            recent.push(LandmarkId(r.u16(CTX)?));
-        }
-        let counts = match r.u8(CTX)? {
-            0 => {
-                let fn_ = r.usize("FlatCounts.n")?;
-                let cells = fn_
-                    .checked_mul(fn_)
-                    .ok_or(SnapshotError::Corrupt { context: CTX })?;
-                if cells > r.remaining() / 4 {
-                    return Err(SnapshotError::Corrupt { context: CTX });
-                }
-                let mut counts = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    counts.push(r.u32(CTX)?);
-                }
-                let mut totals = Vec::with_capacity(fn_);
-                for _ in 0..fn_ {
-                    totals.push(r.u32(CTX)?);
-                }
-                Counts::Flat(FlatCounts {
-                    n: fn_,
-                    counts,
-                    totals,
-                })
-            }
-            1 => {
-                let m = r.seq_len("MarkovPredictor.map")?;
-                let mut map = BTreeMap::new();
-                let mut prev: Option<u64> = None;
-                for _ in 0..m {
-                    let key = r.u64(CTX)?;
-                    if prev.is_some_and(|p| p >= key) {
-                        return Err(SnapshotError::Corrupt { context: CTX });
-                    }
-                    prev = Some(key);
-                    let total = r.u32(CTX)?;
-                    let nn = r.seq_len("CtxStats.next")?;
-                    let mut next = BTreeMap::new();
-                    let mut prev_lm: Option<u16> = None;
-                    for _ in 0..nn {
-                        let lm = r.u16(CTX)?;
-                        if prev_lm.is_some_and(|p| p >= lm) {
-                            return Err(SnapshotError::Corrupt { context: CTX });
-                        }
-                        prev_lm = Some(lm);
-                        next.insert(lm, r.u32(CTX)?);
-                    }
-                    map.insert(key, CtxStats { total, next });
-                }
-                Counts::Map(map)
-            }
-            t => {
-                return Err(SnapshotError::InvalidTag {
-                    context: "MarkovPredictor.counts",
-                    tag: t as u64,
-                })
-            }
-        };
-        let observations = r.usize(CTX)?;
-        Ok(MarkovPredictor {
-            k,
-            recent,
-            counts,
-            observations,
-        })
-    }
-
     /// [`MarkovPredictor::distribution`] into a caller-owned buffer, so
     /// per-contact callers (the router's packet assignment) can reuse one
     /// allocation. The buffer is cleared first.
@@ -423,6 +307,88 @@ impl MarkovPredictor {
             }
         }
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+}
+
+impl Codec for CtxStats {
+    fn encode(&self, w: &mut Writer) {
+        self.total.encode(w);
+        self.next.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(CtxStats {
+            total: Codec::decode(r)?,
+            next: Codec::decode(r)?,
+        })
+    }
+}
+
+/// A 0 tag, the side length, then the flat counts and totals with no
+/// count; or a 1 tag and the order ≥ 2 context map.
+impl Codec for Counts {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Counts::Flat(flat) => {
+                w.put_u8(0);
+                flat.n.encode(w);
+                for c in flat.counts.iter().chain(&flat.totals) {
+                    c.encode(w);
+                }
+            }
+            Counts::Map(map) => {
+                w.put_u8(1);
+                map.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        const CTX: &str = "MarkovPredictor.counts";
+        match r.u8(CTX)? {
+            0 => {
+                let n: usize = Codec::decode(r)?;
+                let cells = n
+                    .checked_mul(n)
+                    .ok_or(SnapshotError::Corrupt { context: CTX })?;
+                Ok(Counts::Flat(FlatCounts {
+                    n,
+                    counts: r.items(cells, u32::decode)?,
+                    totals: r.items(n, u32::decode)?,
+                }))
+            }
+            1 => Codec::decode(r).map(Counts::Map),
+            tag => Err(SnapshotError::InvalidTag {
+                context: CTX,
+                tag: tag.into(),
+            }),
+        }
+    }
+}
+
+/// Checkpoint encoding (DESIGN.md §11): order, recent context, the
+/// count store and the observation counter.
+impl Codec for MarkovPredictor {
+    fn encode(&self, w: &mut Writer) {
+        self.k.encode(w);
+        self.recent.encode(w);
+        self.counts.encode(w);
+        self.observations.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<MarkovPredictor, SnapshotError> {
+        let p = MarkovPredictor {
+            k: Codec::decode(r)?,
+            recent: Codec::decode(r)?,
+            counts: Codec::decode(r)?,
+            observations: Codec::decode(r)?,
+        };
+        if !(1..=MAX_ORDER).contains(&p.k) || p.recent.len() > p.k {
+            return Err(SnapshotError::Corrupt {
+                context: "MarkovPredictor",
+            });
+        }
+        Ok(p)
     }
 }
 

@@ -15,7 +15,7 @@ use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_mobility::Trace;
 use dtnflow_obs::{Recorder, SimEvent, TraceSink};
 use dtnflow_shard::{ShardExec, ShardPlan, Sharding};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// What one simulation run produced.
 #[derive(Debug)]
@@ -588,14 +588,13 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
     /// encoding is canonical — and byte-identical to the format the old
     /// binary heap produced).
     pub fn encode_engine(&self, w: &mut Writer) {
-        w.put_usize(self.next_static);
-        w.put_u64(self.timer_seq);
-        w.put_usize(self.timers.len());
-        for e in self.timers.iter() {
-            w.put_u64(e.at);
-            w.put_u64(e.payload);
-            w.put_u64(e.seq);
-        }
+        self.next_static.encode(w);
+        self.timer_seq.encode(w);
+        // `(at, payload, seq)`: the old heap's field order, not the
+        // queue's own `(at, seq, payload)`.
+        w.put_seq(self.timers.len(), self.timers.iter(), |w, e| {
+            (e.at, e.payload, e.seq).encode(w);
+        });
     }
 
     /// Encode the full [`World`] state.
@@ -670,7 +669,6 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         shard_plan: ShardPlan,
         exec: ShardExec,
     ) -> Result<SimSession<'a, R>, SnapshotError> {
-        const CTX: &str = "SimSession";
         plan.check_against(trace);
         debug_assert_eq!(
             shard_plan.num_landmarks(),
@@ -678,17 +676,15 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             "shard plan must partition exactly the trace's landmarks"
         );
         let events = build_static_events(trace, cfg, workload, plan);
-        let next_static = engine.usize(CTX)?;
+        let next_static: usize = Codec::decode(engine)?;
         if next_static > events.len() {
-            return Err(SnapshotError::Corrupt { context: CTX });
+            return Err(SnapshotError::Corrupt {
+                context: "SimSession",
+            });
         }
-        let timer_seq = engine.u64(CTX)?;
-        let n = engine.seq_len("SimSession.timers")?;
+        let timer_seq = Codec::decode(engine)?;
         let mut timers = DeadlineQueue::new();
-        for _ in 0..n {
-            let at = engine.u64(CTX)?;
-            let token = engine.u64(CTX)?;
-            let seq = engine.u64(CTX)?;
+        for (at, token, seq) in Vec::<(u64, u64, u64)>::decode(engine)? {
             timers.push(at, seq, token);
         }
         let mut restored =

@@ -7,7 +7,7 @@
 
 use dtnflow_core::dense::DenseSet;
 use dtnflow_core::ids::PacketId;
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// A set of packets with byte accounting and an optional capacity.
 #[derive(Debug, Clone)]
@@ -96,44 +96,29 @@ impl PacketStore {
     pub fn iter(&self) -> impl Iterator<Item = PacketId> + '_ {
         self.packets.iter()
     }
+}
 
-    /// Checkpoint encoding (DESIGN.md §11): capacity tag, byte count and
-    /// the member set.
-    pub fn encode(&self, w: &mut Writer) {
-        match self.capacity {
-            None => w.put_u8(0),
-            Some(c) => {
-                w.put_u8(1);
-                w.put_u64(c);
-            }
-        }
-        w.put_u64(self.used);
+/// Checkpoint encoding (DESIGN.md §11): capacity, byte count and the
+/// member set. Decode rejects a byte count above the capacity.
+impl Codec for PacketStore {
+    fn encode(&self, w: &mut Writer) {
+        self.capacity.encode(w);
+        self.used.encode(w);
         self.packets.encode(w);
     }
 
-    /// Inverse of [`PacketStore::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<PacketStore, SnapshotError> {
-        const CTX: &str = "PacketStore";
-        let capacity = match r.u8(CTX)? {
-            0 => None,
-            1 => Some(r.u64(CTX)?),
-            t => {
-                return Err(SnapshotError::InvalidTag {
-                    context: "PacketStore.capacity",
-                    tag: t as u64,
-                })
-            }
+    fn decode(r: &mut Reader<'_>) -> Result<PacketStore, SnapshotError> {
+        let store = PacketStore {
+            capacity: Codec::decode(r)?,
+            used: Codec::decode(r)?,
+            packets: Codec::decode(r)?,
         };
-        let used = r.u64(CTX)?;
-        if capacity.is_some_and(|c| used > c) {
-            return Err(SnapshotError::Corrupt { context: CTX });
+        if store.capacity.is_some_and(|c| store.used > c) {
+            return Err(SnapshotError::Corrupt {
+                context: "PacketStore",
+            });
         }
-        let packets = DenseSet::decode(r)?;
-        Ok(PacketStore {
-            capacity,
-            used,
-            packets,
-        })
+        Ok(store)
     }
 }
 

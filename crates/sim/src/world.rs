@@ -16,7 +16,7 @@ use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::{Packet, PacketLoc};
 use dtnflow_core::time::SimTime;
 use dtnflow_obs::{EventBuffer, LossKind, Place, SimEvent, TraceSink};
-use dtnflow_snapshot::{Reader, SnapshotError, Writer};
+use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Map a live packet location to its observability [`Place`]; terminal
 /// states have no place.
@@ -974,70 +974,21 @@ impl World {
     /// (derivable from `node_loc`), and the trace sink (checkpointed
     /// separately so the engine can order the `CheckpointWritten` event
     /// before the recorder bytes are captured).
-    pub(crate) fn encode_state(&self, w: &mut Writer) {
-        w.put_u64(self.now.secs());
-        w.put_usize(self.packets.len());
-        for p in &self.packets {
-            p.encode(w);
-        }
-        w.put_usize(self.node_store.len());
-        for s in &self.node_store {
-            s.encode(w);
-        }
-        w.put_usize(self.station_store.len());
-        for s in &self.station_store {
-            s.encode(w);
-        }
-        w.put_usize(self.pending.len());
-        for set in &self.pending {
-            set.encode(w);
-        }
-        w.put_usize(self.node_loc.len());
-        for loc in &self.node_loc {
-            match loc {
-                None => w.put_u8(0),
-                Some(lm) => {
-                    w.put_u8(1);
-                    w.put_u16(lm.0);
-                }
-            }
-        }
+    pub fn encode_state(&self, w: &mut Writer) {
+        self.now.encode(w);
+        self.packets.encode(w);
+        self.node_store.encode(w);
+        self.station_store.encode(w);
+        self.pending.encode(w);
+        self.node_loc.encode(w);
         self.metrics.encode(w);
-        match &self.radio_budget {
-            None => w.put_u8(0),
-            Some(budget) => {
-                w.put_u8(1);
-                w.put_usize(budget.len());
-                for &b in budget {
-                    w.put_u64(b);
-                }
-            }
-        }
-        w.put_usize(self.station_up.len());
-        for &up in &self.station_up {
-            w.put_bool(up);
-        }
-        w.put_usize(self.node_failed.len());
-        for &f in &self.node_failed {
-            w.put_bool(f);
-        }
-        w.put_usize(self.awaiting_recovery.len());
-        for slot in &self.awaiting_recovery {
-            match slot {
-                None => w.put_u8(0),
-                Some(t) => {
-                    w.put_u8(1);
-                    w.put_u64(t.secs());
-                }
-            }
-        }
-        w.put_bool(self.visit_recorded);
+        self.radio_budget.encode(w);
+        self.station_up.encode(w);
+        self.node_failed.encode(w);
+        self.awaiting_recovery.encode(w);
+        self.visit_recorded.encode(w);
         self.expiry.encode(w);
-        w.put_usize(self.pending_timers.len());
-        for &(at, token) in &self.pending_timers {
-            w.put_u64(at.secs());
-            w.put_u64(token);
-        }
+        self.pending_timers.encode(w);
     }
 
     /// Inverse of [`World::encode_state`]. The config and network sizes
@@ -1045,158 +996,60 @@ impl World {
     /// per-landmark vector lengths must match them. `present` is rebuilt
     /// from `node_loc` by an ascending node scan, which reproduces the
     /// exact `DenseSet` contents incremental arrivals would have built.
-    pub(crate) fn decode_state(
+    pub fn decode_state(
         r: &mut Reader<'_>,
         cfg: SimConfig,
         num_nodes: usize,
         num_landmarks: usize,
     ) -> Result<World, SnapshotError> {
-        const CTX: &str = "World";
-        let now = SimTime(r.u64(CTX)?);
-        let np = r.seq_len("World.packets")?;
-        let mut packets = Vec::with_capacity(np);
-        for i in 0..np {
-            let p = Packet::decode(r)?;
-            if p.id.index() != i {
-                return Err(SnapshotError::Corrupt { context: CTX });
-            }
-            packets.push(p);
-        }
-        let expect_len = |n: usize, want: usize| {
-            if n == want {
-                Ok(())
-            } else {
-                Err(SnapshotError::Corrupt { context: CTX })
-            }
-        };
-        let n = r.seq_len("World.node_store")?;
-        expect_len(n, num_nodes)?;
-        let mut node_store = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_store.push(PacketStore::decode(r)?);
-        }
-        let n = r.seq_len("World.station_store")?;
-        expect_len(n, num_landmarks)?;
-        let mut station_store = Vec::with_capacity(n);
-        for _ in 0..n {
-            station_store.push(PacketStore::decode(r)?);
-        }
-        let n = r.seq_len("World.pending")?;
-        expect_len(n, num_landmarks)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(DenseSet::decode(r)?);
-        }
-        let n = r.seq_len("World.node_loc")?;
-        expect_len(n, num_nodes)?;
-        let mut node_loc = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_loc.push(match r.u8(CTX)? {
-                0 => None,
-                1 => {
-                    let lm = LandmarkId(r.u16(CTX)?);
-                    if lm.index() >= num_landmarks {
-                        return Err(SnapshotError::Corrupt { context: CTX });
-                    }
-                    Some(lm)
-                }
-                t => {
-                    return Err(SnapshotError::InvalidTag {
-                        context: "World.node_loc",
-                        tag: t as u64,
-                    })
-                }
-            });
-        }
-        let metrics = RunMetrics::decode(r)?;
-        let radio_budget = match r.u8(CTX)? {
-            0 => None,
-            1 => {
-                let n = r.seq_len("World.radio_budget")?;
-                expect_len(n, num_landmarks)?;
-                let mut budget = Vec::with_capacity(n);
-                for _ in 0..n {
-                    budget.push(r.u64(CTX)?);
-                }
-                Some(budget)
-            }
-            t => {
-                return Err(SnapshotError::InvalidTag {
-                    context: "World.radio_budget",
-                    tag: t as u64,
-                })
-            }
-        };
-        if radio_budget.is_some() != cfg.radio_budget_per_unit.is_some() {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let n = r.seq_len("World.station_up")?;
-        expect_len(n, num_landmarks)?;
-        let mut station_up = Vec::with_capacity(n);
-        for _ in 0..n {
-            station_up.push(r.bool(CTX)?);
-        }
-        let n = r.seq_len("World.node_failed")?;
-        expect_len(n, num_nodes)?;
-        let mut node_failed = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_failed.push(r.bool(CTX)?);
-        }
-        let n = r.seq_len("World.awaiting_recovery")?;
-        expect_len(n, num_landmarks)?;
-        let mut awaiting_recovery = Vec::with_capacity(n);
-        for _ in 0..n {
-            awaiting_recovery.push(match r.u8(CTX)? {
-                0 => None,
-                1 => Some(SimTime(r.u64(CTX)?)),
-                t => {
-                    return Err(SnapshotError::InvalidTag {
-                        context: "World.awaiting_recovery",
-                        tag: t as u64,
-                    })
-                }
-            });
-        }
-        let visit_recorded = r.bool(CTX)?;
-        let expiry = DeadlineQueue::decode(r)?;
-        // Expiry payloads are packet ids: one naming a packet that does
-        // not exist would panic the next purge.
-        if expiry.iter().any(|e| e.payload >= packets.len() as u64) {
-            return Err(SnapshotError::Corrupt { context: CTX });
-        }
-        let n = r.seq_len("World.pending_timers")?;
-        let mut pending_timers = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending_timers.push((SimTime(r.u64(CTX)?), r.u64(CTX)?));
-        }
-        let mut present = vec![DenseSet::new(); num_landmarks];
-        for (i, loc) in node_loc.iter().enumerate() {
-            if let Some(lm) = loc {
-                present[lm.index()].insert(NodeId::from(i));
-            }
-        }
-        Ok(World {
+        let mut world = World {
             cfg,
-            now,
+            now: Codec::decode(r)?,
             num_nodes,
             num_landmarks,
-            packets,
-            node_store,
-            station_store,
-            pending,
+            packets: Codec::decode(r)?,
+            node_store: Codec::decode(r)?,
+            station_store: Codec::decode(r)?,
+            pending: Codec::decode(r)?,
             scratch_pkts: Vec::new(),
-            node_loc,
-            present,
-            metrics,
-            radio_budget,
-            station_up,
-            node_failed,
-            awaiting_recovery,
-            visit_recorded,
-            expiry,
-            pending_timers,
+            node_loc: Codec::decode(r)?,
+            present: vec![DenseSet::new(); num_landmarks],
+            metrics: RunMetrics::decode(r)?,
+            radio_budget: Codec::decode(r)?,
+            station_up: Codec::decode(r)?,
+            node_failed: Codec::decode(r)?,
+            awaiting_recovery: Codec::decode(r)?,
+            visit_recorded: Codec::decode(r)?,
+            expiry: Codec::decode(r)?,
+            pending_timers: Codec::decode(r)?,
             trace: None,
-        })
+        };
+        let w = &world;
+        let per_node = [w.node_store.len(), w.node_loc.len(), w.node_failed.len()];
+        let per_landmark = [
+            w.station_store.len(),
+            w.pending.len(),
+            w.station_up.len(),
+            w.awaiting_recovery.len(),
+            w.radio_budget.as_ref().map_or(num_landmarks, Vec::len),
+        ];
+        let valid = per_node.iter().all(|&n| n == num_nodes)
+            && per_landmark.iter().all(|&n| n == num_landmarks)
+            && w.packets.iter().enumerate().all(|(i, p)| p.id.index() == i)
+            && w.node_loc.iter().flatten().all(|lm| lm.index() < num_landmarks)
+            && w.radio_budget.is_some() == w.cfg.radio_budget_per_unit.is_some()
+            // Expiry payloads are packet ids: one naming a packet that does
+            // not exist would panic the next purge.
+            && w.expiry.iter().all(|e| e.payload < w.packets.len() as u64);
+        if !valid {
+            return Err(SnapshotError::Corrupt { context: "World" });
+        }
+        for (i, loc) in world.node_loc.iter().enumerate() {
+            if let Some(lm) = loc {
+                world.present[lm.index()].insert(NodeId::from(i));
+            }
+        }
+        Ok(world)
     }
 }
 

@@ -3,9 +3,10 @@
 //!
 //! A snapshot is a self-describing container of named, versioned binary
 //! sections. Each stateful subsystem (world, engine, router, obs) encodes
-//! its own payload with [`Writer`]/[`Reader`] primitives; the container
-//! adds framing, per-section checksums and a whole-file checksum so
-//! truncation and corruption are detected before any payload is decoded.
+//! its own payload field by field through the [`Codec`] trait, which
+//! states the wire rules once; the container adds framing, per-section
+//! checksums and a whole-file checksum so truncation and corruption are
+//! detected before any payload is decoded.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -31,6 +32,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
+
+mod codec;
+pub use codec::Codec;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DTNSNAP1";
@@ -165,6 +169,23 @@ impl Writer {
         self.put_bytes(v.as_bytes());
     }
 
+    /// The sequence rule: the `u64` count `len`, then each item through
+    /// `item`. `len` must equal the number of items.
+    pub fn put_seq<T>(
+        &mut self,
+        len: usize,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Writer, T),
+    ) {
+        self.put_usize(len);
+        let mut written = 0usize;
+        for v in items {
+            item(self, v);
+            written += 1;
+        }
+        debug_assert_eq!(written, len, "sequence count disagrees with its items");
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -264,6 +285,34 @@ impl<'a> Reader<'a> {
     pub fn str(&mut self, context: &'static str) -> Result<String, SnapshotError> {
         let b = self.bytes(context)?;
         String::from_utf8(b.to_vec()).map_err(|_| SnapshotError::Corrupt { context })
+    }
+
+    /// Inverse of [`Writer::put_seq`]: a [`Reader::seq_len`]-checked
+    /// count, then each item through `item`.
+    pub fn seq<T>(
+        &mut self,
+        context: &'static str,
+        item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.seq_len(context)?;
+        self.items(n, item)
+    }
+
+    /// `n` items with no count prefix (the caller knows `n`), each
+    /// through `item`. Preallocates no more items than the remaining
+    /// input has bytes for their in-memory size, so a corrupt length
+    /// cannot allocate beyond the payload.
+    pub fn items<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let fits = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     pub fn remaining(&self) -> usize {
@@ -374,9 +423,7 @@ impl SnapshotFile {
                 supported: FORMAT_VERSION,
             });
         }
-        let count = r.usize("section count")?;
-        let mut sections = Vec::new();
-        for _ in 0..count {
+        let sections = r.seq("section count", |r| {
             let name = r.str("section name")?;
             let version = r.u32("section version")?;
             let payload = r.bytes("section payload")?.to_vec();
@@ -386,13 +433,13 @@ impl SnapshotFile {
                     context: format!("section `{name}`"),
                 });
             }
-            sections.push(Section {
+            Ok(Section {
                 name,
                 version,
                 payload,
                 checksum,
-            });
-        }
+            })
+        })?;
         r.finish("section table")?;
         Ok(SnapshotFile {
             format_version,
@@ -450,54 +497,6 @@ pub fn validate_schema(
         }
     }
     Ok(())
-}
-
-/// Self-description of a verified snapshot, for tooling.
-#[derive(Debug, Clone)]
-pub struct SnapshotInfo {
-    pub format_version: u32,
-    pub total_bytes: usize,
-    /// (name, version, payload bytes, checksum) per section, file order.
-    pub sections: Vec<(String, u32, usize, u64)>,
-}
-
-impl SnapshotInfo {
-    /// Hand-rolled JSON description (section names are codec-controlled
-    /// identifiers, so no string escaping is needed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format_version\": {},\n", self.format_version));
-        out.push_str(&format!("  \"total_bytes\": {},\n", self.total_bytes));
-        out.push_str("  \"sections\": [\n");
-        for (i, (name, version, len, sum)) in self.sections.iter().enumerate() {
-            let comma = if i + 1 == self.sections.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"name\": \"{name}\", \"version\": {version}, \"bytes\": {len}, \"checksum\": {sum}}}{comma}\n"
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Parse, checksum-verify and describe a snapshot without decoding any
-/// payload.
-pub fn validate(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let file = SnapshotFile::parse(bytes)?;
-    Ok(SnapshotInfo {
-        format_version: file.format_version,
-        total_bytes: bytes.len(),
-        sections: file
-            .sections
-            .iter()
-            .map(|s| (s.name.clone(), s.version, s.payload.len(), s.checksum))
-            .collect(),
-    })
 }
 
 #[cfg(test)]
@@ -647,17 +646,6 @@ mod tests {
             validate_schema(&file, &narrow),
             Err(SnapshotError::Mismatch { .. })
         ));
-    }
-
-    #[test]
-    fn validate_describes_sections_as_json() {
-        let bytes = sample();
-        let info = validate(&bytes).unwrap();
-        assert_eq!(info.sections.len(), 2);
-        assert_eq!(info.total_bytes, bytes.len());
-        let json = info.to_json();
-        assert!(json.contains("\"name\": \"alpha\""));
-        assert!(json.contains("\"version\": 3"));
     }
 
     #[test]
