@@ -1369,6 +1369,8 @@ impl Codec for RouteCacheCell {
     }
 }
 
+/// Not a [`Codec`]: decoding needs the run's node count, which bounds
+/// the `by_dst_node` keys.
 impl LandmarkState {
     fn encode(&self, w: &mut Writer) {
         self.rt.encode(w);
