@@ -17,25 +17,16 @@
 //! --list   print the known ids and exit
 //! ```
 //!
-//! A missing or malformed flag value, an unknown flag or an unknown id
-//! prints the usage line and exits with status 2.
+//! Exit status (shared by every harness binary, see `dtnflow_bench::cli`):
+//! 0 ok; 2 on a usage error (a missing or malformed flag value, an
+//! unknown flag or id) or an output directory that cannot be written.
 
+use dtnflow_bench::cli::{self, Args};
 use dtnflow_bench::experiments::{run_experiment, ExperimentOpts, ObsCell, ALL_IDS};
 use dtnflow_bench::host::bench_host;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::{bench_json, report_json, BenchEntry, Snapshot};
-use std::path::{Path, PathBuf};
-
-const USAGE: &str =
-    "usage: experiments [IDS...|all] [--quick] [--obs] [--shards N] [--out DIR] [--list]";
-
-/// Report a command-line error with the usage line and exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("{USAGE}");
-    eprintln!("known ids: {}", ALL_IDS.join(" "));
-    std::process::exit(2);
-}
+use std::path::Path;
 
 /// The per-landmark counter tables of every cell, concatenated as CSV.
 fn obs_csv(cells: &[ObsCell]) -> String {
@@ -51,57 +42,46 @@ fn write_obs_files(out_dir: &Path, id: &str, cells: &[ObsCell]) {
         .iter()
         .map(|c| (c.label.clone(), c.snapshot.clone()))
         .collect();
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("warning: could not create {}: {e}", out_dir.display());
-        return;
-    }
-    let json_path = out_dir.join(format!("{id}_obs.json"));
-    if let Err(e) = std::fs::write(&json_path, report_json(id, &pairs)) {
-        eprintln!("warning: could not save {}: {e}", json_path.display());
-    }
-    let csv_path = out_dir.join(format!("{id}_obs.csv"));
-    if let Err(e) = std::fs::write(&csv_path, obs_csv(cells)) {
-        eprintln!("warning: could not save {}: {e}", csv_path.display());
-    }
+    cli::write(
+        &out_dir.join(format!("{id}_obs.json")),
+        &report_json(id, &pairs),
+    );
+    cli::write(&out_dir.join(format!("{id}_obs.csv")), &obs_csv(cells));
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
-    let mut opts = ExperimentOpts::FULL;
-    let mut out_dir = PathBuf::from("results");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        // A flag's value: the next argument, unless it is another flag.
-        let mut value = || it.next().filter(|v| !v.starts_with("--"));
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--obs" => opts.obs = true,
-            "--shards" => match value().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => opts.shards = n,
-                _ => usage_error("--shards requires a positive integer"),
-            },
-            "--out" => match value() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => usage_error("--out requires a directory argument"),
-            },
-            "--list" => {
-                for id in ALL_IDS {
-                    println!("{id}");
-                }
-                return;
-            }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            other if other.starts_with("--") => usage_error(&format!("unknown flag `{other}`")),
-            other => ids.push(other.to_string()),
+    let mut args = Args::from_env(format!(
+        "usage: experiments [IDS...|all] [--quick] [--obs] [--shards N] [--out DIR] [--list]\n\
+         known ids: {}",
+        ALL_IDS.join(" ")
+    ));
+    let opts = ExperimentOpts {
+        quick: args.switch("--quick"),
+        obs: args.switch("--obs"),
+        shards: args.parsed("--shards").unwrap_or(1),
+    };
+    let out_dir = args.value("--out");
+    let list = args.switch("--list");
+    let mut ids = args.positionals();
+    if list {
+        for id in ALL_IDS {
+            println!("{id}");
         }
+        return;
+    }
+    if opts.shards == 0 {
+        args.fail("--shards requires a positive integer");
+    }
+    if ids.iter().any(|id| id == "all") {
+        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
     if ids.is_empty() {
-        usage_error("no experiment ids given");
+        args.fail("no experiment ids given");
     }
     if let Some(id) = ids.iter().find(|id| !ALL_IDS.contains(&id.as_str())) {
-        usage_error(&format!("unknown experiment id `{id}`"));
+        args.fail(&format!("unknown experiment id `{id}`"));
     }
+    let out_dir = cli::out_dir(out_dir.as_deref().unwrap_or("results"));
 
     let mut bench_entries: Vec<BenchEntry> = Vec::new();
     for id in &ids {
@@ -111,7 +91,7 @@ fn main() {
         for table in &tables {
             println!("{}", table.render());
             if let Err(e) = table.save(&out_dir) {
-                eprintln!("warning: could not save {}: {e}", table.id);
+                cli::unwritable(&out_dir, e);
             }
         }
         if !cells.is_empty() {
@@ -132,9 +112,9 @@ fn main() {
         );
     }
     if opts.obs && !bench_entries.is_empty() {
-        let path = out_dir.join("BENCH_obs.json");
-        if let Err(e) = std::fs::write(&path, bench_json(&bench_host(), &bench_entries)) {
-            eprintln!("warning: could not save {}: {e}", path.display());
-        }
+        cli::write(
+            &out_dir.join("BENCH_obs.json"),
+            &bench_json(&bench_host(), &bench_entries),
+        );
     }
 }

@@ -1,20 +1,22 @@
-//! Hot-path microbenchmarks pinning the dense-ID storage perf trajectory.
+//! Hot-path microbenchmarks pinning the per-contact and per-unit inner
+//! loops of the simulation.
 //!
 //! ```text
 //! hotpath [--quick] [--out FILE]
-//! hotpath --check NEW --against BASELINE [--strict]
+//! hotpath --check NEW --against BASELINE
 //!
 //! --quick    fewer samples / smaller op batches (CI smoke mode)
 //! --out      where to write BENCH_hotpath.json
 //!            (default: results/BENCH_hotpath.json)
 //! --check    compare a freshly generated BENCH_hotpath.json against a
-//!            committed baseline: any bench slower by more than 2x is
-//!            reported as a regression. Soft gate by default (exit 0);
-//!            --strict exits 1 on regression.
+//!            committed baseline: any bench slower by more than 2x is a
+//!            regression.
 //! ```
 //!
-//! An unknown flag, a flag missing its file, or `--check` without
-//! `--against` prints the usage lines and exits with status 2.
+//! Exit status (shared by every harness binary, see `dtnflow_bench::cli`):
+//! 0 ok; 1 when `--check` finds a regression; 2 on a usage error (an
+//! unknown flag, a flag missing its file, `--check` without `--against`),
+//! an unwritable `--out`, or a missing or malformed `--check` file.
 //!
 //! Each bench isolates one inner loop that the fig11-class sweeps spend
 //! their time in (§IV-C table maintenance, §IV-D carrier selection):
@@ -37,11 +39,20 @@
 //!   plus the end-of-unit EWMA fold across the landmark matrix.
 //! * `markov_update` — order-1 `MarkovPredictor::observe` on a synthetic
 //!   landmark walk.
+//! * `markov_predict` — `predict` plus `distribution_into` on trained
+//!   order-1 predictors, the questions `on_arrive` and the rank index ask.
+//! * `table_exchange` — the §IV-C.2 vector exchange: `snapshot` and
+//!   `table_size` of a fully-claimed table, as `on_depart` packs it, then
+//!   `receive` into the next landmark's table, as `on_arrive` does.
 //! * `dense_map_churn` — insert/lookup/iterate/remove cycle on the
 //!   `DenseMap` that backs all of the above.
 //! * `snapshot_codec` — decode then re-encode the router, world and obs
 //!   sections of the tiny mid-run checkpoint (the `chaos_tiny13_mid`
-//!   golden's state), so the `--strict` gate covers codec speed.
+//!   golden's state), so the regression gate covers codec speed.
+//!
+//! Each bench carries a `layer` tag: the `per_layer` metric of the
+//! repository's `BENCHMARK.json` whose time its loop models, so a leaf
+//! regression reads against that layer's share of a real run.
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
@@ -49,22 +60,21 @@
 //! carries the measuring host (cores, build profile, git revision).
 
 use dtnflow_bench::chaos::{outage_plan, run_segment, ChaosInputs, SegmentEnd};
-use dtnflow_bench::host::bench_host;
+use dtnflow_bench::cli::{self, Args};
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_core::dense::DenseMap;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::{DeadlineQueue, RankIndex};
 use dtnflow_obs::json::{parse, Value};
-use dtnflow_obs::{BenchHost, Recorder};
+use dtnflow_obs::Recorder;
 use dtnflow_predictor::MarkovPredictor;
-use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable};
+use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable, StoredVector};
 use dtnflow_sim::{FaultPlan, World};
 use dtnflow_snapshot::{Reader, SnapshotFile, Writer};
 use std::hint::black_box;
-use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_hotpath.json`.
-const SCHEMA: &str = "dtnflow-hotpath-bench-v2";
+const SCHEMA: &str = "dtnflow-hotpath-bench-v3";
 /// Landmark-set size for every synthetic workload (campus-scenario scale).
 const NUM_LANDMARKS: usize = 40;
 /// Node count for the carrier-selection scan.
@@ -72,13 +82,53 @@ const NUM_NODES: usize = 200;
 /// A bench is a regression when it is more than this factor slower.
 const REGRESSION_FACTOR: f64 = 2.0;
 
-struct BenchResult {
-    id: &'static str,
-    ns_per_op: f64,
-    ops_per_sec: f64,
-    ops: u64,
-    samples: usize,
-}
+/// `per_layer` metrics of `BENCHMARK.json` that the benches model.
+const ON_ARRIVE: &str = "dtnflow.on_arrive.busy_s";
+const ON_DEPART: &str = "dtnflow.on_depart.busy_s";
+const ON_TIME_UNIT: &str = "dtnflow.on_time_unit.busy_s";
+
+/// Every bench: its id, the `per_layer` metric whose time its loop
+/// models, its op count as a divisor of the mode's base count, and the
+/// function that returns its median ns/op.
+type Bench = (&'static str, &'static str, u64, fn(usize, u64) -> f64);
+
+#[rustfmt::skip]
+const BENCHES: [Bench; 11] = [
+    ("carrier_selection", ON_ARRIVE, 1, bench_carrier_selection),
+    // The arrival's insert half; the departure removes the same keys.
+    (
+        "rank_index_maintenance",
+        ON_ARRIVE,
+        1,
+        bench_rank_index_maintenance,
+    ),
+    ("route_cache_lookup", ON_ARRIVE, 1, bench_route_cache_lookup),
+    (
+        "deadline_queue_cycle",
+        "sim.engine_self_s",
+        1,
+        bench_deadline_queue_cycle,
+    ),
+    (
+        "routing_table_recompute",
+        ON_TIME_UNIT,
+        10,
+        bench_routing_table_recompute,
+    ),
+    ("ewma_fold", ON_TIME_UNIT, 10, bench_ewma_fold),
+    ("markov_update", ON_ARRIVE, 1, bench_markov_update),
+    ("markov_predict", ON_ARRIVE, 1, bench_markov_predict),
+    // Two of its three calls pack the departing node's vector.
+    ("table_exchange", ON_DEPART, 1, bench_table_exchange),
+    // The packet indexes the uplink and downlink move packets between.
+    ("dense_map_churn", ON_ARRIVE, 1, bench_dense_map_churn),
+    (
+        "snapshot_codec",
+        "snapshot.encode_s",
+        20,
+        bench_snapshot_codec,
+    ),
+];
 
 /// Deterministic 64-bit LCG; the benches must not depend on ambient
 /// randomness (detlint D-rules) and do not need statistical quality.
@@ -94,13 +144,9 @@ impl Lcg {
     }
 }
 
-/// Run `op` in `ops`-sized batches `samples` times; report the median.
-fn run_bench(
-    id: &'static str,
-    samples: usize,
-    ops: u64,
-    mut op: impl FnMut(u64) -> u64,
-) -> BenchResult {
+/// Run `op` in `ops`-sized batches `samples` times; return the median
+/// ns/op.
+fn run_bench(samples: usize, ops: u64, mut op: impl FnMut(u64) -> u64) -> f64 {
     let mut per_op_ns: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples {
         let sw = Stopwatch::start();
@@ -112,14 +158,7 @@ fn run_bench(
         per_op_ns.push(sw.elapsed_secs() * 1e9 / ops as f64);
     }
     per_op_ns.sort_by(f64::total_cmp);
-    let ns_per_op = per_op_ns[per_op_ns.len() / 2];
-    BenchResult {
-        id,
-        ns_per_op,
-        ops_per_sec: 1e9 / ns_per_op,
-        ops,
-        samples,
-    }
+    per_op_ns[per_op_ns.len() / 2]
 }
 
 /// Synthetic predictor population for the carrier-selection benches:
@@ -137,29 +176,31 @@ fn trained_predictors() -> Vec<MarkovPredictor> {
     nodes
 }
 
-/// File every node's positive-probability score keys into `rank`
-/// (group 0), the way `FlowRouter::rank_update` does on arrival.
-fn file_all(rank: &mut RankIndex, nodes: &[MarkovPredictor], dist: &mut Vec<(LandmarkId, f64)>) {
+/// The trained population with every node's positive-probability score
+/// keys filed in one rank index (group 0), the way
+/// `FlowRouter::rank_update` files them on arrival.
+fn filed_rank() -> (Vec<MarkovPredictor>, RankIndex) {
+    let nodes = trained_predictors();
+    let mut rank = RankIndex::new(1);
+    let mut dist = Vec::new();
     for (n, pred) in nodes.iter().enumerate() {
-        pred.distribution_into(dist);
+        pred.distribution_into(&mut dist);
         for &(target, p) in dist.iter() {
             if p > 0.0 {
                 rank.insert(0, target.0, p, n as u32);
             }
         }
     }
+    (nodes, rank)
 }
 
 /// §IV-D: pick the best connected carrier for a destination landmark.
 /// Pre-index era this was an argmax scan over every node's predicted
 /// transit probability (~1.15 µs/op at 200 nodes); now it is the head
 /// of the maintained rank list — the committed baseline pins the gap.
-fn bench_carrier_selection(samples: usize, ops: u64) -> BenchResult {
-    let nodes = trained_predictors();
-    let mut rank = RankIndex::new(1);
-    let mut dist = Vec::new();
-    file_all(&mut rank, &nodes, &mut dist);
-    run_bench("carrier_selection", samples, ops, move |i| {
+fn bench_carrier_selection(samples: usize, ops: u64) -> f64 {
+    let (_, rank) = filed_rank();
+    run_bench(samples, ops, move |i| {
         let dst = LandmarkId((i % NUM_LANDMARKS as u64) as u16);
         rank.ranked(0, dst.0)
             .first()
@@ -170,12 +211,10 @@ fn bench_carrier_selection(samples: usize, ops: u64) -> BenchResult {
 /// The cost of keeping the rank index fresh: one depart + arrive cycle
 /// (remove then reinsert a node's score keys), the router's incremental
 /// maintenance work per contact event.
-fn bench_rank_index_maintenance(samples: usize, ops: u64) -> BenchResult {
-    let nodes = trained_predictors();
-    let mut rank = RankIndex::new(1);
+fn bench_rank_index_maintenance(samples: usize, ops: u64) -> f64 {
+    let (nodes, mut rank) = filed_rank();
     let mut dist = Vec::new();
-    file_all(&mut rank, &nodes, &mut dist);
-    run_bench("rank_index_maintenance", samples, ops, move |i| {
+    run_bench(samples, ops, move |i| {
         let n = (i % NUM_NODES as u64) as u32;
         nodes[n as usize].distribution_into(&mut dist);
         for &(target, p) in dist.iter() {
@@ -192,12 +231,9 @@ fn bench_rank_index_maintenance(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
-/// One next-hop decision through the real `FlowRouter` route cache over
-/// a fully-claimed table. Every 256th op flushes the cache (a station
-/// up/down epoch bump) so the measurement keeps the miss path — a full
-/// `choose_next_in` recompute — in the mix.
-fn bench_route_cache_lookup(samples: usize, ops: u64) -> BenchResult {
-    let mut router = FlowRouter::new(FlowConfig::default(), NUM_NODES, NUM_LANDMARKS);
+/// Landmark 0's table with a claim from every neighbor for every
+/// destination, relaxed once.
+fn claimed_table() -> RoutingTable {
     let mut table = RoutingTable::new(LandmarkId(0), NUM_LANDMARKS);
     for from in 1..NUM_LANDMARKS as u16 {
         for dest in 1..NUM_LANDMARKS as u16 {
@@ -207,9 +243,22 @@ fn bench_route_cache_lookup(samples: usize, ops: u64) -> BenchResult {
             }
         }
     }
-    table.recompute(&|lm| 30.0 + f64::from(lm.0) * 5.0);
-    router.bench_install_table(LandmarkId(0), table);
-    run_bench("route_cache_lookup", samples, ops, move |i| {
+    table.recompute(&link_delay);
+    table
+}
+
+fn link_delay(lm: LandmarkId) -> f64 {
+    30.0 + f64::from(lm.0) * 5.0
+}
+
+/// One next-hop decision through the real `FlowRouter` route cache over
+/// a fully-claimed table. Every 256th op flushes the cache (a station
+/// up/down epoch bump) so the measurement keeps the miss path — a full
+/// `choose_next_in` recompute — in the mix.
+fn bench_route_cache_lookup(samples: usize, ops: u64) -> f64 {
+    let mut router = FlowRouter::new(FlowConfig::default(), NUM_NODES, NUM_LANDMARKS);
+    router.bench_install_table(LandmarkId(0), claimed_table());
+    run_bench(samples, ops, move |i| {
         if i % 256 == 0 {
             router.bench_flush_route_cache();
         }
@@ -222,7 +271,7 @@ fn bench_route_cache_lookup(samples: usize, ops: u64) -> BenchResult {
 
 /// Steady-state deadline-queue tick: one push at TTL depth plus a
 /// drain of everything due, the world's per-unit packet-expiry schedule.
-fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> BenchResult {
+fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> f64 {
     // A TTL-deep backlog of in-order deadlines, like multi-day TTLs over
     // 1 s ticks.
     const TTL: u64 = 4_096;
@@ -231,7 +280,7 @@ fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> BenchResult {
         queue.push(t + TTL, t, t);
     }
     let mut tick = 0u64;
-    run_bench("deadline_queue_cycle", samples, ops, move |_| {
+    run_bench(samples, ops, move |_| {
         tick += 1;
         let now = TTL + tick;
         queue.push(now + TTL, TTL + tick, tick);
@@ -245,18 +294,9 @@ fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> BenchResult {
 
 /// §IV-C: one distance-vector relaxation pass over a table whose every
 /// destination has a claim from every neighbor.
-fn bench_routing_table_recompute(samples: usize, ops: u64) -> BenchResult {
-    let mut table = RoutingTable::new(LandmarkId(0), NUM_LANDMARKS);
-    for from in 1..NUM_LANDMARKS as u16 {
-        for dest in 1..NUM_LANDMARKS as u16 {
-            if from != dest {
-                let delay = f64::from(from) * 17.0 + f64::from(dest) * 3.0 + 60.0;
-                table.set_claim(LandmarkId(from), LandmarkId(dest), delay, u64::from(from));
-            }
-        }
-    }
-    let link_delay = |lm: LandmarkId| 30.0 + f64::from(lm.0) * 5.0;
-    run_bench("routing_table_recompute", samples, ops, move |_| {
+fn bench_routing_table_recompute(samples: usize, ops: u64) -> f64 {
+    let mut table = claimed_table();
+    run_bench(samples, ops, move |_| {
         table.recompute(&link_delay);
         table.revision()
     })
@@ -264,10 +304,10 @@ fn bench_routing_table_recompute(samples: usize, ops: u64) -> BenchResult {
 
 /// §IV-C bandwidth estimation: a unit's arrivals plus the end-of-unit
 /// EWMA fold over the full landmark-pair matrix.
-fn bench_ewma_fold(samples: usize, ops: u64) -> BenchResult {
+fn bench_ewma_fold(samples: usize, ops: u64) -> f64 {
     let mut table = BandwidthMatrix::new(NUM_LANDMARKS, 0.3);
     let mut rng = Lcg(0xE3A4_F01D);
-    run_bench("ewma_fold", samples, ops, move |_| {
+    run_bench(samples, ops, move |_| {
         for _ in 0..NUM_LANDMARKS {
             let me = rng.next_lm(NUM_LANDMARKS);
             let from = rng.next_lm(NUM_LANDMARKS);
@@ -279,21 +319,52 @@ fn bench_ewma_fold(samples: usize, ops: u64) -> BenchResult {
 }
 
 /// §IV-B: one order-1 Markov transition-table update per observed visit.
-fn bench_markov_update(samples: usize, ops: u64) -> BenchResult {
+fn bench_markov_update(samples: usize, ops: u64) -> f64 {
     let mut pred = MarkovPredictor::with_landmarks(1, NUM_LANDMARKS);
     let mut rng = Lcg(0x0B5E_77ED);
-    run_bench("markov_update", samples, ops, move |_| {
+    run_bench(samples, ops, move |_| {
         pred.observe(rng.next_lm(NUM_LANDMARKS));
         pred.observations() as u64
     })
 }
 
+/// §IV-B: the transit prediction `on_arrive` makes after observing a
+/// visit, plus the successor distribution the rank index files, across
+/// a population of trained predictors in different contexts.
+fn bench_markov_predict(samples: usize, ops: u64) -> f64 {
+    let nodes = trained_predictors();
+    let mut dist = Vec::new();
+    run_bench(samples, ops, move |i| {
+        let pred = &nodes[(i % NUM_NODES as u64) as usize];
+        let next = pred.predict().map_or(0, |(lm, _)| u64::from(lm.0));
+        pred.distribution_into(&mut dist);
+        next + dist.len() as u64
+    })
+}
+
+/// §IV-C.2: a departing node packs its landmark's distance vector
+/// (`snapshot` + `table_size`, as `on_depart` does) and the next
+/// landmark stores it (`receive`, as `on_arrive` does). The sequence
+/// number rises every op, so each vector is accepted.
+fn bench_table_exchange(samples: usize, ops: u64) -> f64 {
+    let sender = claimed_table();
+    let mut receiver = RoutingTable::new(LandmarkId(1), NUM_LANDMARKS);
+    let mut seq = 0;
+    run_bench(samples, ops, move |_| {
+        seq += 1;
+        let delays = sender.snapshot();
+        let entries = sender.table_size() as u64;
+        receiver.receive(LandmarkId(0), StoredVector { seq, delays });
+        entries + receiver.revision()
+    })
+}
+
 /// The storage primitive itself: insert, point-lookup, ordered iteration,
 /// and removal on a `DenseMap` of landmark-id keys.
-fn bench_dense_map_churn(samples: usize, ops: u64) -> BenchResult {
+fn bench_dense_map_churn(samples: usize, ops: u64) -> f64 {
     let mut map: DenseMap<u16, u64> = DenseMap::new();
     let mut rng = Lcg(0xD15E_0001);
-    run_bench("dense_map_churn", samples, ops, move |i| {
+    run_bench(samples, ops, move |i| {
         let k = rng.next_lm(NUM_LANDMARKS).0;
         map.insert(k, i);
         let mut acc = map.get(k).copied().unwrap_or(0);
@@ -307,7 +378,7 @@ fn bench_dense_map_churn(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
-fn bench_snapshot_codec(samples: usize, ops: u64) -> BenchResult {
+fn bench_snapshot_codec(samples: usize, ops: u64) -> f64 {
     let base = ChaosInputs::tiny(13, FaultPlan::none());
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
     let flow = FlowConfig::with_degradation();
@@ -318,7 +389,7 @@ fn bench_snapshot_codec(samples: usize, ops: u64) -> BenchResult {
     let file = SnapshotFile::parse(&bytes).expect("checkpoint parses");
     let section = |name| Reader::new(&file.section(name).expect("section").payload);
     let (n, l) = (inp.trace.num_nodes(), inp.trace.num_landmarks());
-    run_bench("snapshot_codec", samples, ops, |_| {
+    run_bench(samples, ops, |_| {
         let mut r = section("router");
         let router = FlowRouter::restore_state(&mut r, inp.flow.clone(), n, l);
         let world = World::decode_state(&mut section("world"), inp.cfg.clone(), n, l);
@@ -329,32 +400,6 @@ fn bench_snapshot_codec(samples: usize, ops: u64) -> BenchResult {
         rec.expect("recorder decodes").encode(&mut w);
         w.len() as u64
     })
-}
-
-fn results_json(mode: &str, host: &BenchHost, results: &[BenchResult]) -> String {
-    Value::object([
-        ("schema".to_owned(), Value::str(SCHEMA)),
-        ("mode".to_owned(), Value::str(mode)),
-        ("host".to_owned(), host.to_json_value()),
-        (
-            "benches".to_owned(),
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::object([
-                            ("id".to_owned(), Value::str(r.id)),
-                            ("ns_per_op".to_owned(), Value::Number(r.ns_per_op)),
-                            ("ops_per_sec".to_owned(), Value::Number(r.ops_per_sec)),
-                            ("ops".to_owned(), Value::int(r.ops)),
-                            ("samples".to_owned(), Value::int(r.samples as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
 }
 
 /// Extract `(id, ns_per_op)` pairs from a `BENCH_hotpath.json` document.
@@ -386,13 +431,6 @@ fn load_benches(path: &str) -> Result<Vec<(String, f64)>, String> {
 /// candidate is a hard error, not a pass: a renamed or dropped bench
 /// would otherwise silently unpin its perf trajectory.
 fn check(new_path: &str, base_path: &str) -> Result<usize, String> {
-    if !std::path::Path::new(base_path).exists() {
-        return Err(format!(
-            "baseline `{base_path}` does not exist — the regression gate has \
-             nothing to compare against. Commit one with \
-             `cargo run --release -p dtnflow-bench --bin hotpath -- --out {base_path}`."
-        ));
-    }
     let new = load_benches(new_path)?;
     let base = load_benches(base_path)?;
     let missing: Vec<&str> = base
@@ -424,89 +462,81 @@ fn check(new_path: &str, base_path: &str) -> Result<usize, String> {
     Ok(regressions)
 }
 
-const USAGE: &str = "usage: hotpath [--quick] [--out FILE]\n       hotpath --check NEW --against BASELINE [--strict]";
-
-/// Report a command-line error with the usage lines and exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "usage: hotpath [--quick] [--out FILE]\n       hotpath --check NEW --against BASELINE";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut strict = false;
-    let mut out = PathBuf::from("results/BENCH_hotpath.json");
-    let mut check_new: Option<String> = None;
-    let mut check_base: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        // A flag's value: the next argument, unless it is another flag.
-        let mut file = |flag: &str| match it.next().filter(|v| !v.starts_with("--")) {
-            Some(v) => v.clone(),
-            None => usage_error(&format!("{flag} requires a file argument")),
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--strict" => strict = true,
-            "--out" => out = PathBuf::from(file("--out")),
-            "--check" => check_new = Some(file("--check")),
-            "--against" => check_base = Some(file("--against")),
-            other => usage_error(&format!("unknown argument `{other}`")),
-        }
-    }
+    let mut args = Args::from_env(USAGE);
+    let quick = args.switch("--quick");
+    let out = args.value("--out");
+    let check_new = args.value("--check");
+    let check_base = args.value("--against");
+    let [] = args.finish();
 
-    if let Some(new_path) = check_new {
-        let base_path =
-            check_base.unwrap_or_else(|| usage_error("--check requires --against BASELINE"));
-        match check(&new_path, &base_path) {
+    match (check_new, check_base) {
+        (Some(new_path), Some(base_path)) => match check(&new_path, &base_path) {
             Ok(0) => println!("hotpath check: no regressions > {REGRESSION_FACTOR}x"),
             Ok(n) => {
                 println!("hotpath check: {n} regression(s) > {REGRESSION_FACTOR}x");
-                if strict {
-                    std::process::exit(1);
-                }
-                println!("(soft gate: not failing; pass --strict to enforce)");
+                std::process::exit(1);
             }
             Err(e) => {
                 eprintln!("hotpath check: {e}");
                 std::process::exit(2);
             }
-        }
-        return;
+        },
+        (None, None) => run(quick, out.as_deref()),
+        _ => args.fail("--check and --against go together"),
     }
+}
 
+/// Run every bench and write the report to `out`.
+fn run(quick: bool, out: Option<&str>) {
+    let out = cli::out_file(out.unwrap_or("results/BENCH_hotpath.json"));
     let (samples, ops) = if quick { (3, 2_000) } else { (7, 20_000) };
-    let mode = if quick { "quick" } else { "full" };
-    let results = [
-        bench_carrier_selection(samples, ops),
-        bench_rank_index_maintenance(samples, ops),
-        bench_route_cache_lookup(samples, ops),
-        bench_deadline_queue_cycle(samples, ops),
-        bench_routing_table_recompute(samples, ops / 10),
-        bench_ewma_fold(samples, ops / 10),
-        bench_markov_update(samples, ops),
-        bench_dense_map_churn(samples, ops),
-        bench_snapshot_codec(samples, ops / 20),
-    ];
-    for r in &results {
+    let benches = BENCHES.iter().map(|&(id, layer, ops_div, bench)| {
+        let ops = ops / ops_div;
+        let ns_per_op = bench(samples, ops);
+        let ops_per_sec = 1e9 / ns_per_op;
         println!(
-            "{:<24} {:>12.1} ns/op {:>14.0} ops/s ({} ops x {} samples)",
-            r.id, r.ns_per_op, r.ops_per_sec, r.ops, r.samples
+            "{id:<24} {ns_per_op:>12.1} ns/op {ops_per_sec:>14.0} ops/s \
+             ({ops} ops x {samples} samples)"
         );
-    }
-    let json = results_json(mode, &bench_host(), &results);
-    if let Some(dir) = out.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-        }
-    }
-    match std::fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", out.display());
-            std::process::exit(1);
+        Value::object([
+            ("id".to_owned(), Value::str(id)),
+            ("layer".to_owned(), Value::str(layer)),
+            ("ns_per_op".to_owned(), Value::Number(ns_per_op)),
+            ("ops_per_sec".to_owned(), Value::Number(ops_per_sec)),
+            ("ops".to_owned(), Value::int(ops)),
+            ("samples".to_owned(), Value::int(samples as u64)),
+        ])
+    });
+    let benches = Value::Array(benches.collect());
+    cli::write_bench(&out, SCHEMA, quick, vec![("benches", benches)]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every layer tag names a `per_layer` metric of `BENCHMARK.json`.
+    #[test]
+    fn every_layer_tag_is_a_benchmark_layer() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let text = std::fs::read_to_string(path).expect("BENCHMARK.json is readable");
+        let doc = parse(&text).expect("BENCHMARK.json parses");
+        let layers: Vec<&str> = doc
+            .get("per_layer")
+            .and_then(Value::as_array)
+            .expect("a per_layer array")
+            .iter()
+            .filter_map(|m| m.get("name").and_then(Value::as_str))
+            .collect();
+        for (id, layer, ..) in BENCHES {
+            assert!(
+                layers.contains(&layer),
+                "{id}: `{layer}` is not a per_layer metric"
+            );
         }
     }
 }

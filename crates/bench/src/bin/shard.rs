@@ -9,8 +9,10 @@
 //!          (default: results/BENCH_shard.json)
 //! ```
 //!
-//! An unknown flag or a missing `--out` value prints the usage line and
-//! exits with status 2.
+//! Exit status (shared by every harness binary, see `dtnflow_bench::cli`):
+//! 0 ok; 1 when a sharded run's outputs differ from the sequential run;
+//! 2 on a usage error (an unknown flag, a missing `--out` value) or an
+//! unwritable `--out`.
 //!
 //! For each shard count in {1, 2, 4, 8} the bench runs the fig11 campus
 //! memory cell(s) with DTN-FLOW (the only router whose unit-boundary
@@ -23,26 +25,19 @@
 //! build profile, git revision) so a 1-core CI runner's flat curve
 //! cannot be mistaken for a scaling regression.
 
+use dtnflow_bench::cli::{self, Args};
 use dtnflow_bench::host::bench_host;
 use dtnflow_bench::runners::{run_method, Method};
 use dtnflow_bench::scenarios::Scenario;
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::json::Value;
-use dtnflow_obs::{BenchHost, Recorder, DEFAULT_RING_CAPACITY};
+use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
 use dtnflow_sim::RunSpec;
-use std::path::PathBuf;
 
 /// JSON schema tag for `BENCH_shard.json`.
 const SCHEMA: &str = "dtnflow-shard-bench-v4";
 /// The cores-vs-wall curve's x axis.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct ShardResult {
-    shards: usize,
-    wall_secs: f64,
-    speedup_vs_1: f64,
-    identical: bool,
-}
 
 /// Run every memory point at `shards` shards; returns total wall time
 /// and the concatenated comparable artifacts (metrics row + snapshot
@@ -75,67 +70,12 @@ fn run_curve_point(scenario: &Scenario, memory_kbs: &[u64], shards: usize) -> (f
     (sw.elapsed_secs(), artifacts)
 }
 
-fn results_json(
-    mode: &str,
-    host: &BenchHost,
-    memory_kbs: &[u64],
-    results: &[ShardResult],
-) -> String {
-    Value::object([
-        ("schema".to_owned(), Value::str(SCHEMA)),
-        ("mode".to_owned(), Value::str(mode)),
-        ("host".to_owned(), host.to_json_value()),
-        ("scenario".to_owned(), Value::str("fig11-campus")),
-        ("method".to_owned(), Value::str(Method::Flow.name())),
-        (
-            "memory_kbs".to_owned(),
-            Value::Array(memory_kbs.iter().map(|&kb| Value::int(kb)).collect()),
-        ),
-        (
-            "curve".to_owned(),
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::object([
-                            ("shards".to_owned(), Value::int(r.shards as u64)),
-                            ("wall_secs".to_owned(), Value::Number(r.wall_secs)),
-                            ("speedup_vs_1".to_owned(), Value::Number(r.speedup_vs_1)),
-                            ("identical".to_owned(), Value::Bool(r.identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
-}
-
-const USAGE: &str = "usage: shard [--quick] [--out FILE]";
-
-/// Report a command-line error with the usage line and exit 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out = PathBuf::from("results/BENCH_shard.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            // The file is the next argument, unless that is another flag.
-            "--out" => match it.next().filter(|v| !v.starts_with("--")) {
-                Some(file) => out = PathBuf::from(file),
-                None => usage_error("--out requires a file argument"),
-            },
-            other => usage_error(&format!("unknown argument `{other}`")),
-        }
-    }
+    let mut args = Args::from_env("usage: shard [--quick] [--out FILE]");
+    let quick = args.switch("--quick");
+    let out = args.value("--out");
+    let [] = args.finish();
+    let out = cli::out_file(out.as_deref().unwrap_or("results/BENCH_shard.json"));
 
     let memory_kbs: &[u64] = if quick {
         &[2_000]
@@ -143,14 +83,13 @@ fn main() {
         &[1_200, 2_000, 3_000]
     };
     let mode = if quick { "quick" } else { "full" };
-    let host = bench_host();
     let scenario = Scenario::campus();
     println!(
         "host cores: {}; scenario: fig11-campus ({mode})",
-        host.cores
+        bench_host().cores
     );
 
-    let mut results: Vec<ShardResult> = Vec::new();
+    let mut curve = Vec::new();
     let mut baseline: Option<(f64, String)> = None;
     let mut all_identical = true;
     for shards in SHARD_COUNTS {
@@ -167,27 +106,22 @@ fn main() {
         println!(
             "shards={shards:<2} wall={wall_secs:>7.2}s speedup={speedup:>5.2}x identical={identical}"
         );
-        results.push(ShardResult {
-            shards,
-            wall_secs,
-            speedup_vs_1: speedup,
-            identical,
-        });
+        curve.push(Value::object([
+            ("shards".to_owned(), Value::int(shards as u64)),
+            ("wall_secs".to_owned(), Value::Number(wall_secs)),
+            ("speedup_vs_1".to_owned(), Value::Number(speedup)),
+            ("identical".to_owned(), Value::Bool(identical)),
+        ]));
     }
 
-    let json = results_json(mode, &host, memory_kbs, &results);
-    if let Some(dir) = out.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-        }
-    }
-    match std::fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    let kbs = memory_kbs.iter().map(|&kb| Value::int(kb)).collect();
+    let fields = vec![
+        ("scenario", Value::str("fig11-campus")),
+        ("method", Value::str(Method::Flow.name())),
+        ("memory_kbs", Value::Array(kbs)),
+        ("curve", Value::Array(curve)),
+    ];
+    cli::write_bench(&out, SCHEMA, quick, fields);
     if !all_identical {
         eprintln!("FAIL: sharded outputs differ from the sequential run");
         std::process::exit(1);

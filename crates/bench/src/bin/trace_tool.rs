@@ -12,10 +12,12 @@
 //! a file and reports problems; `predict` evaluates the order-k and
 //! back-off predictors on the trace (the Fig. 6 analysis for your data).
 //!
-//! A missing subcommand or argument, or a flag with a missing or
-//! malformed value, prints the usage lines and exits with status 2;
-//! unreadable or malformed trace files exit 1.
+//! Exit status (shared by every harness binary, see `dtnflow_bench::cli`):
+//! 0 ok; 1 on an unreadable or malformed trace file; 2 on a usage error
+//! (a missing or extra subcommand argument, an unknown flag, a flag with
+//! a missing or malformed value) or an unwritable `--out`.
 
+use dtnflow_bench::cli::{self, Args};
 use dtnflow_core::time::DAY;
 use dtnflow_mobility::synth::bus::{BusConfig, BusModel};
 use dtnflow_mobility::synth::campus::{CampusConfig, CampusModel};
@@ -24,15 +26,10 @@ use dtnflow_mobility::{io, stats, Trace};
 use dtnflow_predictor::{accuracy_five_num, evaluate_fallback, evaluate_order_k};
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  trace-tool gen <campus|bus|deployment> [--seed N] [--out FILE]\n  \
-         trace-tool stats <FILE|campus|bus|deployment>\n  \
-         trace-tool validate <FILE>\n  \
-         trace-tool predict <FILE|campus|bus|deployment> [--max-k K]"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage:\n  trace-tool gen <campus|bus|deployment> [--seed N] [--out FILE]\n  \
+    trace-tool stats <FILE|campus|bus|deployment>\n  \
+    trace-tool validate <FILE>\n  \
+    trace-tool predict <FILE|campus|bus|deployment> [--max-k K]";
 
 fn builtin(name: &str, seed: Option<u64>) -> Option<Trace> {
     match name {
@@ -61,8 +58,8 @@ fn builtin(name: &str, seed: Option<u64>) -> Option<Trace> {
     }
 }
 
-fn load(source: &str, seed: Option<u64>) -> Trace {
-    if let Some(t) = builtin(source, seed) {
+fn load(source: &str) -> Trace {
+    if let Some(t) = builtin(source, None) {
         return t;
     }
     let text = std::fs::read_to_string(source).unwrap_or_else(|e| {
@@ -75,48 +72,23 @@ fn load(source: &str, seed: Option<u64>) -> Trace {
     })
 }
 
-/// The value after `name`, if the flag is given. A flag without a value
-/// (end of line, or another flag next) is a usage error.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{name} requires a value");
-            usage()
-        }
-    }
-}
-
-/// [`flag`] parsed as an integer; a malformed value is a usage error.
-fn int_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    let v = flag(args, name)?;
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("{name} must be an integer, got `{v}`");
-            usage()
-        }
-    }
-}
-
-fn cmd_gen(args: &[String]) {
-    let Some(kind) = args.first() else { usage() };
-    let seed = int_flag(args, "--seed");
-    let out = flag(args, "--out");
-    let Some(trace) = builtin(kind, seed) else {
-        eprintln!("unknown generator `{kind}` (campus|bus|deployment)");
-        exit(2);
+fn cmd_gen(args: &mut Args) {
+    let seed = args.parsed("--seed");
+    let out = args.value("--out");
+    let [kind] = args.finish();
+    let out = out.map(cli::out_file);
+    let Some(trace) = builtin(&kind, seed) else {
+        args.fail(&format!(
+            "unknown generator `{kind}` (campus|bus|deployment)"
+        ));
     };
     let text = io::to_text(&trace);
     match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
+            cli::write(&path, &text);
             eprintln!(
-                "wrote {path}: {} nodes, {} landmarks, {} visits",
+                "wrote {}: {} nodes, {} landmarks, {} visits",
+                path.display(),
                 trace.num_nodes(),
                 trace.num_landmarks(),
                 trace.visits().len()
@@ -126,9 +98,9 @@ fn cmd_gen(args: &[String]) {
     }
 }
 
-fn cmd_stats(args: &[String]) {
-    let Some(source) = args.first() else { usage() };
-    let trace = load(source, None);
+fn cmd_stats(args: &mut Args) {
+    let [source] = args.finish();
+    let trace = load(&source);
     let c = stats::characteristics(&trace);
     println!("trace     {}", c.name);
     println!("nodes     {}", c.nodes);
@@ -167,9 +139,9 @@ fn cmd_stats(args: &[String]) {
     }
 }
 
-fn cmd_validate(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn cmd_validate(args: &mut Args) {
+    let [path] = args.finish();
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
     });
@@ -188,14 +160,13 @@ fn cmd_validate(args: &[String]) {
     }
 }
 
-fn cmd_predict(args: &[String]) {
-    let Some(source) = args.first() else { usage() };
-    let max_k: usize = int_flag(args, "--max-k").unwrap_or(3);
+fn cmd_predict(args: &mut Args) {
+    let max_k: usize = args.parsed("--max-k").unwrap_or(3);
+    let [source] = args.finish();
     if max_k == 0 {
-        eprintln!("--max-k must be at least 1");
-        usage();
+        args.fail("--max-k must be at least 1");
     }
-    let trace = load(source, None);
+    let trace = load(&source);
     println!("order-k Markov predictor accuracy on `{}`:", trace.name());
     for k in 1..=max_k {
         let r = evaluate_order_k(&trace, k);
@@ -216,12 +187,12 @@ fn cmd_predict(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("predict") => cmd_predict(&args[1..]),
-        _ => usage(),
+    let mut args = Args::from_env(USAGE);
+    match args.command().as_deref() {
+        Some("gen") => cmd_gen(&mut args),
+        Some("stats") => cmd_stats(&mut args),
+        Some("validate") => cmd_validate(&mut args),
+        Some("predict") => cmd_predict(&mut args),
+        _ => args.fail("missing or unknown subcommand"),
     }
 }

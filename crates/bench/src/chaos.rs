@@ -15,13 +15,12 @@
 //! Only the DTN-FLOW router is checkpointable (the baselines carry no
 //! snapshot codec), so every chaos case runs [`FlowRouter`].
 
-use crate::runners::Method;
 use crate::scenarios::Scenario;
 use crate::timing::Stopwatch;
 use dtnflow_core::config::SimConfig;
 use dtnflow_mobility::Trace;
 use dtnflow_obs::json::Value;
-use dtnflow_obs::{BenchHost, Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
+use dtnflow_obs::{Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{FlowConfig, FlowRouter};
 use dtnflow_sim::{FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload};
 use dtnflow_snapshot::{
@@ -593,45 +592,27 @@ pub fn sweep(quick: bool, seed: u64) -> Result<Vec<CaseResult>, SnapshotError> {
     Ok(results)
 }
 
-/// Render sweep results as the `BENCH_chaos.json` document, stamped
-/// with the measuring `host`.
-pub fn results_json(
-    mode: &str,
-    host: &BenchHost,
-    method: Method,
-    results: &[CaseResult],
-) -> String {
-    Value::object([
-        ("schema".to_owned(), Value::str(SCHEMA)),
-        ("mode".to_owned(), Value::str(mode)),
-        ("host".to_owned(), host.to_json_value()),
-        ("method".to_owned(), Value::str(method.name())),
-        (
-            "cases".to_owned(),
-            Value::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::object([
-                            ("id".to_owned(), Value::str(&r.id)),
-                            (
-                                "kills".to_owned(),
-                                Value::Array(r.kills.iter().map(|&u| Value::int(u)).collect()),
-                            ),
-                            (
-                                "snapshot_bytes".to_owned(),
-                                Value::Array(
-                                    r.snapshot_bytes.iter().map(|&b| Value::int(b)).collect(),
-                                ),
-                            ),
-                            ("matched".to_owned(), Value::Bool(r.matched)),
-                            ("conservation".to_owned(), Value::Bool(r.conservation)),
-                            ("wall_secs".to_owned(), Value::Number(r.wall_secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
+/// The `cases` array of `BENCH_chaos.json`: one object per sweep case.
+pub fn cases_json(results: &[CaseResult]) -> Value {
+    Value::Array(
+        results
+            .iter()
+            .map(|r| {
+                Value::object([
+                    ("id".to_owned(), Value::str(&r.id)),
+                    (
+                        "kills".to_owned(),
+                        Value::Array(r.kills.iter().map(|&u| Value::int(u)).collect()),
+                    ),
+                    (
+                        "snapshot_bytes".to_owned(),
+                        Value::Array(r.snapshot_bytes.iter().map(|&b| Value::int(b)).collect()),
+                    ),
+                    ("matched".to_owned(), Value::Bool(r.matched)),
+                    ("conservation".to_owned(), Value::Bool(r.conservation)),
+                    ("wall_secs".to_owned(), Value::Number(r.wall_secs)),
+                ])
+            })
+            .collect(),
+    )
 }

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod cli;
 pub mod experiments;
 pub mod host;
 pub mod report;

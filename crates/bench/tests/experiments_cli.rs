@@ -51,3 +51,17 @@ fn no_ids_exits_2_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+#[test]
+fn unwritable_output_dir_exits_2_before_any_work() {
+    // A regular file, under which no output directory can be made.
+    let file = std::env::temp_dir().join(format!("dtnflow-experiments-cli-{}", std::process::id()));
+    std::fs::write(&file, "").expect("temp file");
+    let dir = file.join("out").display().to_string();
+    let out = experiments(&["fig7", "--out", &dir]);
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    assert!(String::from_utf8_lossy(&out.stderr).contains(&dir));
+    // Nothing ran: the experiment header goes to stdout first.
+    assert!(out.stdout.is_empty(), "fig7 started before the check");
+    let _ = std::fs::remove_file(&file);
+}

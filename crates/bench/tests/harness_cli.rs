@@ -1,7 +1,9 @@
 //! Argument handling of the `chaos`, `shard`, `hotpath` and `trace-tool`
-//! binaries: a missing or malformed flag value exits 2 with the usage
-//! line (never a panic). Every invocation here fails in argument parsing,
-//! so none of them runs a sweep, a bench or a trace generator.
+//! binaries: a missing or malformed flag value, an undeclared flag or a
+//! stray argument exits 2 with the usage line (never a panic), and so
+//! does an output that cannot be written. Every invocation here fails
+//! before any work starts, so none of them runs a sweep, a bench or a
+//! trace generator.
 
 use std::process::{Command, Output};
 
@@ -70,7 +72,7 @@ fn hotpath_bad_arguments_exit_2_with_usage() {
             &["--quick", "--out", "--strict"],
             &["--bogus"],
         ],
-        &["--quick", "--out", "--check", "--against", "--strict"],
+        &["--quick", "--out", "--check", "--against"],
     );
 }
 
@@ -85,10 +87,46 @@ fn trace_tool_bad_arguments_exit_2_with_usage() {
             &["gen", "campus", "--out"],
             &["predict", "campus", "--max-k", "two"],
             &["predict", "campus", "--max-k", "0"],
+            &["gen", "campus", "--sed", "5", "--out", "t.txt"],
+            &["gen", "campus", "extra"],
+            &["stats", "campus", "--bogus"],
             &["gen"],
             &["bogus"],
             &[],
         ],
         &["gen", "stats", "validate", "predict", "--seed", "--max-k"],
     );
+}
+
+#[test]
+fn unwritable_outputs_exit_2_before_any_work() {
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_chaos"), &["--quick", "--out"]),
+        (env!("CARGO_BIN_EXE_shard"), &["--quick", "--out"]),
+        (env!("CARGO_BIN_EXE_hotpath"), &["--quick", "--out"]),
+        (
+            env!("CARGO_BIN_EXE_trace-tool"),
+            &["gen", "campus", "--out"],
+        ),
+    ];
+    // A regular file, under which no output directory can be made.
+    let file = std::env::temp_dir().join(format!("dtnflow-harness-cli-{}", std::process::id()));
+    std::fs::write(&file, "").expect("temp file");
+    let path = file.join("out").display().to_string();
+    for (bin, args) in cases {
+        let out = run(bin, &[args, &[path.as_str()]].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {args:?}: {:?}",
+            out.status
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&path),
+            "{bin}: the error does not name {path}"
+        );
+        // Nothing ran: every harness reports its work on stdout.
+        assert!(out.stdout.is_empty(), "{bin} started work");
+    }
+    let _ = std::fs::remove_file(&file);
 }

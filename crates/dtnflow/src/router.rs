@@ -1088,33 +1088,12 @@ impl FlowRouter {
         self.bw.end_of_unit_all();
     }
 
-    /// Refresh §IV-E.4 registrations, reusing each node's buffer. The
-    /// nodes go out in contiguous chunks, one per thread when `exec`
-    /// fans out and there are enough nodes to pay for the spawns, else
-    /// as one chunk run inline. Each chunk pairs a read-only slice of
-    /// node state with the matching registration buffers; per-node
-    /// outputs are independent, so the chunking never shows.
-    fn refresh_registrations(&mut self, exec: &ShardExec) {
-        /// Below this node count the spawn overhead dwarfs the refresh.
-        const PAR_MIN: usize = 256;
-        let n = self.nodes.len();
-        let chunks = if exec.parallel() && n >= PAR_MIN {
-            exec.threads()
-        } else {
-            1
-        };
-        let chunk = n.div_ceil(chunks).max(1);
+    /// Refresh §IV-E.4 registrations, reusing each node's buffer.
+    fn refresh_registrations(&mut self) {
         let top = self.cfg.frequent_landmarks;
-        let parts: Vec<(&[NodeState], &mut [Vec<LandmarkId>])> = self
-            .nodes
-            .chunks(chunk)
-            .zip(self.registrations.chunks_mut(chunk))
-            .collect();
-        exec.map_parts(parts, |_, (nodes, regs)| {
-            for (ns, reg) in nodes.iter().zip(regs.iter_mut()) {
-                ns.history.frequent_landmarks_into(top, reg);
-            }
-        });
+        for (ns, reg) in self.nodes.iter().zip(self.registrations.iter_mut()) {
+            ns.history.frequent_landmarks_into(top, reg);
+        }
     }
 
     fn timer_token(node: NodeId, episode: u64) -> u64 {
@@ -1765,7 +1744,7 @@ impl Router for FlowRouter {
             world.flush_event_buffer(&mut r.events);
         }
 
-        self.refresh_registrations(shards.exec);
+        self.refresh_registrations();
     }
 
     fn on_observe(&mut self, world: &mut World, idx: usize) {

@@ -67,6 +67,18 @@ pub fn to_text(trace: &Trace) -> String {
     out
 }
 
+/// The value of a `nodes`/`landmarks` line: a count that fits the id
+/// type it counts (at most `max`), checked before anything is sized by it.
+fn count(tag: &str, token: Option<&str>, max: u64) -> Result<usize, String> {
+    let n: u64 = token
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("{tag} requires a count"))?;
+    usize::try_from(n)
+        .ok()
+        .filter(|_| n <= max)
+        .ok_or_else(|| format!("{tag} {n} exceeds the id space (at most {max})"))
+}
+
 /// Parse the v1 text format back into a validated [`Trace`].
 pub fn from_text(text: &str) -> Result<Trace, ParseError> {
     let mut lines = text.lines().enumerate();
@@ -108,17 +120,9 @@ pub fn from_text(text: &str) -> Result<Trace, ParseError> {
                     return Err(bad(ln, "name requires a value"));
                 }
             }
-            "nodes" => {
-                nodes = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(ln, "nodes requires a count"))?;
-            }
+            "nodes" => nodes = count(tag, it.next(), u32::MAX.into()).map_err(|w| bad(ln, &w))?,
             "landmarks" => {
-                landmarks = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(ln, "landmarks requires a count"))?;
+                landmarks = count(tag, it.next(), u16::MAX.into()).map_err(|w| bad(ln, &w))?;
             }
             "pos" => {
                 let i: usize = it
@@ -137,25 +141,27 @@ pub fn from_text(text: &str) -> Result<Trace, ParseError> {
             }
             "v" => {
                 let mut next_u64 = || -> Option<u64> { it.next().and_then(|s| s.parse().ok()) };
-                let (n, l, s, e) = (next_u64(), next_u64(), next_u64(), next_u64());
-                match (n, l, s, e) {
-                    (Some(n), Some(l), Some(s), Some(e)) => visits.push(Visit::new(
-                        NodeId::from(n as usize),
-                        LandmarkId::from(l as usize),
-                        SimTime(s),
-                        SimTime(e),
-                    )),
-                    _ => return Err(bad(ln, "v requires: node landmark start end")),
-                }
+                let (Some(n), Some(l), Some(s), Some(e)) =
+                    (next_u64(), next_u64(), next_u64(), next_u64())
+                else {
+                    return Err(bad(ln, "v requires: node landmark start end"));
+                };
+                let node = u32::try_from(n).map_err(|_| bad(ln, "node id exceeds u32"))?;
+                let lm = u16::try_from(l).map_err(|_| bad(ln, "landmark id exceeds u16"))?;
+                visits.push(Visit::new(
+                    NodeId(node),
+                    LandmarkId(lm),
+                    SimTime(s),
+                    SimTime(e),
+                ));
             }
             other => return Err(bad(ln, &format!("unknown tag `{other}`"))),
         }
     }
 
+    // Checked against the lines present: the declared count sizes nothing.
     positions.sort_by_key(|&(i, _)| i);
-    let expect: Vec<usize> = (0..landmarks).collect();
-    let got: Vec<usize> = positions.iter().map(|&(i, _)| i).collect();
-    if got != expect {
+    if positions.len() != landmarks || positions.iter().enumerate().any(|(k, &(i, _))| i != k) {
         return Err(ParseError::Invalid(format!(
             "positions must cover 0..{landmarks} exactly once"
         )));
@@ -227,10 +233,92 @@ mod tests {
         assert!(matches!(from_text(text), Err(ParseError::Invalid(_))));
     }
 
+    /// Ids beyond `NodeId`/`LandmarkId` and counts beyond those id spaces
+    /// are line errors, raised before anything is sized by them (each of
+    /// these panicked or aborted the parser before).
+    #[test]
+    fn out_of_range_ids_and_counts_are_line_errors() {
+        for (body, line) in [
+            ("v 4294967296 0 0 10", 2),
+            ("v 0 65536 0 10", 2),
+            ("landmarks 2305843009213693952", 2),
+            ("landmarks 65536", 2),
+            ("nodes 2305843009213693952\nlandmarks 1\npos 0 0 0", 2),
+            ("nodes 1\nnodes 4294967296\nlandmarks 1\npos 0 0 0", 3),
+        ] {
+            let text = format!("dtn-trace v1\n{body}\n");
+            match from_text(&text) {
+                Err(ParseError::BadLine { line: l, .. }) => assert_eq!(l, line, "{body}"),
+                other => panic!("{body}: expected BadLine, got {other:?}"),
+            }
+        }
+    }
+
+    /// The position check counts the `pos` lines present; a declared
+    /// landmark count with no lines behind it allocates nothing.
+    #[test]
+    fn a_large_landmark_count_without_positions_is_invalid() {
+        let text = "dtn-trace v1\nnodes 1\nlandmarks 65535\npos 0 0 0\n";
+        assert!(matches!(from_text(text), Err(ParseError::Invalid(_))));
+    }
+
     #[test]
     fn rejects_invalid_visits() {
         // end <= start fails trace validation.
         let text = "dtn-trace v1\nname x\nnodes 1\nlandmarks 1\npos 0 0 0\nv 0 0 10 10\n";
         assert!(matches!(from_text(text), Err(ParseError::Invalid(_))));
+    }
+
+    const TAGS: [&str; 5] = ["name", "nodes", "landmarks", "pos", "v"];
+    /// Id-space boundaries (u16, u32, u64), a negative, a non-number and
+    /// an empty token.
+    const TOKENS: [&str; 10] = [
+        "0",
+        "1",
+        "65535",
+        "65536",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "-1",
+        "x",
+        "",
+    ];
+
+    proptest::proptest! {
+        /// Random lines built from the tags and boundary tokens parse to
+        /// `Ok` or `Err`, never a panic. Half the cases start from a valid
+        /// two-landmark skeleton so later lines reach trace validation.
+        #[test]
+        fn random_lines_never_panic(
+            skeleton in 0..2usize,
+            lines in proptest::collection::vec(
+                (0..TAGS.len(), 0..5usize, 0..TOKENS.len(), 0..TOKENS.len(),
+                 0..TOKENS.len(), 0..TOKENS.len()),
+                0..12,
+            ),
+        ) {
+            let mut text = String::from("dtn-trace v1\n");
+            if skeleton == 1 {
+                text.push_str("nodes 2\nlandmarks 2\npos 0 0 0\npos 1 5 5\n");
+            }
+            for (tag, arity, a, b, c, d) in lines {
+                let mut line = TAGS[tag].to_owned();
+                for t in [a, b, c, d].into_iter().take(arity) {
+                    // An in-range node count of billions is a resource
+                    // limit, not a parse error: counts stay at or below
+                    // 2^16 or beyond the id spaces.
+                    let token = match (TAGS[tag], TOKENS[t]) {
+                        ("nodes", "4294967295") => "65536",
+                        (_, token) => token,
+                    };
+                    line.push(' ');
+                    line.push_str(token);
+                }
+                text.push_str(&line);
+                text.push('\n');
+            }
+            let _ = from_text(&text);
+        }
     }
 }

@@ -94,7 +94,7 @@ impl BusConfig {
         }
     }
 
-    /// Tiny configuration for unit tests and Criterion benches.
+    /// Tiny configuration for tests and examples.
     pub fn tiny() -> Self {
         BusConfig {
             buses: 6,

@@ -95,7 +95,7 @@ impl CampusConfig {
         }
     }
 
-    /// Tiny configuration for unit tests and Criterion benches.
+    /// Tiny configuration for tests and examples.
     pub fn tiny() -> Self {
         CampusConfig {
             nodes: 20,
