@@ -1,7 +1,7 @@
 //! Regenerate the DTN-FLOW paper's tables and figures.
 //!
 //! ```text
-//! experiments [IDS...] [--quick] [--obs] [--shards N] [--out DIR] [--list]
+//! experiments [IDS...] [--quick] [--obs] [--out DIR] [--list]
 //!
 //! IDS      experiment ids (table1 fig2 ... deploy ablation sched) or `all`
 //! --quick  shrink parameter sweeps (smoke mode)
@@ -10,9 +10,6 @@
 //!          a BENCH_obs.json timing baseline stamped with the host's
 //!          cores, build profile and the working directory's git
 //!          revision (`-dirty` with uncommitted changes)
-//! --shards run the simulation sweeps (fig11–fig14, resilience) under
-//!          an N-shard runtime (DESIGN.md §13); every output is
-//!          byte-identical to N=1
 //! --out    output directory for .txt/.csv results (default: results)
 //! --list   print the known ids and exit
 //! ```
@@ -51,14 +48,13 @@ fn write_obs_files(out_dir: &Path, id: &str, cells: &[ObsCell]) {
 
 fn main() {
     let mut args = Args::from_env(format!(
-        "usage: experiments [IDS...|all] [--quick] [--obs] [--shards N] [--out DIR] [--list]\n\
+        "usage: experiments [IDS...|all] [--quick] [--obs] [--out DIR] [--list]\n\
          known ids: {}",
         ALL_IDS.join(" ")
     ));
     let opts = ExperimentOpts {
         quick: args.switch("--quick"),
         obs: args.switch("--obs"),
-        shards: args.parsed("--shards").unwrap_or(1),
     };
     let out_dir = args.value("--out");
     let list = args.switch("--list");
@@ -68,9 +64,6 @@ fn main() {
             println!("{id}");
         }
         return;
-    }
-    if opts.shards == 0 {
-        args.fail("--shards requires a positive integer");
     }
     if ids.iter().any(|id| id == "all") {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();

@@ -30,7 +30,8 @@
 //!   one depart + arrive cycle (remove + reinsert a node's score keys).
 //! * `route_cache_lookup` — one next-hop decision through the real
 //!   `FlowRouter` route cache, with a periodic epoch flush so the miss
-//!   path (full `choose_next_in` recompute) stays in the measurement.
+//!   path (full `choose_next_uncached` recompute) stays in the
+//!   measurement.
 //! * `deadline_queue_cycle` — steady-state `DeadlineQueue` push + drain
 //!   tick, the world's packet-expiry schedule at TTL depth.
 //! * `routing_table_recompute` — one `RoutingTable::recompute` pass over
@@ -56,8 +57,11 @@
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
-//! scheduler hiccup cannot move the pinned numbers by much. The output
-//! carries the measuring host (cores, build profile, git revision).
+//! scheduler hiccup cannot move the pinned numbers by much. Full mode,
+//! which writes the committed pin, runs the whole battery three times
+//! and keeps each bench's median pass; `--quick` runs it once. The
+//! output carries the measuring host (cores, build profile, git
+//! revision).
 
 use dtnflow_bench::chaos::{outage_plan, run_segment, ChaosInputs, SegmentEnd};
 use dtnflow_bench::cli::{self, Args};
@@ -81,6 +85,10 @@ const NUM_LANDMARKS: usize = 40;
 const NUM_NODES: usize = 200;
 /// A bench is a regression when it is more than this factor slower.
 const REGRESSION_FACTOR: f64 = 2.0;
+/// Full mode, which writes the committed pin, runs the whole battery
+/// this many times and pins each bench's median pass, so one noisy
+/// moment of the host cannot set the pin.
+const FULL_PASSES: usize = 3;
 
 /// `per_layer` metrics of `BENCHMARK.json` that the benches model.
 const ON_ARRIVE: &str = "dtnflow.on_arrive.busy_s";
@@ -254,7 +262,7 @@ fn link_delay(lm: LandmarkId) -> f64 {
 /// One next-hop decision through the real `FlowRouter` route cache over
 /// a fully-claimed table. Every 256th op flushes the cache (a station
 /// up/down epoch bump) so the measurement keeps the miss path — a full
-/// `choose_next_in` recompute — in the mix.
+/// `choose_next_uncached` recompute — in the mix.
 fn bench_route_cache_lookup(samples: usize, ops: u64) -> f64 {
     let mut router = FlowRouter::new(FlowConfig::default(), NUM_NODES, NUM_LANDMARKS);
     router.bench_install_table(LandmarkId(0), claimed_table());
@@ -490,27 +498,46 @@ fn main() {
     }
 }
 
-/// Run every bench and write the report to `out`.
+/// Run every bench (quick: one pass; full: [`FULL_PASSES`] passes over
+/// the whole battery, each bench's median pass kept) and write the
+/// report to `out`.
 fn run(quick: bool, out: Option<&str>) {
     let out = cli::out_file(out.unwrap_or("results/BENCH_hotpath.json"));
-    let (samples, ops) = if quick { (3, 2_000) } else { (7, 20_000) };
-    let benches = BENCHES.iter().map(|&(id, layer, ops_div, bench)| {
-        let ops = ops / ops_div;
-        let ns_per_op = bench(samples, ops);
-        let ops_per_sec = 1e9 / ns_per_op;
-        println!(
-            "{id:<24} {ns_per_op:>12.1} ns/op {ops_per_sec:>14.0} ops/s \
-             ({ops} ops x {samples} samples)"
-        );
-        Value::object([
-            ("id".to_owned(), Value::str(id)),
-            ("layer".to_owned(), Value::str(layer)),
-            ("ns_per_op".to_owned(), Value::Number(ns_per_op)),
-            ("ops_per_sec".to_owned(), Value::Number(ops_per_sec)),
-            ("ops".to_owned(), Value::int(ops)),
-            ("samples".to_owned(), Value::int(samples as u64)),
-        ])
-    });
+    let (samples, ops, passes) = if quick {
+        (3, 2_000, 1)
+    } else {
+        (7, 20_000, FULL_PASSES)
+    };
+    let mut runs = vec![Vec::with_capacity(passes); BENCHES.len()];
+    for pass in 1..=passes {
+        for (&(id, _, ops_div, bench), runs) in BENCHES.iter().zip(&mut runs) {
+            let ns_per_op = bench(samples, ops / ops_div);
+            println!("pass {pass}/{passes} {id:<24} {ns_per_op:>12.1} ns/op");
+            runs.push(ns_per_op);
+        }
+    }
+    let benches = BENCHES
+        .iter()
+        .zip(runs)
+        .map(|(&(id, layer, ops_div, _), mut runs)| {
+            let ops = ops / ops_div;
+            runs.sort_by(f64::total_cmp);
+            let ns_per_op = runs[runs.len() / 2];
+            let ops_per_sec = 1e9 / ns_per_op;
+            println!(
+                "{id:<24} {ns_per_op:>12.1} ns/op {ops_per_sec:>14.0} ops/s \
+             ({ops} ops x {samples} samples, median of {passes} pass(es))"
+            );
+            Value::object([
+                ("id".to_owned(), Value::str(id)),
+                ("layer".to_owned(), Value::str(layer)),
+                ("ns_per_op".to_owned(), Value::Number(ns_per_op)),
+                ("ops_per_sec".to_owned(), Value::Number(ops_per_sec)),
+                ("ops".to_owned(), Value::int(ops)),
+                ("samples".to_owned(), Value::int(samples as u64)),
+                ("passes".to_owned(), Value::int(passes as u64)),
+            ])
+        });
     let benches = Value::Array(benches.collect());
     cli::write_bench(&out, SCHEMA, quick, vec![("benches", benches)]);
 }

@@ -22,7 +22,7 @@ use dtnflow_mobility::Trace;
 use dtnflow_obs::json::Value;
 use dtnflow_obs::{Recorder, SimEvent, Snapshot, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{FlowConfig, FlowRouter};
-use dtnflow_sim::{FaultConfig, FaultPlan, ShardExec, ShardPlan, SimOutcome, SimSession, Workload};
+use dtnflow_sim::{FaultConfig, FaultPlan, SimOutcome, SimSession, Workload};
 use dtnflow_snapshot::{
     validate_schema, Codec, Reader, SchemaSection, SnapshotBuilder, SnapshotError, SnapshotFile,
     Writer,
@@ -64,12 +64,6 @@ pub struct ChaosInputs {
     pub flow: FlowConfig,
     pub workload: Workload,
     pub plan: FaultPlan,
-    /// Shard count for the DESIGN.md §13 runtime. Deliberately absent
-    /// from the checkpoint meta fingerprint: snapshots are
-    /// shard-count-agnostic, so a run checkpointed under one shard
-    /// count restores under any other byte-identically (the
-    /// `chaos_recovery` suite proves it).
-    pub shards: usize,
 }
 
 impl ChaosInputs {
@@ -89,13 +83,7 @@ impl ChaosInputs {
             flow: FlowConfig::default(),
             workload,
             plan,
-            shards: 1,
         }
-    }
-
-    /// The same inputs under an `n`-shard runtime.
-    pub fn with_shards(self, n: usize) -> ChaosInputs {
-        ChaosInputs { shards: n, ..self }
     }
 
     /// Number of whole time units in the run (kill points live strictly
@@ -155,7 +143,6 @@ impl ChaosInputs {
             flow: FlowConfig::default(),
             workload,
             plan,
-            shards: 1,
         }
     }
 }
@@ -298,7 +285,7 @@ pub enum SegmentEnd {
 /// Restore a parsed checkpoint without simulating: the schema, the run
 /// fingerprint, the router section (placed in `router`), the flight
 /// recorder, then the engine and world sections through
-/// [`SimSession::resume_sharded`]. Returns the paused session and the
+/// [`SimSession::resume`]. Returns the paused session and the
 /// unit the checkpoint was taken at.
 pub fn resume<'a>(
     inp: &ChaosInputs,
@@ -318,7 +305,7 @@ pub fn resume<'a>(
     let rec = Recorder::decode(&mut or)?;
     or.finish("obs")?;
     let (mut er, mut wr) = (section("engine")?, section("world")?);
-    let session = SimSession::resume_sharded(
+    let session = SimSession::resume(
         &inp.trace,
         &inp.cfg,
         &inp.workload,
@@ -327,8 +314,6 @@ pub fn resume<'a>(
         Some(Box::new(rec)),
         &mut er,
         &mut wr,
-        ShardPlan::contiguous(landmarks, inp.shards),
-        ShardExec::new(inp.shards),
     )?;
     er.finish("engine")?;
     wr.finish("world")?;
@@ -352,15 +337,13 @@ pub fn run_segment(
                 inp.trace.num_nodes(),
                 inp.trace.num_landmarks(),
             );
-            SimSession::start_sharded(
+            SimSession::start(
                 &inp.trace,
                 &inp.cfg,
                 &inp.workload,
                 &inp.plan,
                 router.insert(fresh),
                 Some(Box::new(Recorder::new(DEFAULT_RING_CAPACITY))),
-                ShardPlan::contiguous(inp.trace.num_landmarks(), inp.shards),
-                ShardExec::new(inp.shards),
             )
         }
         Some(bytes) => {

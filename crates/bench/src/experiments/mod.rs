@@ -50,8 +50,8 @@ pub const ALL_IDS: &[&str] = &[
     "resilience",
 ];
 
-/// How to run an experiment: the `experiments` binary's `--quick`,
-/// `--obs` and `--shards` flags.
+/// How to run an experiment: the `experiments` binary's `--quick` and
+/// `--obs` flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentOpts {
     /// Shrink sweeps for smoke testing.
@@ -60,17 +60,13 @@ pub struct ExperimentOpts {
     /// (figs. 11–14 and resilience) and return its snapshot. Tables are
     /// byte-identical with tracing on and off.
     pub obs: bool,
-    /// Run the simulation sweeps under this many shards (DESIGN.md §13).
-    /// Tables and snapshots are byte-identical for every value.
-    pub shards: usize,
 }
 
 impl ExperimentOpts {
-    /// Full sweeps, no tracing, one shard.
+    /// Full sweeps, no tracing.
     pub const FULL: ExperimentOpts = ExperimentOpts {
         quick: false,
         obs: false,
-        shards: 1,
     };
 
     /// [`ExperimentOpts::FULL`] with `quick` set.
@@ -79,10 +75,10 @@ impl ExperimentOpts {
         ..ExperimentOpts::FULL
     };
 
-    /// A run over `trace` under `cfg` with these options' shard count,
-    /// and a flight recorder attached when `obs` is set.
+    /// A run over `trace` under `cfg`, with a flight recorder attached
+    /// when `obs` is set.
     pub(crate) fn spec<'a>(&self, trace: &'a Trace, cfg: &'a SimConfig) -> RunSpec<'a> {
-        let spec = RunSpec::new(trace, cfg).shards(self.shards);
+        let spec = RunSpec::new(trace, cfg);
         if self.obs {
             spec.sink(Box::new(Recorder::new(DEFAULT_RING_CAPACITY)))
         } else {
@@ -106,7 +102,7 @@ pub fn run_experiment(id: &str, opts: &ExperimentOpts) -> (Vec<Table>, Vec<ObsCe
     }
 }
 
-/// The experiments that never attach a sink or shard their runs.
+/// The experiments that never attach a sink.
 fn untraced_experiment(id: &str, quick: bool) -> Vec<Table> {
     match id {
         "table1" => trace_analysis::table1(),

@@ -2,7 +2,6 @@
 //! cores, build profile and the measured tree's git revision.
 
 use dtnflow_obs::BenchHost;
-use dtnflow_sim::ShardExec;
 
 /// The working directory's git revision, suffixed `-dirty` when the
 /// tree has uncommitted changes ("unknown" outside a checkout or without
@@ -29,7 +28,7 @@ fn git_revision() -> String {
 /// profile, and the git revision of the working directory.
 pub fn bench_host() -> BenchHost {
     BenchHost {
-        cores: ShardExec::host().threads() as u64,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
         profile: if cfg!(debug_assertions) {
             "debug"
         } else {

@@ -73,8 +73,7 @@ pub struct MethodOutcome {
 
 /// Run one method as `spec` describes. The snapshot is present exactly
 /// when the spec's sink is a [`Recorder`]; a sink never perturbs the
-/// outcome, and neither does the shard count (the `csv_determinism`,
-/// `obs_props` and `shard_differential` suites enforce both).
+/// outcome (the `csv_determinism` and `obs_props` suites enforce it).
 pub fn run_method(spec: RunSpec<'_>, method: Method) -> (MethodOutcome, Option<Snapshot>) {
     let trace = spec.trace();
     let mut router = method.build(trace.num_nodes(), trace.num_landmarks());

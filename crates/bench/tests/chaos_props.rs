@@ -1,10 +1,12 @@
 //! Property tests for the checkpoint/restore layer: arbitrary kill
-//! schedules never perturb outcomes, the container codec is
-//! re-encode-stable, and no corruption pattern is silently accepted.
+//! schedules and mid-unit pause points never perturb outcomes, the
+//! container codec is re-encode-stable, and no corruption pattern is
+//! silently accepted.
 
 use dtnflow_bench::chaos::{run_segment, run_straight, run_with_kills, ChaosInputs, SegmentEnd};
-use dtnflow_sim::FaultPlan;
-use dtnflow_snapshot::{SnapshotBuilder, SnapshotFile};
+use dtnflow_router::FlowRouter;
+use dtnflow_sim::{FaultPlan, SimSession};
+use dtnflow_snapshot::{Reader, SnapshotBuilder, SnapshotFile, Writer};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -29,8 +31,95 @@ fn tiny_snapshot_bytes() -> &'static Vec<u8> {
     })
 }
 
+fn tiny_router(inp: &ChaosInputs) -> FlowRouter {
+    FlowRouter::new(
+        inp.flow.clone(),
+        inp.trace.num_nodes(),
+        inp.trace.num_landmarks(),
+    )
+}
+
+/// A fresh session over `inp` with no observability sink.
+fn start_bare<'a>(inp: &'a ChaosInputs, router: &'a mut FlowRouter) -> SimSession<'a, FlowRouter> {
+    SimSession::start(&inp.trace, &inp.cfg, &inp.workload, &inp.plan, router, None)
+}
+
+/// Outcome state (metrics + packets, canonical debug) of a finished
+/// session without a sink.
+fn bare_state(session: SimSession<'_, FlowRouter>) -> String {
+    let out = session.finish();
+    format!("{:?}\n{:?}", out.metrics, out.packets)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Mid-unit checkpoint property: pause anywhere — after any event
+    /// count — checkpoint, restore, and the finished run matches the
+    /// straight one; the engine cursor itself round-trips
+    /// byte-identically through the restore.
+    #[test]
+    fn mid_unit_checkpoint_restores_byte_identically(
+        seed in 1u64..64,
+        steps in 1usize..600,
+    ) {
+        let inp = ChaosInputs::tiny(seed, FaultPlan::none());
+        let mut straight_router = tiny_router(&inp);
+        let mut straight = start_bare(&inp, &mut straight_router);
+        straight.run_to_end();
+        let want = bare_state(straight);
+
+        let mut router = tiny_router(&inp);
+        let mut session = start_bare(&inp, &mut router);
+        session.step_events(steps);
+        let mut ew = Writer::new();
+        session.encode_engine(&mut ew);
+        let engine_bytes = ew.into_bytes();
+        let mut ww = Writer::new();
+        session.encode_world(&mut ww);
+        let world_bytes = ww.into_bytes();
+        let mut rw = Writer::new();
+        session.router().save_state(&mut rw);
+        let router_bytes = rw.into_bytes();
+        drop(session);
+
+        let mut rr = Reader::new(&router_bytes);
+        let mut restored_router = FlowRouter::restore_state(
+            &mut rr,
+            inp.flow.clone(),
+            inp.trace.num_nodes(),
+            inp.trace.num_landmarks(),
+        ).expect("router restores");
+        rr.finish("router").expect("router bytes consumed");
+        let mut er = Reader::new(&engine_bytes);
+        let mut wr = Reader::new(&world_bytes);
+        let mut resumed = SimSession::resume(
+            &inp.trace,
+            &inp.cfg,
+            &inp.workload,
+            &inp.plan,
+            &mut restored_router,
+            None,
+            &mut er,
+            &mut wr,
+        ).expect("session resumes");
+        er.finish("engine").expect("engine bytes consumed");
+        wr.finish("world").expect("world bytes consumed");
+
+        // Re-encoding the freshly resumed engine reproduces the
+        // checkpointed cursor bytes exactly.
+        let mut ew2 = Writer::new();
+        resumed.encode_engine(&mut ew2);
+        prop_assert_eq!(
+            ew2.into_bytes(), engine_bytes.clone(),
+            "engine cursor did not round-trip (steps={})",
+            steps
+        );
+
+        resumed.run_to_end();
+        let got = bare_state(resumed);
+        prop_assert_eq!(got, want, "mid-unit checkpoint after {} events diverged", steps);
+    }
 
     /// Any ascending kill schedule (repeats allowed — a re-kill of the
     /// freshly restored process) reproduces the uninterrupted run.

@@ -338,7 +338,7 @@ const LOOP_GOLDEN: &[u8] = include_bytes!("goldens/chaos_loops13_mid.snap");
 
 /// The tiny cell under its seed-13 station-outage plan, with graceful
 /// degradation on so retry timers are pending at the checkpoint.
-fn golden_inputs(shards: usize) -> ChaosInputs {
+fn golden_inputs() -> ChaosInputs {
     let base = ChaosInputs::tiny(13, FaultPlan::none());
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
     ChaosInputs {
@@ -346,14 +346,13 @@ fn golden_inputs(shards: usize) -> ChaosInputs {
         flow: FlowConfig::with_degradation(),
         ..base
     }
-    .with_shards(shards)
 }
 
 /// A 2-node / 3-landmark corridor whose l0↔l1 leg runs at twice the
 /// bandwidth of l1↔l2, so a falsified near-zero claim at l0/l1 makes
 /// packets for l2 bounce and real loops form. Every DTN-FLOW extension
 /// is on, the predictor has order 2, and the seed-13 outage plan runs.
-fn loop_inputs(shards: usize) -> ChaosInputs {
+fn loop_inputs() -> ChaosInputs {
     let mut visits = Vec::new();
     let mut stay = |node: u32, lm: u16, start: u64| {
         visits.push(Visit::new(
@@ -402,12 +401,11 @@ fn loop_inputs(shards: usize) -> ChaosInputs {
         flow,
         workload,
         plan,
-        shards,
     }
 }
 
-/// The inputs a golden was taken from, by shard count.
-type GoldenInputs = fn(usize) -> ChaosInputs;
+/// The inputs a golden was taken from.
+type GoldenInputs = fn() -> ChaosInputs;
 
 /// Each committed golden with the inputs it was taken from.
 const GOLDENS: [(&str, &[u8], GoldenInputs); 2] = [
@@ -426,23 +424,21 @@ fn mid_run_snapshot(inp: &ChaosInputs) -> Vec<u8> {
 #[test]
 fn mid_run_snapshot_matches_the_committed_golden() {
     for (name, golden, inputs) in GOLDENS {
-        for shards in [1, 4] {
-            let bytes = mid_run_snapshot(&inputs(shards));
-            let first_diff = bytes.iter().zip(golden).position(|(a, b)| a != b);
-            assert!(
-                bytes == golden,
-                "{name} shards={shards}: snapshot ({} B) drifted from the golden ({} B), \
-                 first differing byte {first_diff:?}",
-                bytes.len(),
-                golden.len()
-            );
-        }
+        let bytes = mid_run_snapshot(&inputs());
+        let first_diff = bytes.iter().zip(golden).position(|(a, b)| a != b);
+        assert!(
+            bytes == golden,
+            "{name}: snapshot ({} B) drifted from the golden ({} B), \
+             first differing byte {first_diff:?}",
+            bytes.len(),
+            golden.len()
+        );
     }
 }
 
 #[test]
 fn loop_golden_holds_corrections_and_order2_counts() {
-    let inp = loop_inputs(1);
+    let inp = loop_inputs();
     let bytes = mid_run_snapshot(&inp);
     let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
     let mut r = Reader::new(&file.section("router").expect("router section").payload);
@@ -464,21 +460,18 @@ fn loop_golden_holds_corrections_and_order2_counts() {
 #[test]
 fn resume_from_the_committed_golden_matches_the_straight_run() {
     for (name, golden, inputs) in GOLDENS {
-        let straight = run_straight(&inputs(1)).expect("straight run");
+        let inp = inputs();
+        let straight = run_straight(&inp).expect("straight run");
         assert!(straight.conservation_holds());
-        for shards in [1, 4] {
-            let art = match run_segment(&inputs(shards), Some(golden), None)
-                .expect("golden snapshot restores")
-            {
-                SegmentEnd::Finished(a) => a,
-                SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
-            };
-            assert!(art.conservation_holds());
-            assert!(
-                art.matches(&straight),
-                "resume from {name} at shards={shards} diverged from the straight run"
-            );
-        }
+        let art = match run_segment(&inp, Some(golden), None).expect("golden snapshot restores") {
+            SegmentEnd::Finished(a) => a,
+            SegmentEnd::Paused(_) => panic!("unkilled resume paused"),
+        };
+        assert!(art.conservation_holds());
+        assert!(
+            art.matches(&straight),
+            "resume from {name} diverged from the straight run"
+        );
     }
 }
 
@@ -498,7 +491,7 @@ fn restore_only(inp: &ChaosInputs, bytes: &[u8]) -> Result<(), SnapshotError> {
 fn sweep_malformed_payloads(stride: usize) {
     const BOUNDARY: [u64; 4] = [0, 1, u32::MAX as u64, u64::MAX];
     for (name, golden, inputs) in GOLDENS {
-        let inp = inputs(1);
+        let inp = inputs();
         let file = SnapshotFile::parse(golden).expect("golden parses");
         for (i, target) in file.sections.iter().enumerate() {
             for at in (0..target.payload.len()).step_by(stride) {

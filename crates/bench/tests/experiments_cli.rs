@@ -22,7 +22,9 @@ fn list_prints_exactly_the_known_ids() {
 
 #[test]
 fn bad_arguments_exit_2_with_usage() {
-    let cases: [&[&str]; 8] = [
+    // `--shards` is an unknown flag, whatever its value.
+    let cases: [&[&str]; 9] = [
+        &["fig2", "--shards", "2"],
         &["fig2", "--shards", "0"],
         &["fig2", "--shards", "x"],
         &["fig2", "--shards", "-3"],
@@ -36,7 +38,7 @@ fn bad_arguments_exit_2_with_usage() {
         let out = experiments(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {:?}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        for flag in ["--quick", "--obs", "--shards", "--out", "--list"] {
+        for flag in ["--quick", "--obs", "--out", "--list"] {
             assert!(
                 stderr.contains(flag),
                 "{args:?}: usage does not name {flag}:\n{stderr}"

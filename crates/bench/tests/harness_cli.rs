@@ -1,4 +1,4 @@
-//! Argument handling of the `chaos`, `shard`, `hotpath` and `trace-tool`
+//! Argument handling of the `chaos`, `hotpath` and `trace-tool`
 //! binaries: a missing or malformed flag value, an undeclared flag or a
 //! stray argument exits 2 with the usage line (never a panic), and so
 //! does an output that cannot be written. Every invocation here fails
@@ -51,15 +51,6 @@ fn chaos_bad_arguments_exit_2_with_usage() {
 }
 
 #[test]
-fn shard_bad_arguments_exit_2_with_usage() {
-    assert_usage_errors(
-        env!("CARGO_BIN_EXE_shard"),
-        &[&["--out"], &["--out", "--quick"], &["--bogus"]],
-        &["--quick", "--out"],
-    );
-}
-
-#[test]
 fn hotpath_bad_arguments_exit_2_with_usage() {
     assert_usage_errors(
         env!("CARGO_BIN_EXE_hotpath"),
@@ -100,9 +91,8 @@ fn trace_tool_bad_arguments_exit_2_with_usage() {
 
 #[test]
 fn unwritable_outputs_exit_2_before_any_work() {
-    let cases: [(&str, &[&str]); 4] = [
+    let cases: [(&str, &[&str]); 3] = [
         (env!("CARGO_BIN_EXE_chaos"), &["--quick", "--out"]),
-        (env!("CARGO_BIN_EXE_shard"), &["--quick", "--out"]),
         (env!("CARGO_BIN_EXE_hotpath"), &["--quick", "--out"]),
         (
             env!("CARGO_BIN_EXE_trace-tool"),

@@ -36,13 +36,12 @@ pub struct Config {
     pub d1_crates: Vec<String>,
     /// Crates whose non-test code must not panic: `P1` scope.
     pub p1_crates: Vec<String>,
-    /// Crates that must stay shard-safe ahead of the parallel engine:
-    /// `C1` (no shared mutable statics, no ad-hoc threading, no
-    /// unordered float reduction) applies to their non-test code.
+    /// Crates that must stay thread-safe in outcome: `C1` (no shared
+    /// mutable statics, no ad-hoc threading, no unordered float
+    /// reduction) applies to their non-test code.
     pub c1_crates: Vec<String>,
-    /// Workspace-relative paths sanctioned to use thread primitives:
-    /// the deterministic shard fan-out itself has to spawn/join
-    /// somewhere. Only the ad-hoc-threading `C1` arms (`thread::*` and
+    /// Workspace-relative paths sanctioned to use thread primitives.
+    /// Only the ad-hoc-threading `C1` arms (`thread::*` and
     /// the channel/pool crates) are exempted there — shared mutable
     /// statics and unordered float reductions still fire even in a
     /// sanctioned file.
@@ -71,9 +70,8 @@ impl Default for Config {
             ]),
             p1_crates: s(&["sim", "dtnflow", "dtnflow-core", "obs", "snapshot", "shard"]),
             // Everything that can touch an experiment outcome, plus the
-            // root package: the sharded engine (ROADMAP item 1) will
-            // fan these crates out across threads, so they must not
-            // accumulate shared-state or order-sensitive float habits.
+            // root package: none of them may accumulate shared-state or
+            // order-sensitive float habits.
             c1_crates: s(&[
                 "dtnflow",
                 "dtnflow-core",
@@ -87,9 +85,11 @@ impl Default for Config {
                 "shard",
                 ".",
             ]),
-            // The one sanctioned spawn/join site (DESIGN.md §13); the
-            // `c1allow` fixtures and the mutation suite prove an ad-hoc
-            // `thread::spawn` anywhere else still fires.
+            // The former shard executor, kept only for the benchmark
+            // adapter (DESIGN.md §13; ROADMAP item 2 removes the entry
+            // with the crate); the `c1allow` fixtures and the mutation
+            // suite prove an ad-hoc `thread::spawn` anywhere else still
+            // fires.
             c1_thread_allow: s(&["crates/shard/src/exec.rs"]),
             enum_bindings: vec![EnumTagBinding {
                 enum_name: "SimEvent".into(),

@@ -21,10 +21,10 @@
 //! | `D2` | ambient nondeterminism: `Instant::now`, `SystemTime::now`, `thread_rng`, `rand::random`/`rand::rng`, `RandomState`, `DefaultHasher` | everywhere |
 //! | `P1` | `unwrap()` / `expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` | non-test simulator & router code (`sim`, `dtnflow`) |
 //! | `P2` | NaN-unsafe `partial_cmp(..).unwrap()` / `.expect(..)` (use `total_cmp`) | everywhere, tests included |
-//! | `S1` | a struct field missing from its snapshot codec (`encode`/`decode`, `save_state`/`restore_state`, `encode_*`/`decode_*` — `*_with` closure codecs exempt): silent restore divergence | non-test code, everywhere |
+//! | `S1` | a struct field missing from its snapshot codec (`encode`/`decode`, `save_state`/`restore_state`, `encode_*`/`decode_*`): silent restore divergence | non-test code, everywhere |
 //! | `X1` | schema drift: `SimEvent` variants ↔ `KIND_TAGS` ↔ `kind_index`/codec/`Display` no longer bijective, or a CSV/JSON writer missing a bound struct's field | config-driven bindings, cross-file |
 //! | `X0` | a half-resolved `X1` binding (type or fn renamed without updating detlint's `Config`): the rule must fail loud, not rot away | wherever a binding partially matches |
-//! | `C1` | parallel-unreadiness ahead of the sharded engine: `static mut` / interior-mutable statics / `thread_local!`, ad-hoc `thread::spawn`/`rayon`/`mpsc`, float `sum`/`product`/`fold` over non-index-ordered iterators | non-test code in outcome-affecting crates + the root package |
+//! | `C1` | parallel-unreadiness: `static mut` / interior-mutable statics / `thread_local!`, ad-hoc `thread::spawn`/`rayon`/`mpsc`, float `sum`/`product`/`fold` over non-index-ordered iterators | non-test code in outcome-affecting crates + the root package |
 //! | `W1` | a stale waiver: its rule no longer fires on its line | everywhere (unwaivable, like `W0`) |
 //!
 //! `assert!`-family macros are deliberately *not* covered by `P1`: they

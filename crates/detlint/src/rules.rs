@@ -288,9 +288,9 @@ fn c1_checks(
                         line,
                         "C1",
                         format!(
-                            "`static mut` is shared mutable state; the sharded engine \
-                             (ROADMAP item 1) needs all {} mutation owned per shard — \
-                             thread state through explicit parameters",
+                            "`static mut` is shared mutable state; all {} mutation must \
+                             be owned by explicit state so no thread interleaving can \
+                             reach an outcome — thread state through explicit parameters",
                             ctx.crate_name
                         ),
                         raw,
@@ -300,7 +300,7 @@ fn c1_checks(
                         line,
                         "C1",
                         format!(
-                            "`static` with interior mutability (`{cell}`) is cross-shard \
+                            "`static` with interior mutability (`{cell}`) is cross-thread \
                              shared state; pass state explicitly or waive with a proof \
                              it never affects outcomes"
                         ),
@@ -313,8 +313,8 @@ fn c1_checks(
             push(
                 line,
                 "C1",
-                "`thread_local!` state diverges across shard layouts; derive per-shard \
-                 state explicitly from the run inputs"
+                "`thread_local!` state diverges across threads; derive state \
+                 explicitly from the run inputs"
                     .into(),
                 raw,
             );
@@ -328,8 +328,8 @@ fn c1_checks(
                     line,
                     "C1",
                     format!(
-                        "`thread::{m}` is ad-hoc threading; parallelism must go through \
-                         the deterministic shard fan-out so event order stays reproducible"
+                        "`thread::{m}` is ad-hoc threading; outcome-affecting code stays \
+                         single-threaded so event order stays reproducible"
                     ),
                     raw,
                 );
@@ -341,7 +341,7 @@ fn c1_checks(
                 "C1",
                 format!(
                     "`{id}` introduces scheduling-order nondeterminism; outcome-affecting \
-                     parallelism must use the deterministic shard merge"
+                     code stays single-threaded"
                 ),
                 raw,
             );
@@ -356,8 +356,9 @@ fn c1_checks(
                 "C1",
                 format!(
                     "float `.{id}()` over a non-index-ordered iterator; float addition is \
-                     not associative, so a sharded split reorders the result — collect \
-                     into an index-ordered Vec first (or waive with an ordering proof)"
+                     not associative, so a reordered reduction changes the result — \
+                     collect into an index-ordered Vec first (or waive with an ordering \
+                     proof)"
                 ),
                 raw,
             );
@@ -372,8 +373,8 @@ fn c1_checks(
                 line,
                 "C1",
                 "float `.fold(..)` over a non-index-ordered iterator; float addition is \
-                 not associative, so a sharded split reorders the result — collect into \
-                 an index-ordered Vec first (or waive with an ordering proof)"
+                 not associative, so a reordered reduction changes the result — collect \
+                 into an index-ordered Vec first (or waive with an ordering proof)"
                     .into(),
                 raw,
             );
@@ -451,15 +452,13 @@ enum Dir {
     Decode,
 }
 
-/// Whether `name` is a codec fn for `dir`. Generic closure-driven
-/// codecs (`encode_with`/`decode_with`) are excluded: their fields
-/// travel through caller-supplied closures, not the fn body.
+/// Whether `name` is a codec fn for `dir`.
 fn is_codec_name(name: &str, dir: Dir) -> bool {
     let (exact, state, prefix) = match dir {
         Dir::Encode => ("encode", "save_state", "encode_"),
         Dir::Decode => ("decode", "restore_state", "decode_"),
     };
-    name == exact || name == state || (name.starts_with(prefix) && !name.ends_with("_with"))
+    name == exact || name == state || name.starts_with(prefix)
 }
 
 /// Codec fns bound to a struct: methods on it (any codec-ish name) plus
@@ -1261,14 +1260,17 @@ mod tests {
             "}\n",
         );
         assert!(scan("crates/dtnflow/src/x.rs", src).is_empty());
-        // Generic closure-driven codecs are exempt (`*_with`).
+        // A closure-driven `*_with` codec is a codec like any other: the
+        // field it never references is reported.
         let dense = concat!(
             "pub struct DenseMap { pub slots: Vec<u32>, pub live: u32 }\n",
             "impl DenseMap {\n",
             "    pub fn encode_with(&self, w: &mut W, f: impl Fn(&T)) { f(&self.slots) }\n",
             "}\n",
         );
-        assert!(scan("crates/dtnflow-core/src/x.rs", dense).is_empty());
+        let d = scan("crates/dtnflow-core/src/x.rs", dense);
+        assert_eq!(rules(&d), vec!["S1"]);
+        assert!(d[0].message.contains("`live`") && d[0].message.contains("encode_with"));
     }
 
     #[test]

@@ -132,9 +132,9 @@ fn s1_fixture_flags_each_missing_codec_direction() {
 }
 
 #[test]
-fn s1_clean_fixture_passes_via_completeness_waiver_and_with_exemption() {
-    // Complete codec, a reasoned S1 waiver on a derived-cache field, a
-    // `*_with` closure codec, and a codec-less struct: all quiet.
+fn s1_clean_fixture_passes_via_completeness_waiver() {
+    // Complete codec, a reasoned S1 waiver on a derived-cache field, and
+    // a codec-less struct: all quiet.
     assert_eq!(check("s1/clean"), Vec::new());
 }
 

@@ -23,21 +23,6 @@ impl Blob {
     }
 }
 
-/// Closure-driven generic codecs are exempt: the element codec is the
-/// caller's business.
-pub struct DenseMap {
-    pub slots: Vec<u64>,
-    pub live: u32,
-}
-
-impl DenseMap {
-    pub fn encode_with(&self, w: &mut Writer, f: impl Fn(&mut Writer, &u64)) {
-        for s in &self.slots {
-            f(w, s);
-        }
-    }
-}
-
 /// No codec at all: S1 has nothing to say.
 pub struct Plain {
     pub a: u32,

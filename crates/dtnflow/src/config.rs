@@ -81,9 +81,9 @@ pub struct DegradationConfig {
     pub max_retries: u32,
     /// Delay, in seconds, between a station recovering and its stranded
     /// packets being re-queued. The retry rides the engine timer queue
-    /// as an ordinary shard-local timer event, so with `0` (the default)
-    /// it fires at the recovery instant and with a positive delay it
-    /// survives checkpoints like any other pending timer.
+    /// as an ordinary timer event, so with `0` (the default) it fires at
+    /// the recovery instant and with a positive delay it survives
+    /// checkpoints like any other pending timer.
     pub retry_delay_secs: u64,
 }
 

@@ -26,10 +26,7 @@ use dtnflow_core::packet::PacketLoc;
 use dtnflow_core::rankidx::{RankEntry, RankIndex};
 use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_predictor::{AccuracyTracker, MarkovPredictor, VisitHistory};
-use dtnflow_sim::{
-    EventBuffer, LossReason, Router, ShardExec, ShardPlan, Sharding, SimEvent, TransferError,
-    World, WorldView,
-};
+use dtnflow_sim::{LossReason, Router, SimEvent, TransferError, World};
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 use std::collections::BTreeSet;
 
@@ -75,7 +72,7 @@ struct NodeState {
     episode: u64,
 }
 
-/// One memoized [`choose_next_in`] result (DESIGN.md §14). Valid while
+/// One memoized [`FlowRouter::choose_next_uncached`] result (DESIGN.md §14). Valid while
 /// the owning table's `computed` stamp and the router-wide
 /// `route_epoch` (bumped on `known_down` changes) both still match the
 /// values the cell was filled under; `computed == u64::MAX` marks a
@@ -133,28 +130,6 @@ struct LandmarkState {
 }
 
 impl LandmarkState {
-    /// A throwaway placeholder for `mem::replace` while a landmark's real
-    /// state is away on a shard worker (DESIGN.md §13). Never observed:
-    /// the commit phase puts the real state back before any other code
-    /// touches the slot.
-    fn vacant() -> LandmarkState {
-        LandmarkState {
-            rt: RoutingTable::new(LandmarkId(0), 1),
-            by_next_hop: DenseMap::new(),
-            by_dst: DenseMap::new(),
-            by_dst_node: DenseMap::new(),
-            pending_corrections: Vec::new(),
-            seen_corrections: BTreeSet::new(),
-            lb_incoming: Vec::new(),
-            lb_outgoing: Vec::new(),
-            overloaded: Vec::new(),
-            unit_seq: 0,
-            route_cache: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-        }
-    }
-
     /// Empty every station bucket, keeping the allocated sets for reuse.
     fn clear_buckets(&mut self) {
         for s in self.by_next_hop.values_mut() {
@@ -190,239 +165,6 @@ impl Default for PktMeta {
     }
 }
 
-/// The §IV-D.3 next-hop choice for a `dst`-bound packet sitting at `lm`:
-/// the routing-table entry, diverted to the backup next hop when the
-/// primary is overloaded (§IV-E.3) or a known-down landmark
-/// (degradation). Returns `(next, expected delay, lb-diverted,
-/// down-fallback)`.
-///
-/// A free function over explicit borrows (rather than a `&self` method)
-/// so shard workers can call it on a taken-out [`LandmarkState`] while
-/// the router itself stays on the engine thread.
-fn choose_next_in(
-    st: &LandmarkState,
-    cfg: &FlowConfig,
-    known_down: &[bool],
-    lm: LandmarkId,
-    dst: LandmarkId,
-) -> (Option<LandmarkId>, f64, bool, bool) {
-    let entry = st.rt.entry(dst);
-    let mut next = entry.next;
-    let mut expected = entry.delay;
-    let mut lb_diverted = false;
-    let mut fellback = false;
-    if let Some(lb) = &cfg.load_balance {
-        if let (Some(nh), Some(bk)) = (next, entry.backup) {
-            if st.overloaded[nh.index()]
-                && !st.overloaded[bk.index()]
-                && entry.backup_delay <= lb.max_detour * entry.delay
-            {
-                next = Some(bk);
-                expected = entry.backup_delay;
-                lb_diverted = true;
-            }
-        }
-    }
-    if cfg.degradation.is_some() {
-        if let Some(nh) = next {
-            if known_down[nh.index()] {
-                if let Some(bk) = entry.backup {
-                    if bk != nh && !known_down[bk.index()] && entry.backup_delay.is_finite() {
-                        next = Some(bk);
-                        expected = entry.backup_delay;
-                        fellback = true;
-                    }
-                }
-            }
-        }
-    }
-    if dst == lm {
-        // A node-addressed packet already at its via landmark: it just
-        // waits for the destination node.
-        next = None;
-        expected = 0.0;
-    }
-    (next, expected, lb_diverted, fellback)
-}
-
-/// [`choose_next_in`] behind the per-destination route cache
-/// (DESIGN.md §14). Sound because every input that can change the
-/// choice is covered by the two stamps: the table entries only move on
-/// `recompute` (the `computed` stamp), `overloaded` only moves at unit
-/// boundaries *before* that unit's recompute (so the same stamp covers
-/// it), and `known_down` only moves with the router-wide `route_epoch`.
-/// Like [`choose_next_in`], a free function so shard workers can run it
-/// against a taken-out [`LandmarkState`].
-fn choose_next_cached(
-    st: &mut LandmarkState,
-    cfg: &FlowConfig,
-    known_down: &[bool],
-    route_epoch: u64,
-    lm: LandmarkId,
-    dst: LandmarkId,
-) -> (Option<LandmarkId>, f64, bool, bool) {
-    let computed = st.rt.computed();
-    let cell = st.route_cache[dst.index()];
-    if cell.computed == computed && cell.epoch == route_epoch {
-        st.cache_hits += 1;
-        return (cell.next, cell.expected, cell.lb_diverted, cell.fellback);
-    }
-    st.cache_misses += 1;
-    let (next, expected, lb_diverted, fellback) = choose_next_in(st, cfg, known_down, lm, dst);
-    st.route_cache[dst.index()] = RouteCacheCell {
-        computed,
-        epoch: route_epoch,
-        next,
-        expected,
-        lb_diverted,
-        fellback,
-    };
-    (next, expected, lb_diverted, fellback)
-}
-
-/// What one shard worker computed for one landmark at a unit boundary
-/// (DESIGN.md §13): the updated state to put back, buffered trace events,
-/// the packet routing stamps, and the fallback-reroute count — all
-/// committed serially in ascending landmark order.
-struct LandmarkUnitResult {
-    l: usize,
-    st: LandmarkState,
-    events: EventBuffer,
-    /// `(packet, next hop, expected delay)` per station packet.
-    stamps: Vec<(PacketId, Option<LandmarkId>, f64)>,
-    fallbacks: u64,
-}
-
-/// The per-landmark §IV-C.1 unit-boundary work, run on a taken-out
-/// [`LandmarkState`]: trace snapshot of the freshly-folded Eq. 4
-/// estimates, staleness decay, correction/load-balance bookkeeping,
-/// routing-table recompute, and the station re-bucketing. Every input
-/// is frozen for the whole boundary:
-///
-/// * `bw` is read-only after the serial `end_of_unit_all` fold;
-/// * the routing stamps are returned rather than written, and a packet
-///   sits at exactly one station, so no other landmark's work touches
-///   its stamp this unit;
-/// * trace events go into the returned buffer, flushed in ascending
-///   landmark order by the commit phase.
-#[allow(clippy::too_many_arguments)] // a worker gets exactly the shared read-only slices
-fn landmark_unit_work(
-    l: usize,
-    mut st: LandmarkState,
-    unit: u64,
-    trace_on: bool,
-    view: &WorldView<'_>,
-    bw: &BandwidthMatrix,
-    cfg: &FlowConfig,
-    known_down: &[bool],
-    route_epoch: u64,
-) -> LandmarkUnitResult {
-    let lm = LandmarkId::from(l);
-    let mut events = EventBuffer::new();
-    // Snapshot the freshly-folded Eq. 4 estimates for the trace; only
-    // links with measured traffic are reported.
-    if trace_on {
-        for j in (0..st.overloaded.len()).map(LandmarkId::from) {
-            let value = bw.incoming(lm, j);
-            if value > 0.0 {
-                let at = view.now();
-                events.record(SimEvent::BandwidthUpdated {
-                    at,
-                    from: j,
-                    to: lm,
-                    value,
-                });
-            }
-        }
-    }
-    // Degradation: age out neighbour vectors that have not been
-    // refreshed (e.g. across a station outage) before the recompute
-    // below re-ranks routes.
-    if let Some(deg) = &cfg.degradation {
-        st.rt
-            .decay_stale(unit, deg.staleness_max_age, deg.staleness_factor);
-    }
-    st.unit_seq = unit;
-    st.seen_corrections.clear();
-    st.pending_corrections
-        .retain(|(born, _)| unit.saturating_sub(*born) <= 1);
-    // Load-balance rates: overloaded when incoming exceeds theta x
-    // outgoing with real pressure behind it.
-    if let Some(lb) = &cfg.load_balance {
-        for h in 0..st.overloaded.len() {
-            st.overloaded[h] = st.lb_incoming[h] >= lb.min_incoming
-                && st.lb_incoming[h] as f64 > lb.theta * st.lb_outgoing[h] as f64;
-        }
-    }
-    st.lb_incoming.iter_mut().for_each(|c| *c = 0);
-    st.lb_outgoing.iter_mut().for_each(|c| *c = 0);
-    st.rt
-        .recompute(&|to| bw.link_delay(lm, to, cfg, view.config()));
-    let mut stamps = Vec::new();
-    let fallbacks = rebucket_station(
-        &mut st,
-        lm,
-        view,
-        cfg,
-        known_down,
-        route_epoch,
-        |pkt, next, expected| stamps.push((pkt, next, expected)),
-    );
-    LandmarkUnitResult {
-        l,
-        st,
-        events,
-        stamps,
-        fallbacks,
-    }
-}
-
-/// Rebuild a station's indices (by next hop, destination and
-/// destination node) from the packets it holds, in ascending packet-id
-/// order, choosing each next hop through the route cache. Every
-/// packet's new `(next hop, expected delay)` goes to `stamp`; returns
-/// the number of down-fallback reroutes. The one rebucket body, run by
-/// the unit boundary on a taken-out [`LandmarkState`] and by the
-/// station-down and retry paths in place.
-fn rebucket_station(
-    st: &mut LandmarkState,
-    lm: LandmarkId,
-    view: &WorldView<'_>,
-    cfg: &FlowConfig,
-    known_down: &[bool],
-    route_epoch: u64,
-    mut stamp: impl FnMut(PacketId, Option<LandmarkId>, f64),
-) -> u64 {
-    st.clear_buckets();
-    let mut fallbacks = 0;
-    for pkt in view.station_packets(lm) {
-        let p = view.packet(pkt);
-        let (next, expected, _, fellback) =
-            choose_next_cached(st, cfg, known_down, route_epoch, lm, p.dst);
-        fallbacks += u64::from(fellback);
-        stamp(pkt, next, expected);
-        st.by_dst.get_or_default(p.dst).insert(pkt);
-        if let Some(nh) = next {
-            st.by_next_hop.get_or_default(nh).insert(pkt);
-        }
-        if let Some(n) = p.dst_node {
-            st.by_dst_node.get_or_default(n).insert(pkt);
-        }
-    }
-    fallbacks
-}
-
-/// Give `pkt` a fresh next hop and expected delay, keeping its retry
-/// count.
-fn restamp(meta: &mut Vec<PktMeta>, pkt: PacketId, next_hop: Option<LandmarkId>, expected: f64) {
-    if meta.len() <= pkt.index() {
-        meta.resize(pkt.index() + 1, PktMeta::default());
-    }
-    let m = &mut meta[pkt.index()];
-    m.next_hop = next_hop;
-    m.expected = expected;
-}
-
 /// Extension-event counters, for tests and diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
@@ -442,8 +184,7 @@ pub struct FlowStats {
 
 /// Timer-token namespace tag for station-recovery retries (see
 /// [`FlowRouter::retry_token`]): retries ride the engine timer queue as
-/// ordinary shard-local timer events, distinguished from dead-end timers
-/// by this bit.
+/// ordinary timer events, distinguished from dead-end timers by this bit.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
 
 /// The DTN-FLOW router.
@@ -670,6 +411,17 @@ impl FlowRouter {
         self.meta[pkt.index()] = m;
     }
 
+    /// Give `pkt` a fresh next hop and expected delay, keeping its retry
+    /// count.
+    fn restamp(&mut self, pkt: PacketId, next_hop: Option<LandmarkId>, expected: f64) {
+        if self.meta.len() <= pkt.index() {
+            self.meta.resize(pkt.index() + 1, PktMeta::default());
+        }
+        let m = &mut self.meta[pkt.index()];
+        m.next_hop = next_hop;
+        m.expected = expected;
+    }
+
     /// File (`insert == true`) or delete (`insert == false`) `node`'s
     /// carrier-rank entries at `lm`: one `(accuracy × transit-prob,
     /// node)` key per positive-probability successor of its current
@@ -711,25 +463,90 @@ impl FlowRouter {
         st.rt.recompute(&|to| bw.link_delay(lm, to, flow, sim));
     }
 
-    /// Choose the next hop for a `dst`-bound packet sitting at `lm`:
-    /// the routing-table entry, diverted to the backup next hop when the
-    /// primary is overloaded (§IV-E.3) or a known-down landmark
+    /// The §IV-D.3 next-hop choice for a `dst`-bound packet sitting at
+    /// `lm`: the routing-table entry, diverted to the backup next hop when
+    /// the primary is overloaded (§IV-E.3) or a known-down landmark
     /// (degradation). Returns `(next, expected delay, lb-diverted,
-    /// down-fallback)`. Served from the per-destination route cache
-    /// between table changes (DESIGN.md §14).
+    /// down-fallback)`.
+    fn choose_next_uncached(
+        &self,
+        lm: LandmarkId,
+        dst: LandmarkId,
+    ) -> (Option<LandmarkId>, f64, bool, bool) {
+        let st = &self.landmarks[lm.index()];
+        let entry = st.rt.entry(dst);
+        let mut next = entry.next;
+        let mut expected = entry.delay;
+        let mut lb_diverted = false;
+        let mut fellback = false;
+        if let Some(lb) = &self.cfg.load_balance {
+            if let (Some(nh), Some(bk)) = (next, entry.backup) {
+                if st.overloaded[nh.index()]
+                    && !st.overloaded[bk.index()]
+                    && entry.backup_delay <= lb.max_detour * entry.delay
+                {
+                    next = Some(bk);
+                    expected = entry.backup_delay;
+                    lb_diverted = true;
+                }
+            }
+        }
+        if self.cfg.degradation.is_some() {
+            if let Some(nh) = next {
+                if self.known_down[nh.index()] {
+                    if let Some(bk) = entry.backup {
+                        if bk != nh
+                            && !self.known_down[bk.index()]
+                            && entry.backup_delay.is_finite()
+                        {
+                            next = Some(bk);
+                            expected = entry.backup_delay;
+                            fellback = true;
+                        }
+                    }
+                }
+            }
+        }
+        if dst == lm {
+            // A node-addressed packet already at its via landmark: it just
+            // waits for the destination node.
+            next = None;
+            expected = 0.0;
+        }
+        (next, expected, lb_diverted, fellback)
+    }
+
+    /// [`FlowRouter::choose_next_uncached`] behind the per-destination
+    /// route cache (DESIGN.md §14). Sound because every input that can
+    /// change the choice is covered by the two stamps: the table entries
+    /// only move on `recompute` (the `computed` stamp), `overloaded` only
+    /// moves at unit boundaries *before* that unit's recompute (so the
+    /// same stamp covers it), and `known_down` only moves with the
+    /// router-wide `route_epoch`.
     fn choose_next(
         &mut self,
         lm: LandmarkId,
         dst: LandmarkId,
     ) -> (Option<LandmarkId>, f64, bool, bool) {
-        choose_next_cached(
-            &mut self.landmarks[lm.index()],
-            &self.cfg,
-            &self.known_down,
-            self.route_epoch,
-            lm,
-            dst,
-        )
+        let epoch = self.route_epoch;
+        let st = &mut self.landmarks[lm.index()];
+        let computed = st.rt.computed();
+        let cell = st.route_cache[dst.index()];
+        if cell.computed == computed && cell.epoch == epoch {
+            st.cache_hits += 1;
+            return (cell.next, cell.expected, cell.lb_diverted, cell.fellback);
+        }
+        st.cache_misses += 1;
+        let (next, expected, lb_diverted, fellback) = self.choose_next_uncached(lm, dst);
+        self.landmarks[lm.index()].route_cache[dst.index()] = RouteCacheCell {
+            computed,
+            epoch,
+            next,
+            expected,
+            lb_diverted,
+            fellback,
+        };
+        (next, expected, lb_diverted, fellback)
     }
 
     /// A packet landed at (or was generated at) station `lm`: choose its
@@ -754,7 +571,7 @@ impl FlowRouter {
         if fellback {
             self.stats.fallback_reroutes += 1;
         }
-        restamp(&mut self.meta, pkt, next, expected);
+        self.restamp(pkt, next, expected);
 
         let st = &mut self.landmarks[lm.index()];
         st.by_dst.get_or_default(dst).insert(pkt);
@@ -832,9 +649,8 @@ impl FlowRouter {
         match world.transfer_to_node(pkt, carrier) {
             Ok(()) => {
                 self.unindex(lm, pkt, dst, world.packet(pkt).dst_node);
-                let st = &mut self.landmarks[lm.index()];
-                st.lb_outgoing[toward.index()] += 1;
-                restamp(&mut self.meta, pkt, Some(toward), expected);
+                self.landmarks[lm.index()].lb_outgoing[toward.index()] += 1;
+                self.restamp(pkt, Some(toward), expected);
                 true
             }
             Err(TransferError::Expired) => {
@@ -1045,47 +861,76 @@ impl FlowRouter {
         }
     }
 
-    /// Rebuild a landmark's station indices after a routing-table refresh.
+    /// Rebuild station `lm`'s indices (by next hop, destination and
+    /// destination node) from the packets it holds, in ascending packet-id
+    /// order: each packet gets a fresh next hop from the route cache, and
+    /// every down-fallback it takes is counted. Run by the unit boundary
+    /// after the table recompute, and by the station-down and retry paths.
     fn rebucket(&mut self, world: &World, lm: LandmarkId) {
-        let meta = &mut self.meta;
-        self.stats.fallback_reroutes += rebucket_station(
-            &mut self.landmarks[lm.index()],
-            lm,
-            &world.view(),
-            &self.cfg,
-            &self.known_down,
-            self.route_epoch,
-            |pkt, next, expected| restamp(meta, pkt, next, expected),
-        );
-    }
-
-    /// The serial start of every unit boundary: scheduled loop injections
-    /// and the flat Eq. 4 bandwidth fold, both before any landmark's
-    /// unit work fans out.
-    fn unit_prelude(&mut self, unit: u64) {
-        self.current_unit = unit;
-
-        // Scheduled loop injections (Table VII experiment). An index walk
-        // instead of a filter/collect: only the (rare) due injections are
-        // cloned, and the common tick clones nothing.
-        for i in 0..self.injections.len() {
-            if self.injections[i].at_unit != unit {
-                continue;
+        self.landmarks[lm.index()].clear_buckets();
+        for pkt in world.station_packets(lm) {
+            let p = world.packet(pkt);
+            let (next, expected, _, fellback) = self.choose_next(lm, p.dst);
+            self.stats.fallback_reroutes += u64::from(fellback);
+            self.restamp(pkt, next, expected);
+            let st = &mut self.landmarks[lm.index()];
+            st.by_dst.get_or_default(p.dst).insert(pkt);
+            if let Some(nh) = next {
+                st.by_next_hop.get_or_default(nh).insert(pkt);
             }
-            let inj = self.injections[i].clone();
-            let k = inj.members.len();
-            for (idx, &m) in inj.members.iter().enumerate() {
-                let next = inj.members[(idx + 1) % k];
-                self.landmarks[m.index()]
-                    .rt
-                    .set_claim(next, inj.dest, 1.0, unit);
+            if let Some(n) = p.dst_node {
+                st.by_dst_node.get_or_default(n).insert(pkt);
             }
         }
+    }
 
-        // One flat Eq. 4 fold over every landmark's incoming links (the
-        // per-landmark folds are independent, so folding them all before
-        // the per-landmark bookkeeping computes identical values).
-        self.bw.end_of_unit_all();
+    /// Landmark `lm`'s own §IV-C.1 unit-boundary work: the trace snapshot
+    /// of its freshly folded Eq. 4 estimates, staleness decay, correction
+    /// and load-balance bookkeeping, the routing-table recompute and the
+    /// station rebucket. It touches only `lm`'s state, the stamps of the
+    /// packets at its station and the fallback count, so running the
+    /// landmarks one after another in ascending order is the whole
+    /// boundary.
+    fn landmark_unit(&mut self, world: &mut World, unit: u64, lm: LandmarkId) {
+        // Only links with measured traffic are reported.
+        if world.trace_enabled() {
+            for j in (0..self.landmarks.len()).map(LandmarkId::from) {
+                let value = self.bw.incoming(lm, j);
+                if value > 0.0 {
+                    world.emit(|at| SimEvent::BandwidthUpdated {
+                        at,
+                        from: j,
+                        to: lm,
+                        value,
+                    });
+                }
+            }
+        }
+        let cfg = &self.cfg;
+        let st = &mut self.landmarks[lm.index()];
+        // Degradation: age out neighbour vectors that have not been
+        // refreshed (e.g. across a station outage) before the recompute
+        // below re-ranks routes.
+        if let Some(deg) = &cfg.degradation {
+            st.rt
+                .decay_stale(unit, deg.staleness_max_age, deg.staleness_factor);
+        }
+        st.unit_seq = unit;
+        st.seen_corrections.clear();
+        st.pending_corrections
+            .retain(|(born, _)| unit.saturating_sub(*born) <= 1);
+        // Load-balance rates: overloaded when incoming exceeds theta x
+        // outgoing with real pressure behind it.
+        if let Some(lb) = &cfg.load_balance {
+            for h in 0..st.overloaded.len() {
+                st.overloaded[h] = st.lb_incoming[h] >= lb.min_incoming
+                    && st.lb_incoming[h] as f64 > lb.theta * st.lb_outgoing[h] as f64;
+            }
+        }
+        st.lb_incoming.iter_mut().for_each(|c| *c = 0);
+        st.lb_outgoing.iter_mut().for_each(|c| *c = 0);
+        self.recompute_tables(lm, world);
+        self.rebucket(world, lm);
     }
 
     /// Refresh §IV-E.4 registrations, reusing each node's buffer.
@@ -1667,83 +1512,34 @@ impl Router for FlowRouter {
         self.station_accept(world, src, pkt, None);
     }
 
+    /// The §IV-C.1 unit boundary: scheduled loop injections and the flat
+    /// Eq. 4 fold over every landmark's incoming links, then each
+    /// landmark's own work in ascending landmark order, then the §IV-E.4
+    /// registration refresh.
     fn on_time_unit(&mut self, world: &mut World, unit: u64) {
-        let plan = ShardPlan::single(self.landmarks.len());
-        let exec = ShardExec::sequential();
-        self.on_time_unit_sharded(world, unit, &Sharding::new(&plan, &exec));
-    }
-
-    /// [`FlowRouter::on_time_unit`] over a shard runtime (DESIGN.md §13):
-    /// compute-parallel, commit-ordered.
-    ///
-    /// The serial prelude (loop injections, the Eq. 4 fold) and every
-    /// commit (state put-back, metadata stamps, stats, trace flush) run on
-    /// the engine thread in ascending landmark order; only the
-    /// independent per-landmark unit work crosses threads, one shard
-    /// group per worker. The sequential hook is this path over one group
-    /// on an inline executor, so every plan runs the same computation —
-    /// pinned by the differential battery in `crates/bench`.
-    fn on_time_unit_sharded(&mut self, world: &mut World, unit: u64, shards: &Sharding<'_>) {
-        self.unit_prelude(unit);
-
-        // Take each shard's landmark states out of the router (groups are
-        // ascending within a shard, so workers walk them in ascending
-        // order).
-        let parts: Vec<Vec<(usize, LandmarkState)>> = shards
-            .plan
-            .groups()
-            .iter()
-            .map(|group| {
-                group
-                    .iter()
-                    .map(|&l| {
-                        (
-                            l,
-                            std::mem::replace(&mut self.landmarks[l], LandmarkState::vacant()),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let trace_on = world.trace_enabled();
-        let view = world.view();
-        let bw = &self.bw;
-        let cfg = &self.cfg;
-        let known_down = &self.known_down;
-        let route_epoch = self.route_epoch;
-        let results = shards.exec.map_parts(parts, |_, group| {
-            group
-                .into_iter()
-                .map(|(l, st)| {
-                    landmark_unit_work(
-                        l,
-                        st,
-                        unit,
-                        trace_on,
-                        &view,
-                        bw,
-                        cfg,
-                        known_down,
-                        route_epoch,
-                    )
-                })
-                .collect::<Vec<LandmarkUnitResult>>()
-        });
-
-        // Commit in ascending landmark order regardless of which shard
-        // computed what (round-robin and adversarial plans interleave).
-        let mut all: Vec<LandmarkUnitResult> = results.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|r| r.l);
-        for mut r in all {
-            self.landmarks[r.l] = r.st;
-            for (pkt, next, expected) in r.stamps {
-                restamp(&mut self.meta, pkt, next, expected);
+        self.current_unit = unit;
+        // Scheduled loop injections (Table VII experiment). An index walk
+        // instead of a filter/collect: only the (rare) due injections are
+        // cloned, and the common tick clones nothing.
+        for i in 0..self.injections.len() {
+            if self.injections[i].at_unit != unit {
+                continue;
             }
-            self.stats.fallback_reroutes += r.fallbacks;
-            world.flush_event_buffer(&mut r.events);
+            let inj = self.injections[i].clone();
+            let k = inj.members.len();
+            for (idx, &m) in inj.members.iter().enumerate() {
+                let next = inj.members[(idx + 1) % k];
+                self.landmarks[m.index()]
+                    .rt
+                    .set_claim(next, inj.dest, 1.0, unit);
+            }
         }
-
+        // The per-landmark folds are independent, so folding them all
+        // before any landmark's bookkeeping computes identical values.
+        self.bw.end_of_unit_all();
+        for lm in (0..self.landmarks.len()).map(LandmarkId::from) {
+            self.landmark_unit(world, unit, lm);
+        }
         self.refresh_registrations();
     }
 
@@ -1867,10 +1663,10 @@ impl Router for FlowRouter {
             return;
         };
         // Recompute routes with the landmark available again, then hand
-        // the stranded-packet scan to the timer queue: the retry fires
-        // as an ordinary shard-local timer event — immediately with the
-        // default zero delay, or after the configured grace period (in
-        // which case it survives checkpoints like any pending timer).
+        // the stranded-packet scan to the timer queue: the retry fires as
+        // an ordinary timer event — immediately with the default zero
+        // delay, or after the configured grace period (in which case it
+        // survives checkpoints like any pending timer).
         self.recompute_tables(lm, world);
         let at = world.now() + SimDuration::from_secs(deg.retry_delay_secs);
         world.schedule_timer(at, Self::retry_token(lm));
@@ -2043,88 +1839,6 @@ mod tests {
         let (next, _, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
         assert_eq!(next, Some(LandmarkId(1)));
         assert!(!fellback);
-    }
-
-    #[test]
-    fn sharded_unit_boundaries_match_sequential_exactly() {
-        // The compute-parallel unit boundary must reproduce the sequential
-        // run bit-for-bit: metrics, packet states, extension counters,
-        // routing tables AND the full trace-event stream — under balanced,
-        // striped and adversarial partitions, with the extension features
-        // (load balance, degradation) switched on.
-        use dtnflow_core::ids::PacketId;
-        use dtnflow_sim::{
-            FaultPlan, Recorder, RunSpec, ShardExec, ShardPlan, SimSession, Workload,
-        };
-        let trace = corridor_trace(16);
-        let cfg = corridor_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        for flow in [FlowConfig::default(), FlowConfig::with_degradation()] {
-            let mut base_router = FlowRouter::new(flow.clone(), 2, 3);
-            let base = RunSpec::new(&trace, &cfg)
-                .workload(&workload)
-                .sink(Box::new(Recorder::new(1 << 14)))
-                .run(&mut base_router);
-            let base_rec = Recorder::downcast(base.trace.unwrap()).unwrap();
-            let base_events: Vec<_> = base_rec.events().cloned().collect();
-            let plans = [
-                ShardPlan::contiguous(3, 2),
-                ShardPlan::round_robin(3, 3),
-                // Adversarial: everything on one shard of eight.
-                ShardPlan::from_assignment(vec![7, 7, 7], 8).unwrap(),
-            ];
-            for plan in plans {
-                let threads = plan.num_shards();
-                let mut router = FlowRouter::new(flow.clone(), 2, 3);
-                let mut session = SimSession::start_sharded(
-                    &trace,
-                    &cfg,
-                    &workload,
-                    &FaultPlan::none(),
-                    &mut router,
-                    Some(Box::new(Recorder::new(1 << 14))),
-                    plan.clone(),
-                    ShardExec::new(threads),
-                );
-                session.run_to_end();
-                let out = session.finish();
-                assert_eq!(
-                    format!("{:?}", out.metrics),
-                    format!("{:?}", base.metrics),
-                    "metrics diverged under {plan:?}"
-                );
-                assert_eq!(
-                    format!("{:?}", out.packets),
-                    format!("{:?}", base.packets),
-                    "packets diverged under {plan:?}"
-                );
-                assert_eq!(
-                    router.stats(),
-                    base_router.stats(),
-                    "stats diverged under {plan:?}"
-                );
-                for l in 0..3 {
-                    let lm = LandmarkId::from(l);
-                    assert_eq!(
-                        format!("{:?}", router.routing_rows(lm)),
-                        format!("{:?}", base_router.routing_rows(lm)),
-                        "routing table {l} diverged under {plan:?}"
-                    );
-                }
-                let rec = Recorder::downcast(out.trace.unwrap()).unwrap();
-                let events: Vec<_> = rec.events().cloned().collect();
-                assert_eq!(events, base_events, "trace diverged under {plan:?}");
-                // Packet metadata stamps must agree too.
-                for i in 0..base.packets.len() {
-                    let pkt = PacketId::from(i);
-                    assert_eq!(
-                        router.stamped_next_hop(pkt),
-                        base_router.stamped_next_hop(pkt),
-                        "meta diverged for packet {i} under {plan:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -83,17 +83,6 @@ impl Default for BusConfig {
 }
 
 impl BusConfig {
-    /// Paper-scale parameters (DNET: 34 buses, 18 landmarks, 26 days).
-    pub fn paper_scale() -> Self {
-        BusConfig {
-            buses: 34,
-            stops: 17,
-            routes: 8,
-            days: 26,
-            ..BusConfig::default()
-        }
-    }
-
     /// Tiny configuration for tests and examples.
     pub fn tiny() -> Self {
         BusConfig {

@@ -81,20 +81,6 @@ impl Default for CampusConfig {
 }
 
 impl CampusConfig {
-    /// Paper-scale parameters (DART: 320 nodes, 159 landmarks, ~119 days).
-    /// Slow; the sweeps use [`CampusConfig::default`].
-    pub fn paper_scale() -> Self {
-        CampusConfig {
-            nodes: 320,
-            landmarks: 159,
-            departments: 16,
-            dorms: 30,
-            dining: 5,
-            days: 119,
-            ..CampusConfig::default()
-        }
-    }
-
     /// Tiny configuration for tests and examples.
     pub fn tiny() -> Self {
         CampusConfig {

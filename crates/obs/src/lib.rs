@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod buffer;
 pub mod event;
 pub mod json;
 pub mod metrics;
@@ -29,7 +28,6 @@ pub mod schema;
 pub mod sink;
 pub mod snapshot;
 
-pub use buffer::EventBuffer;
 pub use event::{LossKind, Place, SimEvent};
 pub use metrics::{LandmarkCounters, ObsMetrics, Totals, DELAY_BUCKET_EDGES_SECS};
 pub use sink::{NoopSink, Recorder, TraceSink, DEFAULT_RING_CAPACITY};

@@ -1,22 +1,19 @@
-//! Deterministic sharding runtime (DESIGN.md §13).
+//! The former shard runtime (DESIGN.md §13).
 //!
-//! The sharded engine follows a *compute-parallel, commit-ordered* model:
-//! shards compute independently within a time unit and their effects are
-//! committed in a fixed order (ascending shard, ascending entity id), so
-//! every output byte is identical for any shard count. This crate holds
-//! the two pieces that model needs:
+//! The engine runs single-threaded: no code in the workspace fans work
+//! out over these types any more. The crate stays only because the
+//! benchmark adapter in `perfbench/` still calls
+//! [`ShardPlan::contiguous`], [`ShardExec::new`] and, through
+//! `dtnflow_sim`, `SimSession::start_sharded` and the trait default
+//! `Router::on_time_unit_sharded`, which ignores the runtime. ROADMAP
+//! item 1(b) moves the adapter off these names; item 2 then deletes
+//! this crate.
 //!
 //! * [`ShardPlan`] — a validated partition of landmark indexes into
-//!   shards (contiguous, round-robin, or arbitrary maps for adversarial
-//!   tests);
-//! * [`ShardExec`] — the **one sanctioned spawn/join site** in the
-//!   workspace (detlint C1 allowlists exactly `src/exec.rs`): a scoped
-//!   fan-out whose results are consumed in part order, never in
-//!   completion order.
-//!
-//! Nothing here may influence *what* is computed — only *where*. The
-//! differential test battery in `crates/bench` holds that line by
-//! byte-comparing every artifact across shard counts.
+//!   shards (contiguous, round-robin, or arbitrary maps);
+//! * [`ShardExec`] — a scoped fork/join executor whose results come back
+//!   in part order; `src/exec.rs` is the one file detlint C1 allowlists
+//!   for thread primitives.
 
 #![forbid(unsafe_code)]
 // Non-test code in this crate must not unwrap/expect (detlint P1);

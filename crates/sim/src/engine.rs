@@ -73,21 +73,18 @@ struct Event {
 ///
 /// * workload — the uniform one ([`Workload::uniform`]);
 /// * fault plan — none ([`FaultPlan::none`]);
-/// * sink — none;
-/// * shards — 1.
+/// * sink — none.
 ///
 /// `RunSpec::new(&trace, &cfg).run(&mut router)` is the common case; each
-/// builder method overrides one default. A sink is observation-only and
-/// the shard count a throughput knob: neither changes the outcome (the
-/// `csv_determinism`, obs proptests and `shard_differential` suites
-/// enforce both).
+/// builder method overrides one default. A sink is observation-only: it
+/// never changes the outcome (the `csv_determinism` and obs proptest
+/// suites enforce it).
 pub struct RunSpec<'a> {
     trace: &'a Trace,
     cfg: &'a SimConfig,
     workload: Option<&'a Workload>,
     faults: Option<&'a FaultPlan>,
     sink: Option<Box<dyn TraceSink>>,
-    shards: usize,
 }
 
 impl<'a> RunSpec<'a> {
@@ -99,7 +96,6 @@ impl<'a> RunSpec<'a> {
             workload: None,
             faults: None,
             sink: None,
-            shards: 1,
         }
     }
 
@@ -123,19 +119,12 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Run under `shards` balanced contiguous shards, one worker thread
-    /// per shard (DESIGN.md §13).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// The trace this spec replays.
     pub fn trace(&self) -> &'a Trace {
         self.trace
     }
 
-    /// Run `router` to the end: [`SimSession::start_sharded`] +
+    /// Run `router` to the end: [`SimSession::start`] +
     /// [`SimSession::run_to_end`] + [`SimSession::finish`].
     pub fn run<R: Router + ?Sized>(self, router: &mut R) -> SimOutcome {
         let (trace, cfg) = (self.trace, self.cfg);
@@ -149,16 +138,7 @@ impl<'a> RunSpec<'a> {
         };
         let none = FaultPlan::none();
         let plan = self.faults.unwrap_or(&none);
-        let mut session = SimSession::start_sharded(
-            trace,
-            cfg,
-            workload,
-            plan,
-            router,
-            self.sink,
-            ShardPlan::contiguous(trace.num_landmarks(), self.shards),
-            ShardExec::new(self.shards),
-        );
+        let mut session = SimSession::start(trace, cfg, workload, plan, router, self.sink);
         session.run_to_end();
         session.finish()
     }
@@ -278,7 +258,7 @@ pub struct SimSession<'a, R: Router + ?Sized> {
     // detlint: allow(S1, reason = "pure function of (trace, cfg, workload, plan); rebuilt by resume(), only the cursor is checkpointed")
     events: Vec<Event>,
     next_static: usize,
-    // detlint: allow(S1, reason = "run input, not state: the shard plan never affects outcomes, and resume() may use a different one")
+    // detlint: allow(S1, reason = "run input, not state: the shard plan never affects outcomes, and resume() always runs one shard")
     plan: ShardPlan,
     // detlint: allow(S1, reason = "run input, not state: a throughput knob, never a semantic one")
     exec: ShardExec,
@@ -334,9 +314,12 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         )
     }
 
-    /// [`SimSession::start`] under a shard runtime. The plan and executor
-    /// steer *where* work happens, never what it computes — outcomes are
-    /// byte-identical to [`SimSession::start`] for any plan.
+    /// [`SimSession::start`] under a shard runtime, which the engine only
+    /// hands to [`Router::on_time_unit_sharded`]. No router in the
+    /// workspace uses the runtime, so outcomes are those of
+    /// [`SimSession::start`]. This constructor stays because the
+    /// benchmark adapter still calls it; ROADMAP items 1(b) and 2 delete
+    /// it with the rest of the shard runtime (DESIGN.md §13).
     #[allow(clippy::too_many_arguments)] // mirrors `start` plus the shard runtime
     pub fn start_sharded(
         trace: &Trace,
@@ -424,8 +407,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
     /// Unlike [`SimSession::run_to_unit`], the pause point may fall
     /// anywhere inside a unit: the engine cursor, world and router
     /// codecs are all consistent between any two events, so mid-unit
-    /// checkpoints restore byte-identically under any shard count (the
-    /// shard_props battery fuzzes this).
+    /// checkpoints restore byte-identically (the `chaos_props` suite
+    /// fuzzes this).
     pub fn step_events(&mut self, n: usize) -> bool {
         matches!(self.run_core(u64::MAX, Some(n)), RunStop::Budget)
     }
@@ -582,11 +565,10 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     // ---- checkpoint / restore (DESIGN.md §11) ----------------------------
 
-    /// Encode the engine cursor: static-event index (the schedule is the
-    /// same for every shard plan, so the value is shard-count-agnostic),
-    /// timer sequence counter, and the pending timers (ascending, so the
-    /// encoding is canonical — and byte-identical to the format the old
-    /// binary heap produced).
+    /// Encode the engine cursor: static-event index, timer sequence
+    /// counter, and the pending timers (ascending, so the encoding is
+    /// canonical — and byte-identical to the format the old binary heap
+    /// produced).
     pub fn encode_engine(&self, w: &mut Writer) {
         self.next_static.encode(w);
         self.timer_seq.encode(w);
@@ -636,45 +618,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         engine: &mut Reader<'_>,
         world: &mut Reader<'_>,
     ) -> Result<SimSession<'a, R>, SnapshotError> {
-        let shard_plan = ShardPlan::single(trace.num_landmarks());
-        Self::resume_sharded(
-            trace,
-            cfg,
-            workload,
-            plan,
-            router,
-            sink,
-            engine,
-            world,
-            shard_plan,
-            ShardExec::sequential(),
-        )
-    }
-
-    /// [`SimSession::resume`] under a shard runtime. Snapshots are
-    /// shard-count-agnostic: the checkpoint cursor indexes the one sorted
-    /// schedule, which no shard plan reorders, so a run checkpointed
-    /// under one plan restores under any other — the chaos interop tests
-    /// cross 1-shard checkpoints with 8-shard restores and vice versa.
-    #[allow(clippy::too_many_arguments)] // mirrors `start_sharded` plus the two state readers
-    pub fn resume_sharded(
-        trace: &Trace,
-        cfg: &SimConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        router: &'a mut R,
-        sink: Option<Box<dyn TraceSink>>,
-        engine: &mut Reader<'_>,
-        world: &mut Reader<'_>,
-        shard_plan: ShardPlan,
-        exec: ShardExec,
-    ) -> Result<SimSession<'a, R>, SnapshotError> {
         plan.check_against(trace);
-        debug_assert_eq!(
-            shard_plan.num_landmarks(),
-            trace.num_landmarks(),
-            "shard plan must partition exactly the trace's landmarks"
-        );
         let events = build_static_events(trace, cfg, workload, plan);
         let next_static: usize = Codec::decode(engine)?;
         if next_static > events.len() {
@@ -697,8 +641,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             world: restored,
             events,
             next_static,
-            plan: shard_plan,
-            exec,
+            plan: ShardPlan::single(trace.num_landmarks()),
+            exec: ShardExec::sequential(),
             timers,
             timer_seq,
             record_lost: build_record_lost(trace, plan),
@@ -963,42 +907,6 @@ mod tests {
         assert!(out.metrics.expired > 0);
     }
 
-    #[test]
-    fn sharded_run_matches_sequential() {
-        let trace = shuttle_trace();
-        let cfg = small_cfg();
-        let base = RunSpec::new(&trace, &cfg).run(&mut DirectRouter);
-        for shards in [2, 4, 8] {
-            let out = RunSpec::new(&trace, &cfg)
-                .shards(shards)
-                .run(&mut DirectRouter);
-            assert_eq!(out.metrics.delivered, base.metrics.delivered);
-            assert_eq!(out.metrics.generated, base.metrics.generated);
-            assert_eq!(out.metrics.forwarding_ops, base.metrics.forwarding_ops);
-            assert_eq!(out.packets.len(), base.packets.len());
-            for (a, b) in out.packets.iter().zip(base.packets.iter()) {
-                assert_eq!(a.loc, b.loc);
-                assert_eq!(a.hops, b.hops);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_hook_log_matches_sequential() {
-        // The full hook stream — arrivals, departures, encounters, units,
-        // timers, observations — must be identical under any plan.
-        let trace = shuttle_trace();
-        let mut cfg = small_cfg();
-        cfg.observe_points = 2;
-        let mut base = RecorderRouter::default();
-        let _ = RunSpec::new(&trace, &cfg).run(&mut base);
-        for shards in [2, 4] {
-            let mut r = RecorderRouter::default();
-            let _ = RunSpec::new(&trace, &cfg).shards(shards).run(&mut r);
-            assert_eq!(r.log, base.log, "shards={shards}");
-        }
-    }
-
     /// A dense multi-landmark trace: `nodes` mobile nodes, 4 landmarks,
     /// node `i` shuttling to landmark `i % 4` on a staggered daily
     /// schedule, so arrivals and departures at different landmarks
@@ -1038,6 +946,8 @@ mod tests {
     fn step_events_pauses_and_resumes_anywhere() {
         // Drip-feed the run a few events at a time; the hook stream must
         // equal an uninterrupted run regardless of where pauses land.
+        // Driven through `start_sharded`, the entry point the benchmark
+        // adapter calls, so the workspace still covers it.
         let trace = dense_trace(8);
         let cfg = small_cfg();
         let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());

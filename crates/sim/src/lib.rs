@@ -14,9 +14,9 @@
 //! * [`faults`] — seeded fault plans (outages, churn, truncation,
 //!   record loss) for resilience experiments;
 //! * [`engine`] — the event loop: [`RunSpec`] names one run's inputs
-//!   (trace and config, plus an optional workload, fault plan, sink and
-//!   shard count) and [`RunSpec::run`] drives it to the end;
-//!   [`SimSession`] is the same loop with pause, checkpoint and resume.
+//!   (trace and config, plus an optional workload, fault plan and sink)
+//!   and [`RunSpec::run`] drives it to the end; [`SimSession`] is the
+//!   same loop with pause, checkpoint and resume.
 //!
 //! Observability (DESIGN.md §9): attach a [`dtnflow_obs::TraceSink`] via
 //! [`RunSpec::sink`] and the world emits structured
@@ -40,13 +40,14 @@ pub use faults::{FaultConfig, FaultPlan, NodeOutage, StationOutage};
 pub use router::Router;
 pub use store::PacketStore;
 pub use workload::Workload;
-pub use world::{LossReason, TransferError, TransferOutcome, World, WorldError, WorldView};
+pub use world::{LossReason, TransferError, TransferOutcome, World, WorldError};
 
 // Re-export the observability vocabulary so downstream crates can attach
 // sinks without a direct dtnflow-obs dependency.
-pub use dtnflow_obs::{EventBuffer, NoopSink, Recorder, SimEvent, TraceSink};
+pub use dtnflow_obs::{NoopSink, Recorder, SimEvent, TraceSink};
 
-// Re-export the shard runtime vocabulary (DESIGN.md §13) so routers and
-// harnesses can build plans/executors without a direct dtnflow-shard
-// dependency.
-pub use dtnflow_shard::{ShardExec, ShardPlan, ShardPlanError, Sharding};
+// The shard runtime stays re-exported only because the benchmark
+// adapter still builds a `ShardPlan` and `ShardExec` for
+// `SimSession::start_sharded` and wraps `Router::on_time_unit_sharded`
+// (DESIGN.md §13); ROADMAP items 1(b) and 2 delete them together.
+pub use dtnflow_shard::{ShardExec, ShardPlan, Sharding};

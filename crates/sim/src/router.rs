@@ -59,15 +59,12 @@ pub trait Router {
         let _ = (world, unit);
     }
 
-    /// [`Router::on_time_unit`] under a shard runtime (DESIGN.md §13).
-    ///
-    /// The default ignores the runtime and delegates to `on_time_unit`
-    /// — correct for every router, since a sharded run must be
-    /// byte-identical to a sequential one anyway. Routers whose
-    /// unit-boundary work decomposes per landmark (DTN-FLOW's table
-    /// recompute and rebucketing) override this to fan the compute out
-    /// over `shards` while keeping all commits in ascending landmark
-    /// order.
+    /// [`Router::on_time_unit`] under a shard runtime: ignores `shards`
+    /// and calls `on_time_unit`. No router in the workspace overrides it
+    /// and only the engine's dispatch calls it. It stays because the
+    /// benchmark adapter's timing wrapper still overrides it; ROADMAP
+    /// items 1(b) and 2 delete it with the rest of the shard runtime
+    /// (DESIGN.md §13).
     fn on_time_unit_sharded(&mut self, world: &mut World, unit: u64, shards: &Sharding<'_>) {
         let _ = shards;
         self.on_time_unit(world, unit);

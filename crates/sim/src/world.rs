@@ -15,7 +15,7 @@ use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::{Packet, PacketLoc};
 use dtnflow_core::time::SimTime;
-use dtnflow_obs::{EventBuffer, LossKind, Place, SimEvent, TraceSink};
+use dtnflow_obs::{LossKind, Place, SimEvent, TraceSink};
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
 /// Map a live packet location to its observability [`Place`]; terminal
@@ -97,57 +97,6 @@ pub struct TransferOutcome {
     /// The packet had already visited this station: a routing loop closed
     /// (§IV-E.2).
     pub loop_closed: bool,
-}
-
-/// A read-only, thread-shareable view of the state sharded compute
-/// phases may consult (DESIGN.md §13).
-///
-/// [`World`] itself cannot cross threads — its trace sink is a
-/// `Box<dyn TraceSink>` without a `Sync` bound — so parallel workers get
-/// this borrowed slice-level view instead: packets, station contents,
-/// the run config and the clock. Everything here is plain data; nothing
-/// a worker reads through it can be concurrently mutated, because the
-/// engine only hands views out while the world is otherwise frozen.
-#[derive(Debug, Clone, Copy)]
-pub struct WorldView<'a> {
-    packets: &'a [Packet],
-    station_store: &'a [PacketStore],
-    cfg: &'a SimConfig,
-    now: SimTime,
-}
-
-impl<'a> WorldView<'a> {
-    /// Current simulation time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &'a SimConfig {
-        self.cfg
-    }
-
-    /// Immutable view of a packet.
-    pub fn packet(&self, id: PacketId) -> &'a Packet {
-        &self.packets[id.index()]
-    }
-
-    /// Packets stored at a station, ascending by id — same order as
-    /// [`World::station_packets`].
-    pub fn station_packets(&self, lm: LandmarkId) -> impl Iterator<Item = PacketId> + 'a {
-        self.station_store[lm.index()].iter()
-    }
-
-    /// Number of packets at a station.
-    pub fn station_packet_count(&self, lm: LandmarkId) -> usize {
-        self.station_store[lm.index()].len()
-    }
-
-    /// Number of landmarks.
-    pub fn num_landmarks(&self) -> usize {
-        self.station_store.len()
-    }
 }
 
 /// The complete simulation state.
@@ -364,17 +313,6 @@ impl World {
     #[inline]
     pub fn visit_recorded(&self) -> bool {
         self.visit_recorded
-    }
-
-    /// A read-only view safe to share across shard workers (the world
-    /// itself stays on the engine thread).
-    pub fn view(&self) -> WorldView<'_> {
-        WorldView {
-            packets: &self.packets,
-            station_store: &self.station_store,
-            cfg: &self.cfg,
-            now: self.now,
-        }
     }
 
     // ---- observability ---------------------------------------------------
@@ -911,15 +849,6 @@ impl World {
             if self.packets[pkt.index()].loc.is_live() {
                 self.expire_packet(pkt);
             }
-        }
-    }
-
-    /// Drain a worker-filled event buffer into the attached sink, or
-    /// discard it when tracing is off.
-    pub fn flush_event_buffer(&mut self, buf: &mut EventBuffer) {
-        match self.trace.as_deref_mut() {
-            Some(sink) => buf.drain_into(sink),
-            None => buf.clear(),
         }
     }
 
