@@ -9,8 +9,9 @@
 //! --out      where to write BENCH_hotpath.json
 //!            (default: results/BENCH_hotpath.json)
 //! --check    compare a freshly generated BENCH_hotpath.json against a
-//!            committed baseline: any bench slower by more than 2x is a
-//!            regression.
+//!            committed baseline: a bench slower by more than 2x is run
+//!            once more, in quick mode, and is a regression only when
+//!            that re-run is more than 2x slower too.
 //! ```
 //!
 //! Exit status (shared by every harness binary, see `dtnflow_bench::cli`):
@@ -47,6 +48,10 @@
 //!   `receive` into the next landmark's table, as `on_arrive` does.
 //! * `dense_map_churn` — insert/lookup/iterate/remove cycle on the
 //!   `DenseMap` that backs all of the above.
+//! * `dense_set_queue` — a packet queue: one insert and one removal per
+//!   op on a `DenseSet` of 1 500 ids, in the append, interior, first
+//!   and last shares counted over all of DTN-FLOW's sets on the fig11
+//!   2000 kB cell, with a periodic ascending walk.
 //! * `snapshot_codec` — decode then re-encode the router, world and obs
 //!   sections of the tiny mid-run checkpoint (the `chaos_tiny13_mid`
 //!   golden's state), so the regression gate covers codec speed.
@@ -57,17 +62,22 @@
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
-//! scheduler hiccup cannot move the pinned numbers by much. Full mode,
-//! which writes the committed pin, runs the whole battery three times
-//! and keeps each bench's median pass; `--quick` runs it once. The
-//! output carries the measuring host (cores, build profile, git
-//! revision).
+//! scheduler hiccup cannot move the pinned numbers by much. Full mode
+//! runs the whole battery three times and keeps each bench's median
+//! pass; `--quick` runs it once. Those passes all fall in one phase of
+//! the host, so the committed pin is each bench's slowest full-mode
+//! reading over runs taken minutes apart. `--check` re-runs a bench
+//! that reads over 2x its pin once before it counts a regression, and
+//! prints both readings, so a blip shorter than one bench does not fail
+//! the gate; a slow phase of the host that outlasts the re-run still
+//! can. The output carries the measuring host (cores, build profile,
+//! git revision).
 
 use dtnflow_bench::chaos::{outage_plan, run_segment, ChaosInputs, SegmentEnd};
 use dtnflow_bench::cli::{self, Args};
 use dtnflow_bench::timing::Stopwatch;
-use dtnflow_core::dense::DenseMap;
-use dtnflow_core::ids::LandmarkId;
+use dtnflow_core::dense::{DenseMap, DenseSet};
+use dtnflow_core::ids::{LandmarkId, PacketId};
 use dtnflow_core::{DeadlineQueue, RankIndex};
 use dtnflow_obs::json::{parse, Value};
 use dtnflow_obs::Recorder;
@@ -85,10 +95,16 @@ const NUM_LANDMARKS: usize = 40;
 const NUM_NODES: usize = 200;
 /// A bench is a regression when it is more than this factor slower.
 const REGRESSION_FACTOR: f64 = 2.0;
-/// Full mode, which writes the committed pin, runs the whole battery
-/// this many times and pins each bench's median pass, so one noisy
-/// moment of the host cannot set the pin.
+/// Full mode runs the whole battery this many times and keeps each
+/// bench's median pass, so a hiccup inside one pass cannot set it. The
+/// passes take about a second in all, so they sample one phase of the
+/// host.
 const FULL_PASSES: usize = 3;
+/// `(samples, base op count, passes)` of quick mode, which `--check`
+/// also uses to re-run a bench that reads over its bound.
+const QUICK: (usize, u64, usize) = (3, 2_000, 1);
+/// The same for full mode.
+const FULL: (usize, u64, usize) = (7, 20_000, FULL_PASSES);
 
 /// `per_layer` metrics of `BENCHMARK.json` that the benches model.
 const ON_ARRIVE: &str = "dtnflow.on_arrive.busy_s";
@@ -101,7 +117,7 @@ const ON_TIME_UNIT: &str = "dtnflow.on_time_unit.busy_s";
 type Bench = (&'static str, &'static str, u64, fn(usize, u64) -> f64);
 
 #[rustfmt::skip]
-const BENCHES: [Bench; 11] = [
+const BENCHES: [Bench; 12] = [
     ("carrier_selection", ON_ARRIVE, 1, bench_carrier_selection),
     // The arrival's insert half; the departure removes the same keys.
     (
@@ -130,6 +146,9 @@ const BENCHES: [Bench; 11] = [
     ("table_exchange", ON_DEPART, 1, bench_table_exchange),
     // The packet indexes the uplink and downlink move packets between.
     ("dense_map_churn", ON_ARRIVE, 1, bench_dense_map_churn),
+    // The packet queues behind every store and bucket, under the op
+    // mix counted for DTN-FLOW's sets.
+    ("dense_set_queue", ON_ARRIVE, 1, bench_dense_set_queue),
     (
         "snapshot_codec",
         "snapshot.encode_s",
@@ -143,12 +162,16 @@ const BENCHES: [Bench; 11] = [
 struct Lcg(u64);
 
 impl Lcg {
-    fn next_lm(&mut self, n: usize) -> LandmarkId {
+    fn next(&mut self) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        LandmarkId(((self.0 >> 33) % n as u64) as u16)
+        self.0 >> 33
+    }
+
+    fn next_lm(&mut self, n: usize) -> LandmarkId {
+        LandmarkId((self.next() % n as u64) as u16)
     }
 }
 
@@ -386,6 +409,62 @@ fn bench_dense_map_churn(samples: usize, ops: u64) -> f64 {
     })
 }
 
+/// A packet queue under the operation mix counted over all of
+/// DTN-FLOW's `DenseSet`s on the fig11 2000 kB cell (every insert and
+/// remove of one benchmark round, CHANGES.md; which callers issue which
+/// operations is not attributed): 58 % of inserts append above the
+/// last member and 41 % land inside the set (the last 1 %, below the
+/// first member, is left out); 40 % of removes take the first member,
+/// 4 % the last and 56 % one inside. The queue is a
+/// `DenseSet<PacketId>` of 1 500 ids, and each op inserts one id and
+/// removes one. An interior remove takes a member drawn uniformly
+/// across the live slice; an interior insert re-adds the latest
+/// interior id removed that still lies inside (an append when none
+/// does). Every 64th op walks the queue in ascending order, as the
+/// stores' forwarding scans do.
+fn bench_dense_set_queue(samples: usize, ops: u64) -> f64 {
+    const DEPTH: usize = 1_500;
+    let mut queue = DenseSet::new();
+    for id in 0..DEPTH as u32 {
+        queue.insert(PacketId(id));
+    }
+    // Interior ids removed and not re-added yet, latest last.
+    let mut holes: Vec<PacketId> = Vec::with_capacity(2 * DEPTH);
+    let (mut next, mut rng) = (DEPTH as u32, Lcg(0xD15E_7001));
+    run_bench(samples, ops, move |i| {
+        let live = queue.as_slice();
+        let (first, last) = (live[0], live[live.len() - 1]);
+        let hole = if rng.next() % 99 < 41 {
+            std::iter::from_fn(|| holes.pop()).find(|&h| first < h && h < last)
+        } else {
+            None
+        };
+        queue.insert(hole.unwrap_or_else(|| {
+            next += 1;
+            PacketId(next - 1)
+        }));
+        let live = queue.as_slice();
+        let victim = match rng.next() % 100 {
+            0..=39 => live[0],
+            40..=43 => live[live.len() - 1],
+            _ => {
+                let inner = live[1 + rng.next() as usize % (live.len() - 2)];
+                holes.push(inner);
+                inner
+            }
+        };
+        queue.remove(victim);
+        if holes.len() == 2 * DEPTH {
+            holes.drain(..DEPTH);
+        }
+        let mut acc = u64::from(victim.0);
+        if i % 64 == 0 {
+            acc += queue.iter().map(|p| u64::from(p.0)).sum::<u64>();
+        }
+        acc
+    })
+}
+
 fn bench_snapshot_codec(samples: usize, ops: u64) -> f64 {
     let base = ChaosInputs::tiny(13, FaultPlan::none());
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), 13);
@@ -435,9 +514,11 @@ fn load_benches(path: &str) -> Result<Vec<(String, f64)>, String> {
 }
 
 /// Compare a fresh run against the committed baseline. Returns the number
-/// of >2x regressions. A baseline bench that is *absent* from the
-/// candidate is a hard error, not a pass: a renamed or dropped bench
-/// would otherwise silently unpin its perf trajectory.
+/// of >2x regressions. A bench over the bound is run once more, in
+/// quick mode, and counts only when the re-run is over the bound too.
+/// A baseline bench that is *absent* from the candidate is a hard
+/// error, not a pass: a renamed or dropped bench would otherwise
+/// silently unpin its perf trajectory.
 fn check(new_path: &str, base_path: &str) -> Result<usize, String> {
     let new = load_benches(new_path)?;
     let base = load_benches(base_path)?;
@@ -460,11 +541,32 @@ fn check(new_path: &str, base_path: &str) -> Result<usize, String> {
             continue;
         };
         let ratio = ns / base_ns;
-        if ratio > REGRESSION_FACTOR {
-            regressions += 1;
-            println!("REGRESSION {id}: {base_ns:.1} -> {ns:.1} ns/op ({ratio:.2}x slower)");
-        } else {
-            println!("OK         {id}: {base_ns:.1} -> {ns:.1} ns/op ({ratio:.2}x)");
+        let first = format!("{base_ns:.1} -> {ns:.1} ns/op ({ratio:.2}x)");
+        if ratio <= REGRESSION_FACTOR {
+            println!("OK         {id}: {first}");
+            continue;
+        }
+        let (samples, ops, _) = QUICK;
+        let rerun = BENCHES
+            .iter()
+            .find(|b| b.0 == id)
+            .map(|&(_, _, ops_div, bench)| bench(samples, ops / ops_div));
+        match rerun {
+            Some(again) if again / base_ns <= REGRESSION_FACTOR => println!(
+                "OK         {id}: {first}, re-run {again:.1} ns/op ({:.2}x)",
+                again / base_ns
+            ),
+            Some(again) => {
+                regressions += 1;
+                println!(
+                    "REGRESSION {id}: {first}, re-run {again:.1} ns/op ({:.2}x slower)",
+                    again / base_ns
+                );
+            }
+            None => {
+                regressions += 1;
+                println!("REGRESSION {id}: {first}, no such bench to re-run");
+            }
         }
     }
     Ok(regressions)
@@ -503,11 +605,7 @@ fn main() {
 /// report to `out`.
 fn run(quick: bool, out: Option<&str>) {
     let out = cli::out_file(out.unwrap_or("results/BENCH_hotpath.json"));
-    let (samples, ops, passes) = if quick {
-        (3, 2_000, 1)
-    } else {
-        (7, 20_000, FULL_PASSES)
-    };
+    let (samples, ops, passes) = if quick { QUICK } else { FULL };
     let mut runs = vec![Vec::with_capacity(passes); BENCHES.len()];
     for pass in 1..=passes {
         for (&(id, _, ops_div, bench), runs) in BENCHES.iter().zip(&mut runs) {

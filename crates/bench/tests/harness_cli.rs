@@ -1,9 +1,10 @@
 //! Argument handling of the `chaos`, `hotpath` and `trace-tool`
 //! binaries: a missing or malformed flag value, an undeclared flag or a
 //! stray argument exits 2 with the usage line (never a panic), and so
-//! does an output that cannot be written. Every invocation here fails
+//! does an output that cannot be written. Every such invocation fails
 //! before any work starts, so none of them runs a sweep, a bench or a
-//! trace generator.
+//! trace generator. The exception is `hotpath --check` of a reading
+//! over 2x its pin, which re-runs one quick bench.
 
 use std::process::{Command, Output};
 
@@ -65,6 +66,44 @@ fn hotpath_bad_arguments_exit_2_with_usage() {
         ],
         &["--quick", "--out", "--check", "--against"],
     );
+}
+
+/// A bench over 2x its pin is re-run once, in quick mode, before it
+/// counts, and the output names the re-run either way. Against a pin of
+/// 1e-6 ns/op the re-run is over 2x too, so the check exits 1; a 1e9
+/// ns/op reading against a 1e6 pin clears on the re-run (a few ns/op),
+/// so it exits 0.
+#[test]
+fn hotpath_check_reruns_a_bench_over_its_bound() {
+    let dir = std::env::temp_dir().join(format!("dtnflow-hotpath-rerun-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, ns: &str| {
+        let path = dir.join(name);
+        let doc = format!(r#"{{"benches": [{{"id": "carrier_selection", "ns_per_op": {ns}}}]}}"#);
+        std::fs::write(&path, doc).expect("bench file");
+        path.display().to_string()
+    };
+    for (reading, pin, code, verdict) in [
+        ("5.0", "1e-6", 1, "REGRESSION carrier_selection"),
+        ("1e9", "1e6", 0, "OK         carrier_selection"),
+    ] {
+        let (new, base) = (write("new.json", reading), write("pin.json", pin));
+        let out = run(
+            env!("CARGO_BIN_EXE_hotpath"),
+            &["--check", &new, "--against", &base],
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{reading} vs {pin}:\n{stdout}"
+        );
+        assert!(
+            stdout.contains(verdict) && stdout.contains("re-run"),
+            "{reading} vs {pin}: no `{verdict}` naming the re-run:\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! observable property: iteration in ascending key order.
 //!
 //! * [`DenseMap<K, V>`] — `Vec<Option<V>>` indexed by `K::index()`.
-//! * [`DenseSet<K>`] — a sorted `Vec<K>`; membership by binary search,
-//!   iteration in id order, contiguous in memory.
+//! * [`DenseSet<K>`] — a sorted `Vec<K>` with a dead prefix, so that
+//!   appends and removals at either end cost O(1); interior membership
+//!   by binary search, iteration in id order, contiguous in memory.
 //! * [`LinkMatrix`] — a flat `n×n` `Vec<f64>` keyed `from * n + to`,
 //!   for per-directed-link tables (EWMA bandwidth, Eq. 4).
 
@@ -323,107 +324,177 @@ impl<K: DenseKey, V> std::ops::Index<K> for DenseMap<K, V> {
     }
 }
 
-/// A set of dense-integer keys as a sorted `Vec`.
+/// A set of dense-integer keys as a sorted `Vec` whose two ends cost
+/// O(1).
 ///
-/// Replaces `BTreeSet<K>` on hot paths. Membership is a binary search;
-/// insert/remove shift the tail (sets here are small per-bucket packet
-/// queues); iteration is a contiguous ascending scan — the same
-/// observable order a `BTreeSet` gives, without per-element nodes.
-/// `clear` keeps the allocation, so reused buckets stop allocating.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Replaces `BTreeSet<K>` on hot paths. The members are `buf[head..]`
+/// in ascending order; `buf[..head]` is a dead prefix that removals at
+/// the front leave behind. The sets here are packet queues: ids are
+/// minted in generation order, so stores and buckets mostly receive
+/// ids above their last member, and forwarding in minimum-remaining-TTL
+/// order drains them mostly from the front. Neither end searches:
+///
+/// * `insert` above the last member is a `push`, and below the first
+///   member it reuses the dead prefix when there is one;
+/// * `remove` of the first member advances `head`, of the last member
+///   is a `pop`, and of a key outside `[first, last]` misses at once.
+///
+/// Only interior keys binary-search the live slice, and an interior
+/// insert or remove shifts the shorter side of its slot: the front side
+/// moves into or out of the dead prefix. The prefix is dropped once it
+/// reaches the live length, so the buffer holds at most twice the
+/// members plus `Vec` slack. Iteration is a contiguous ascending scan,
+/// the same observable order a `BTreeSet` gives. `clear` keeps the
+/// allocation, so reused buckets stop allocating.
+#[derive(Debug, Clone)]
 pub struct DenseSet<K> {
-    sorted: Vec<K>,
+    buf: Vec<K>,
+    /// Start of the members; never above their count.
+    head: usize,
 }
 
 impl<K> Default for DenseSet<K> {
     fn default() -> Self {
-        DenseSet { sorted: Vec::new() }
+        DenseSet {
+            buf: Vec::new(),
+            head: 0,
+        }
     }
 }
+
+/// Sets are equal when their members are; the dead prefix is not
+/// observable.
+impl<K: PartialEq> PartialEq for DenseSet<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf[self.head..] == other.buf[other.head..]
+    }
+}
+
+impl<K: Eq> Eq for DenseSet<K> {}
 
 impl<K: DenseKey> DenseSet<K> {
     /// An empty set.
     pub fn new() -> Self {
-        DenseSet { sorted: Vec::new() }
+        Self::default()
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.buf.len() - self.head
     }
 
     /// True when the set has no members.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.head == self.buf.len()
     }
 
     /// Add `k`; returns whether it was newly inserted.
     pub fn insert(&mut self, k: K) -> bool {
-        match self.sorted.binary_search(&k) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.sorted.insert(pos, k);
-                true
-            }
+        let live = self.as_slice();
+        let pos = match (live.first(), live.last()) {
+            (_, None) => 0,
+            (_, Some(&last)) if k > last => live.len(),
+            (Some(&first), _) if k < first => 0,
+            _ => match live.binary_search(&k) {
+                Ok(_) => return false,
+                Err(pos) => pos,
+            },
+        };
+        let (len, head) = (live.len(), self.head);
+        if pos == len {
+            self.buf.push(k);
+        } else if head > 0 && pos < len - pos {
+            // The front side is shorter: move it down into the dead prefix.
+            self.buf.copy_within(head..head + pos, head - 1);
+            self.buf[head - 1 + pos] = k;
+            self.head -= 1;
+        } else {
+            self.buf.insert(head + pos, k);
         }
+        true
     }
 
     /// Remove `k`; returns whether it was present.
     pub fn remove(&mut self, k: K) -> bool {
-        match self.sorted.binary_search(&k) {
-            Ok(pos) => {
-                self.sorted.remove(pos);
-                true
+        let live = self.as_slice();
+        let (Some(&first), Some(&last)) = (live.first(), live.last()) else {
+            return false;
+        };
+        if k == first {
+            self.head += 1;
+        } else if k == last {
+            self.buf.pop();
+        } else if k < first || k > last {
+            return false;
+        } else {
+            let Ok(pos) = live.binary_search(&k) else {
+                return false;
+            };
+            let (len, head) = (live.len(), self.head);
+            if pos < len - 1 - pos {
+                // The front side is shorter: move it up over the slot.
+                self.buf.copy_within(head..head + pos, head + 1);
+                self.head += 1;
+            } else {
+                self.buf.remove(head + pos);
             }
-            Err(_) => false,
         }
+        if self.head >= self.len() {
+            // The dead prefix reached the live length: drop it.
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        true
     }
 
     /// Whether `k` is a member.
     pub fn contains(&self, k: K) -> bool {
-        self.sorted.binary_search(&k).is_ok()
+        self.as_slice().binary_search(&k).is_ok()
     }
 
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = K> + '_ {
-        self.sorted.iter().copied()
+        self.as_slice().iter().copied()
     }
 
-    /// Keep only members satisfying `keep`, preserving order. One linear
-    /// pass — cheaper than collecting victims and removing them one by
-    /// one, which re-shifts the tail per removal.
+    /// Keep only members satisfying `keep`, preserving order. Linear: the
+    /// dead prefix is dropped, then one pass filters the members —
+    /// cheaper than collecting victims and removing them one by one,
+    /// which re-shifts per removal.
     pub fn retain(&mut self, mut keep: impl FnMut(K) -> bool) {
-        self.sorted.retain(|&k| keep(k));
+        self.buf.drain(..self.head);
+        self.head = 0;
+        self.buf.retain(|&k| keep(k));
     }
 
     /// The members as an ascending slice.
     pub fn as_slice(&self) -> &[K] {
-        &self.sorted
+        &self.buf[self.head..]
     }
 
     /// Remove all members, keeping the allocation.
     pub fn clear(&mut self) {
-        self.sorted.clear();
+        self.buf.clear();
+        self.head = 0;
     }
 }
 
 /// Checkpoint encoding: the members as a sequence of ascending `u64`
-/// indexes. Decode rejects unsorted or duplicate members so re-encoding
-/// is byte-stable.
+/// indexes (the dead prefix is not written). Decode rejects unsorted or
+/// duplicate members so re-encoding is byte-stable.
 impl<K: DenseKey> Codec for DenseSet<K> {
     fn encode(&self, w: &mut Writer) {
-        w.put_seq(self.sorted.len(), &self.sorted, |w, k| {
-            w.put_usize(k.index())
-        });
+        let live = &self.buf[self.head..];
+        w.put_seq(live.len(), live, |w, k| w.put_usize(k.index()));
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         const CTX: &str = "DenseSet";
-        let sorted: Vec<K> = r.seq(CTX, |r| decode_key(r, usize::MAX, CTX))?;
-        if sorted.windows(2).any(|p| p[1] <= p[0]) {
+        let buf: Vec<K> = r.seq(CTX, |r| decode_key(r, usize::MAX, CTX))?;
+        if buf.windows(2).any(|p| p[1] <= p[0]) {
             return Err(SnapshotError::Corrupt { context: CTX });
         }
-        Ok(DenseSet { sorted })
+        Ok(DenseSet { buf, head: 0 })
     }
 }
 
@@ -632,6 +703,64 @@ mod tests {
         assert_eq!(s.len(), 1);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn dense_set_dead_prefix_never_exceeds_live_length() {
+        let mut s: DenseSet<u32> = DenseSet::new();
+        let (mut lcg, mut next, mut peak_head) = (0x5EED_u64, 0u32, 0usize);
+        let check = |s: &DenseSet<u32>, step: usize| {
+            assert!(
+                s.head <= s.len(),
+                "step {step}: dead prefix {} over {} members",
+                s.head,
+                s.len()
+            );
+        };
+        // Queue-shaped churn: appends, oldest-first drains, some
+        // interior and back removals, interior re-inserts and misses.
+        for step in 0..20_000 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (lcg >> 33) as u32;
+            let any = r % next.max(1);
+            match r % 10 {
+                0..=3 => {
+                    s.insert(next);
+                    next += 1;
+                }
+                4..=6 => {
+                    if let Some(&k) = s.as_slice().first() {
+                        s.remove(k);
+                    }
+                }
+                7 => {
+                    s.remove(any);
+                }
+                8 => {
+                    s.insert(any);
+                }
+                _ => {
+                    if let Some(&k) = s.as_slice().last() {
+                        s.remove(k);
+                    }
+                }
+            }
+            peak_head = peak_head.max(s.head);
+            check(&s, step);
+        }
+        // Grow the set, then drain it oldest-first down to empty.
+        for k in next..next + 1_000 {
+            s.insert(k);
+        }
+        while let Some(&k) = s.as_slice().first() {
+            s.remove(k);
+            peak_head = peak_head.max(s.head);
+            check(&s, 20_000);
+        }
+        assert!(peak_head > 0, "the dead prefix was never used");
+        assert!(s.is_empty() && s.buf.is_empty() && s.head == 0);
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! `BTreeMap`, `DenseSet` like `BTreeSet`, and `LinkMatrix` like a
 //! `BTreeMap<(u16, u16), f64>` — same lookups, same lengths, and the
 //! same ascending iteration order (which is what keeps float
-//! accumulations and CSV goldens byte-stable across the swap).
+//! accumulations and CSV goldens byte-stable across the swap). A
+//! `DenseSet` also writes the checkpoint bytes of its members as a
+//! plain ascending sequence, whatever its internal layout.
 
 use dtnflow_core::dense::{DenseMap, DenseSet, LinkMatrix};
+use dtnflow_snapshot::{Codec, Reader, Writer};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One step of a map workload, generated over a small key space so that
 /// inserts, overwrites, removes, and misses all occur frequently.
@@ -28,6 +32,55 @@ fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
             1 => Just(MapOp::Clear),
         ],
         0..120,
+    )
+}
+
+/// One step of a set workload. The sets the simulator keeps are
+/// queues: they receive ids above their maximum and lose their minimum
+/// most often, so ops name the two ends and the range between them as
+/// well as fixed keys. Range-relative ops carry a raw draw that is
+/// resolved against the set's current `[min, max]` when the op runs.
+#[derive(Debug, Clone, Copy)]
+enum SetOp {
+    /// Insert a key above the maximum.
+    Append(u32),
+    /// Insert, remove or look up a fixed key from a small space.
+    Insert(u32),
+    Remove(u32),
+    Contains(u32),
+    /// Insert or remove a key inside `[min, max]`.
+    InsertInside(u32),
+    RemoveInside(u32),
+    /// Insert a key below the minimum (into the dead prefix, if any).
+    InsertBelow(u32),
+    RemoveMin,
+    RemoveMax,
+    /// Remove a key below the minimum or above the maximum (misses).
+    MissBelow(u32),
+    MissAbove(u32),
+    /// Keep only the members not divisible by the value.
+    Retain(u32),
+    Clear,
+}
+
+fn set_ops() -> impl Strategy<Value = Vec<SetOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            6 => (0u32..4).prop_map(SetOp::Append),
+            2 => (0u32..96).prop_map(SetOp::Insert),
+            2 => (0u32..96).prop_map(SetOp::Remove),
+            1 => (0u32..96).prop_map(SetOp::Contains),
+            2 => any::<u32>().prop_map(SetOp::InsertInside),
+            3 => any::<u32>().prop_map(SetOp::RemoveInside),
+            1 => any::<u32>().prop_map(SetOp::InsertBelow),
+            5 => Just(SetOp::RemoveMin),
+            2 => Just(SetOp::RemoveMax),
+            1 => any::<u32>().prop_map(SetOp::MissBelow),
+            1 => any::<u32>().prop_map(SetOp::MissAbove),
+            1 => (2u32..5).prop_map(SetOp::Retain),
+            1 => Just(SetOp::Clear),
+        ],
+        0..160,
     )
 }
 
@@ -69,38 +122,83 @@ proptest! {
     }
 
     #[test]
-    fn dense_set_equals_btree_set(ops in proptest::collection::vec(
-        prop_oneof![
-            5 => (0u16..64).prop_map(|k| (0u8, k)),   // insert
-            3 => (0u16..64).prop_map(|k| (1u8, k)),   // remove
-            3 => (0u16..64).prop_map(|k| (2u8, k)),   // contains
-            1 => (0u16..64).prop_map(|k| (3u8, k)),   // retain != k
-        ],
-        0..120,
-    )) {
-        let mut dense: DenseSet<u16> = DenseSet::new();
-        let mut tree: std::collections::BTreeSet<u16> = std::collections::BTreeSet::new();
-        for (kind, k) in ops {
-            match kind {
-                0 => {
-                    prop_assert_eq!(dense.insert(k), tree.insert(k));
+    fn dense_set_equals_btree_set(ops in set_ops()) {
+        let mut dense: DenseSet<u32> = DenseSet::new();
+        let mut tree: BTreeSet<u32> = BTreeSet::new();
+        for op in ops {
+            let (min, max) = (tree.first().copied(), tree.last().copied());
+            // Keys resolved against the current range: `inside` lies in
+            // `[min, max]`, `below` under `min` whenever there is room.
+            // An empty set takes a key from the fixed-key space.
+            let inside = |x: u32| min.zip(max).map_or(x % 96, |(lo, hi)| lo + x % (hi - lo + 1));
+            let below = |x: u32| min.map_or(x % 96, |lo| x % lo.max(1));
+            let above = |x: u32| max.map_or(x % 96, |hi| hi + 1 + x % 8);
+            let k = match op {
+                SetOp::Append(gap) => above(gap),
+                SetOp::Insert(k) | SetOp::Remove(k) | SetOp::Contains(k) => k,
+                SetOp::InsertInside(x) | SetOp::RemoveInside(x) => inside(x),
+                SetOp::InsertBelow(x) | SetOp::MissBelow(x) => below(x),
+                SetOp::MissAbove(x) => above(x),
+                SetOp::RemoveMin => min.unwrap_or(0),
+                SetOp::RemoveMax => max.unwrap_or(0),
+                SetOp::Retain(m) => m,
+                SetOp::Clear => 0,
+            };
+            match op {
+                SetOp::Append(_)
+                | SetOp::Insert(_)
+                | SetOp::InsertInside(_)
+                | SetOp::InsertBelow(_) => {
+                    prop_assert_eq!(dense.insert(k), tree.insert(k), "insert {}", k);
                 }
-                1 => {
-                    prop_assert_eq!(dense.remove(k), tree.remove(&k));
+                SetOp::Remove(_)
+                | SetOp::RemoveInside(_)
+                | SetOp::RemoveMin
+                | SetOp::RemoveMax
+                | SetOp::MissBelow(_)
+                | SetOp::MissAbove(_) => {
+                    prop_assert_eq!(dense.remove(k), tree.remove(&k), "remove {}", k);
                 }
-                2 => {
-                    prop_assert_eq!(dense.contains(k), tree.contains(&k));
+                SetOp::Contains(_) => {}
+                SetOp::Retain(m) => {
+                    dense.retain(|x| x % m != 0);
+                    tree.retain(|&x| x % m != 0);
                 }
-                _ => {
-                    dense.retain(|x| x != k);
-                    tree.retain(|&x| x != k);
+                SetOp::Clear => {
+                    dense.clear();
+                    tree.clear();
                 }
             }
+            let items: Vec<u32> = tree.iter().copied().collect();
+            prop_assert_eq!(dense.iter().collect::<Vec<u32>>(), items.clone());
+            prop_assert_eq!(dense.as_slice(), items.as_slice());
             prop_assert_eq!(dense.len(), tree.len());
+            prop_assert_eq!(dense.is_empty(), tree.is_empty());
+            // The op's key and every key up to just past the maximum,
+            // including the ones front removals left in the dead prefix.
+            let top = tree.last().map_or(0, |&hi| hi + 2);
+            for probe in (0..=top).chain([k]) {
+                prop_assert_eq!(dense.contains(probe), tree.contains(&probe), "contains {}", probe);
+            }
+            // The wire form is the members as a u64 count and ascending
+            // u64s, and it survives decode → encode.
+            let mut want = Writer::new();
+            want.put_u64(tree.len() as u64);
+            for &m in &tree {
+                want.put_u64(u64::from(m));
+            }
+            let mut got = Writer::new();
+            dense.encode(&mut got);
+            prop_assert_eq!(got.as_bytes(), want.as_bytes());
+            let mut r = Reader::new(got.as_bytes());
+            let back = DenseSet::<u32>::decode(&mut r);
+            prop_assert!(back.is_ok() && r.remaining() == 0);
+            let back = back.unwrap();
+            let mut again = Writer::new();
+            back.encode(&mut again);
+            prop_assert_eq!(again.as_bytes(), want.as_bytes());
+            prop_assert!(back == dense);
         }
-        let dense_items: Vec<u16> = dense.iter().collect();
-        let tree_items: Vec<u16> = tree.iter().copied().collect();
-        prop_assert_eq!(dense_items, tree_items);
     }
 
     #[test]

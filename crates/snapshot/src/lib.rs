@@ -108,15 +108,24 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: fold `byte` into the running hash `h`.
+#[inline(always)]
+fn fnv_step(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+}
+
+/// Continue the running FNV-1a hash `h` over `bytes`.
+fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv_step(h, b))
+}
+
 /// FNV-1a 64-bit hash — the same cheap deterministic hash the workspace
 /// already uses for RNG stream labels.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// Append-only binary encoder for section payloads.
@@ -363,19 +372,44 @@ impl SnapshotBuilder {
         self.sections.iter().map(|(_, _, p)| p.len()).sum()
     }
 
+    /// The container bytes. The output is sized once from the section
+    /// lengths, and each payload byte is read once: one loop advances
+    /// both its section checksum and the whole-file checksum, two
+    /// independent multiply chains.
     pub fn finish(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        // Header and file checksum, then per section: name length and
+        // bytes, version, payload length and bytes, checksum.
+        let size = self
+            .sections
+            .iter()
+            .fold(MAGIC.len() + 4 + 8 + 8, |n, (name, _, p)| {
+                n + 8 + name.len() + 4 + 8 + p.len() + 8
+            });
+        let mut w = Writer {
+            buf: Vec::with_capacity(size),
+        };
         w.buf.extend_from_slice(&MAGIC);
         w.put_u32(FORMAT_VERSION);
         w.put_usize(self.sections.len());
+        // `file` hashes `w.buf[..hashed]`.
+        let (mut file, mut hashed) = (FNV_OFFSET, 0);
         for (name, version, payload) in &self.sections {
             w.put_str(name);
             w.put_u32(*version);
-            w.put_bytes(payload);
-            w.put_u64(fnv1a64(payload));
+            w.put_usize(payload.len());
+            file = fnv_fold(file, &w.buf[hashed..]);
+            let mut section = FNV_OFFSET;
+            for &b in payload {
+                section = fnv_step(section, b);
+                file = fnv_step(file, b);
+            }
+            w.buf.extend_from_slice(payload);
+            hashed = w.len();
+            w.put_u64(section);
         }
-        let file_sum = fnv1a64(w.as_bytes());
-        w.put_u64(file_sum);
+        file = fnv_fold(file, &w.buf[hashed..]);
+        w.put_u64(file);
+        debug_assert_eq!(w.len(), size, "container size disagrees with its sections");
         w.into_bytes()
     }
 }
@@ -516,6 +550,69 @@ mod tests {
         b.add_section("alpha", 1, w.into_bytes());
         b.add_section("beta", 3, vec![1, 2, 3]);
         b.finish()
+    }
+
+    /// `SnapshotBuilder::finish` as it was before the fused pass, with
+    /// its own byte-serial FNV-1a: grow a `Writer`, hash each payload,
+    /// then hash the whole file again.
+    fn two_pass_finish(sections: &[(String, u32, Vec<u8>)]) -> Vec<u8> {
+        let fnv = |bytes: &[u8]| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        };
+        let mut w = Writer::new();
+        w.buf.extend_from_slice(&MAGIC);
+        w.put_u32(FORMAT_VERSION);
+        w.put_usize(sections.len());
+        for (name, version, payload) in sections {
+            w.put_str(name);
+            w.put_u32(*version);
+            w.put_bytes(payload);
+            w.put_u64(fnv(payload));
+        }
+        let file_sum = fnv(w.as_bytes());
+        w.put_u64(file_sum);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn fused_finish_matches_the_two_pass_container() {
+        let mut lcg = 0x5EC7_1045_u64;
+        let mut draw = |n: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 33) % n
+        };
+        for case in 0..300 {
+            // Case 0 has no sections; every fourth payload is empty.
+            let count = if case == 0 { 0 } else { draw(6) };
+            let mut sections: Vec<(String, u32, Vec<u8>)> = Vec::new();
+            for _ in 0..count {
+                let mut name = String::new();
+                for _ in 0..draw(12) {
+                    name.push(char::from(b'a' + draw(26) as u8));
+                }
+                let len = if draw(4) == 0 { 0 } else { draw(700) };
+                let mut payload = Vec::new();
+                for _ in 0..len {
+                    payload.push(draw(256) as u8);
+                }
+                sections.push((name, draw(u64::from(u32::MAX)) as u32, payload));
+            }
+            let mut b = SnapshotBuilder::new();
+            for (name, version, payload) in &sections {
+                b.add_section(name, *version, payload.clone());
+            }
+            let bytes = b.finish();
+            assert_eq!(bytes, two_pass_finish(&sections), "case {case}");
+            let file = SnapshotFile::parse(&bytes).unwrap();
+            assert_eq!(file.sections.len(), sections.len(), "case {case}");
+        }
     }
 
     #[test]
