@@ -36,17 +36,3 @@ pub use per::Per;
 pub use pgr::Pgr;
 pub use prophet::Prophet;
 pub use simbet::SimBet;
-
-use dtnflow_sim::Router;
-
-/// Every baseline, boxed, for experiment sweeps. DTN-FLOW itself lives in
-/// the `dtnflow-router` crate.
-pub fn all_baselines(num_nodes: usize, num_landmarks: usize) -> Vec<Box<dyn Router>> {
-    vec![
-        Box::new(UtilityRouter::new(SimBet::new(num_nodes, num_landmarks))),
-        Box::new(UtilityRouter::new(Prophet::new(num_nodes, num_landmarks))),
-        Box::new(UtilityRouter::new(Pgr::new(num_nodes, num_landmarks))),
-        Box::new(UtilityRouter::new(GeoComm::new(num_nodes, num_landmarks))),
-        Box::new(UtilityRouter::new(Per::new(num_nodes, num_landmarks))),
-    ]
-}

@@ -63,10 +63,11 @@
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
 //! scheduler hiccup cannot move the pinned numbers by much. Full mode
-//! runs the whole battery three times and keeps each bench's median
-//! pass; `--quick` runs it once. Those passes all fall in one phase of
-//! the host, so the committed pin is each bench's slowest full-mode
-//! reading over runs taken minutes apart. `--check` re-runs a bench
+//! runs the whole battery seven times, two minutes apart, and keeps
+//! each bench's slowest pass: the host's speed swings about 2x over
+//! minutes, and passes spread over twelve minutes reach its slow phase,
+//! so a full run writes the committed pin as it stands. `--quick` runs
+//! the battery once. `--check` re-runs a bench
 //! that reads over 2x its pin once before it counts a regression, and
 //! prints both readings, so a blip shorter than one bench does not fail
 //! the gate; a slow phase of the host that outlasts the re-run still
@@ -86,6 +87,7 @@ use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable, Stor
 use dtnflow_sim::{FaultPlan, World};
 use dtnflow_snapshot::{Reader, SnapshotFile, Writer};
 use std::hint::black_box;
+use std::time::Duration;
 
 /// JSON schema tag for `BENCH_hotpath.json`.
 const SCHEMA: &str = "dtnflow-hotpath-bench-v3";
@@ -95,11 +97,13 @@ const NUM_LANDMARKS: usize = 40;
 const NUM_NODES: usize = 200;
 /// A bench is a regression when it is more than this factor slower.
 const REGRESSION_FACTOR: f64 = 2.0;
-/// Full mode runs the whole battery this many times and keeps each
-/// bench's median pass, so a hiccup inside one pass cannot set it. The
-/// passes take about a second in all, so they sample one phase of the
-/// host.
-const FULL_PASSES: usize = 3;
+/// Full mode runs the whole battery this many times, [`PASS_PAUSE`]
+/// apart, and keeps each bench's slowest pass. A pass takes well under
+/// a second, so back-to-back passes would all sample one phase of the
+/// host; spread over twelve minutes they reach its slow phase too.
+const FULL_PASSES: usize = 7;
+/// The pause between full-mode passes.
+const PASS_PAUSE: Duration = Duration::from_secs(120);
 /// `(samples, base op count, passes)` of quick mode, which `--check`
 /// also uses to re-run a bench that reads over its bound.
 const QUICK: (usize, u64, usize) = (3, 2_000, 1);
@@ -601,13 +605,17 @@ fn main() {
 }
 
 /// Run every bench (quick: one pass; full: [`FULL_PASSES`] passes over
-/// the whole battery, each bench's median pass kept) and write the
-/// report to `out`.
+/// the whole battery, [`PASS_PAUSE`] apart, each bench's slowest pass
+/// kept) and write the report to `out`.
 fn run(quick: bool, out: Option<&str>) {
     let out = cli::out_file(out.unwrap_or("results/BENCH_hotpath.json"));
     let (samples, ops, passes) = if quick { QUICK } else { FULL };
     let mut runs = vec![Vec::with_capacity(passes); BENCHES.len()];
     for pass in 1..=passes {
+        if pass > 1 {
+            println!("pausing {} s before pass {pass}", PASS_PAUSE.as_secs());
+            std::thread::sleep(PASS_PAUSE);
+        }
         for (&(id, _, ops_div, bench), runs) in BENCHES.iter().zip(&mut runs) {
             let ns_per_op = bench(samples, ops / ops_div);
             println!("pass {pass}/{passes} {id:<24} {ns_per_op:>12.1} ns/op");
@@ -617,14 +625,13 @@ fn run(quick: bool, out: Option<&str>) {
     let benches = BENCHES
         .iter()
         .zip(runs)
-        .map(|(&(id, layer, ops_div, _), mut runs)| {
+        .map(|(&(id, layer, ops_div, _), runs)| {
             let ops = ops / ops_div;
-            runs.sort_by(f64::total_cmp);
-            let ns_per_op = runs[runs.len() / 2];
+            let ns_per_op = runs.into_iter().fold(0.0, f64::max);
             let ops_per_sec = 1e9 / ns_per_op;
             println!(
                 "{id:<24} {ns_per_op:>12.1} ns/op {ops_per_sec:>14.0} ops/s \
-             ({ops} ops x {samples} samples, median of {passes} pass(es))"
+             ({ops} ops x {samples} samples, slowest of {passes} pass(es))"
             );
             Value::object([
                 ("id".to_owned(), Value::str(id)),

@@ -202,10 +202,7 @@ fn tiny_retry_inputs(seed: u64, retry_delay_secs: u64) -> ChaosInputs {
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), seed);
     assert!(!plan.station_outages.is_empty());
     let flow = FlowConfig {
-        degradation: Some(DegradationConfig {
-            retry_delay_secs,
-            ..DegradationConfig::default()
-        }),
+        degradation: Some(DegradationConfig { retry_delay_secs }),
         ..FlowConfig::default()
     };
     ChaosInputs { plan, flow, ..base }

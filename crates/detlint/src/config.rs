@@ -40,12 +40,6 @@ pub struct Config {
     /// mutable statics, no ad-hoc threading, no unordered float
     /// reduction) applies to their non-test code.
     pub c1_crates: Vec<String>,
-    /// Workspace-relative paths sanctioned to use thread primitives.
-    /// Only the ad-hoc-threading `C1` arms (`thread::*` and
-    /// the channel/pool crates) are exempted there — shared mutable
-    /// statics and unordered float reductions still fire even in a
-    /// sanctioned file.
-    pub c1_thread_allow: Vec<String>,
     /// Enum ↔ tag-table bindings checked by `X1`.
     pub enum_bindings: Vec<EnumTagBinding>,
     /// Struct ↔ string-schema bindings checked by `X1`.
@@ -85,12 +79,6 @@ impl Default for Config {
                 "shard",
                 ".",
             ]),
-            // The former shard executor, kept only for the benchmark
-            // adapter (DESIGN.md §13; ROADMAP item 2 removes the entry
-            // with the crate); the `c1allow` fixtures and the mutation
-            // suite prove an ad-hoc `thread::spawn` anywhere else still
-            // fires.
-            c1_thread_allow: s(&["crates/shard/src/exec.rs"]),
             enum_bindings: vec![EnumTagBinding {
                 enum_name: "SimEvent".into(),
                 tags_const: "KIND_TAGS".into(),
@@ -144,9 +132,6 @@ pub struct FileContext {
     pub d1_applies: bool,
     pub p1_applies: bool,
     pub c1_applies: bool,
-    /// File is on the `c1_thread_allow` list: the ad-hoc-threading `C1`
-    /// arms are exempt here (the rest of the pack still applies).
-    pub c1_thread_sanctioned: bool,
 }
 
 impl FileContext {
@@ -166,15 +151,12 @@ impl FileContext {
         let d1_applies = cfg.d1_crates.contains(&crate_name);
         let p1_applies = cfg.p1_crates.contains(&crate_name);
         let c1_applies = cfg.c1_crates.contains(&crate_name);
-        let joined = comps.join("/");
-        let c1_thread_sanctioned = cfg.c1_thread_allow.iter().any(|p| p == &joined);
         FileContext {
             crate_name,
             is_test_file,
             d1_applies,
             p1_applies,
             c1_applies,
-            c1_thread_sanctioned,
         }
     }
 }
@@ -204,15 +186,9 @@ mod tests {
         assert!(r.is_test_file);
         assert!(r.c1_applies, "root package is in C1 scope");
 
-        let x = FileContext::classify(&PathBuf::from("crates/shard/src/exec.rs"), &cfg);
+        let x = FileContext::classify(&PathBuf::from("crates/shard/src/lib.rs"), &cfg);
         assert!(x.c1_applies, "shard crate is in C1 scope");
         assert!(x.p1_applies, "shard crate is in P1 scope");
-        assert!(x.c1_thread_sanctioned, "exec.rs is the sanctioned site");
-        let y = FileContext::classify(&PathBuf::from("crates/shard/src/plan.rs"), &cfg);
-        assert!(
-            !y.c1_thread_sanctioned,
-            "the allowlist is per-file, not per-crate"
-        );
 
         let e = FileContext::classify(&PathBuf::from("examples/quickstart.rs"), &cfg);
         assert!(e.is_test_file, "examples are demo code, not hot paths");

@@ -319,7 +319,7 @@ fn c1_checks(
                 raw,
             );
         }
-        "thread" if !ctx.c1_thread_sanctioned => {
+        "thread" => {
             if let Some(m) = C1_THREAD_MEMBERS
                 .iter()
                 .find(|m| path_member_is(toks, i, m))
@@ -335,7 +335,7 @@ fn c1_checks(
                 );
             }
         }
-        _ if C1_IDENTS.contains(&id) && !ctx.c1_thread_sanctioned => {
+        _ if C1_IDENTS.contains(&id) => {
             push(
                 line,
                 "C1",

@@ -22,3 +22,7 @@ pub fn tally(m: &BTreeMap<u32, f64>) -> f64 {
 pub fn tally_fold(m: &BTreeMap<u32, f64>) -> f64 {
     m.values().fold(0.0, |acc, x| acc + x) // line 23: C1
 }
+
+pub fn scoped() {
+    std::thread::scope(|_| {}); // line 27: C1 (ad-hoc threading)
+}

@@ -171,23 +171,10 @@ fn deleting_a_kind_tag_turns_x1_red() {
 }
 
 #[test]
-fn adding_a_thread_spawn_outside_the_allowlist_turns_c1_red() {
-    // The live sanctioned site scans clean with its real thread::spawn…
-    let sanctioned = "crates/shard/src/exec.rs";
-    let src = live_source(sanctioned);
-    assert!(
-        src.contains("thread::scope"),
-        "mutation anchor moved in {sanctioned}"
-    );
-    assert_eq!(
-        scan(sanctioned, &src),
-        Vec::new(),
-        "live {sanctioned} must scan clean under the allowlist"
-    );
-
-    // …but the identical spawn dropped into any other live C1-scope
-    // file fires exactly one C1: the allowlist does not leak.
-    for rel in ["crates/shard/src/plan.rs", "crates/sim/src/engine.rs"] {
+fn adding_a_thread_spawn_to_a_c1_file_turns_c1_red() {
+    // An ad-hoc spawn dropped into a live C1-scope file fires exactly
+    // one C1, the shard crate's stand-ins included.
+    for rel in ["crates/shard/src/lib.rs", "crates/sim/src/engine.rs"] {
         let src = live_source(rel);
         assert_eq!(scan(rel, &src), Vec::new(), "live {rel} must scan clean");
         let mutated = format!("pub fn sneak() {{ std::thread::spawn(|| {{}}); }}\n{src}");
@@ -205,16 +192,6 @@ fn adding_a_thread_spawn_outside_the_allowlist_turns_c1_red() {
             c1[0].message
         );
     }
-
-    // And even in the sanctioned file, a static mut still turns red:
-    // the waiver covers threading arms only.
-    let mutated = format!("static mut SHARED: u64 = 0;\n{}", live_source(sanctioned));
-    let diags = scan(sanctioned, &mutated);
-    assert_eq!(
-        diags.iter().filter(|d| d.rule == "C1").count(),
-        1,
-        "static mut must fire inside the sanctioned file: {diags:?}"
-    );
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //!
 //! Defaults mirror the paper's trace-driven experiment settings (§V-A.1):
 //! 1 kB packets, 2000 kB node memory, packets generated at 500 per landmark
-//! per day with uniformly random destination landmarks, the first quarter of
-//! the trace used as a routing-table warm-up, and an upload cap of 50
-//! packets per contact (§IV-D.5 step 3).
+//! per day with uniformly random destination landmarks, and the first
+//! quarter of the trace used as a routing-table warm-up.
 
 use crate::time::{SimDuration, DAY};
 
@@ -34,15 +33,10 @@ pub struct SimConfig {
     /// methods identically; the deployment experiment sets it to the TTL
     /// because its absolute success rate is the reported artifact.
     pub gen_tail_margin: SimDuration,
-    /// Maintenance-cost accounting: a routing/utility table with `n` entries
-    /// costs `n / entries_per_packet` forwarding-op equivalents. Default 50.
-    pub entries_per_packet: usize,
-    /// Maximum packets moved landmark→node per contact (`K`). Default 50.
-    pub upload_cap: usize,
     /// Per-landmark radio budget in packets per time unit. `None` (the
-    /// default) leaves transfers bounded only by memory and `upload_cap`,
-    /// matching the paper's trace experiments; `Some(_)` activates the
-    /// §IV-D.5 uplink/downlink scheduler.
+    /// default) leaves transfers bounded only by memory, matching the
+    /// paper's trace experiments; `Some(_)` activates the §IV-D.5
+    /// uplink/downlink scheduler and its per-contact upload cap.
     pub radio_budget_per_unit: Option<u64>,
     /// Number of evenly spaced observation points at which routers may
     /// snapshot internal state (Fig. 8 uses 10). Default 0.
@@ -61,8 +55,6 @@ impl Default for SimConfig {
             packets_per_landmark_per_day: 500.0,
             warmup_fraction: 0.25,
             gen_tail_margin: SimDuration::ZERO,
-            entries_per_packet: 50,
-            upload_cap: 50,
             radio_budget_per_unit: None,
             observe_points: 0,
             seed: 0xD7F1_0001,
@@ -144,9 +136,6 @@ impl SimConfig {
         if self.packets_per_landmark_per_day < 0.0 {
             return Err("packet rate must be non-negative".into());
         }
-        if self.entries_per_packet == 0 {
-            return Err("entries_per_packet must be positive".into());
-        }
         Ok(())
     }
 }
@@ -208,11 +197,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SimConfig {
             time_unit: SimDuration::ZERO,
-            ..SimConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SimConfig {
-            entries_per_packet: 0,
             ..SimConfig::default()
         };
         assert!(c.validate().is_err());

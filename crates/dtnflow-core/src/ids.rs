@@ -82,16 +82,6 @@ impl fmt::Display for PacketId {
     }
 }
 
-/// Iterator over all landmark ids `l0..l<count>`.
-pub fn all_landmarks(count: usize) -> impl Iterator<Item = LandmarkId> {
-    (0..count).map(LandmarkId::from)
-}
-
-/// Iterator over all node ids `n0..n<count>`.
-pub fn all_nodes(count: usize) -> impl Iterator<Item = NodeId> {
-    (0..count).map(NodeId::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,18 +104,6 @@ mod tests {
     fn ordering_follows_indices() {
         assert!(NodeId(1) < NodeId(2));
         assert!(LandmarkId(0) < LandmarkId(10));
-    }
-
-    #[test]
-    fn all_landmarks_enumerates_in_order() {
-        let ls: Vec<_> = all_landmarks(3).collect();
-        assert_eq!(ls, vec![LandmarkId(0), LandmarkId(1), LandmarkId(2)]);
-    }
-
-    #[test]
-    fn all_nodes_enumerates_in_order() {
-        let ns: Vec<_> = all_nodes(2).collect();
-        assert_eq!(ns, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]

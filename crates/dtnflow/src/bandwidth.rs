@@ -126,15 +126,6 @@ impl BandwidthMatrix {
         }
     }
 
-    /// All landmarks with usable outgoing bandwidth from `me` (the
-    /// neighbour set of the distance-vector protocol).
-    pub fn neighbors(&self, me: LandmarkId, min_bandwidth: f64) -> Vec<LandmarkId> {
-        (0..self.n)
-            .map(LandmarkId::from)
-            .filter(|&l| self.outgoing(me, l) >= min_bandwidth)
-            .collect()
-    }
-
     /// Expected per-hop delay of the link `me → to` in seconds, under the
     /// configured delay model; `f64::INFINITY` when the link is unusable.
     pub fn link_delay(
@@ -239,16 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_filter_by_bandwidth() {
-        let mut t = BandwidthMatrix::new(3, 1.0);
-        t.record_arrival_from(ME, lm(1));
-        t.end_of_unit_all();
-        t.apply_report(ME, lm(2), 0.01, 1);
-        let n = t.neighbors(ME, 0.05);
-        assert_eq!(n, vec![lm(1)]);
-    }
-
-    #[test]
     fn link_delay_models() {
         let mut t = BandwidthMatrix::new(2, 1.0);
         t.record_arrival_from(ME, lm(1));
@@ -277,6 +258,5 @@ mod tests {
         assert!((t.outgoing(ME, lm(1)) - 5.0).abs() < 1e-12); // wrong (symmetry)
         t.apply_report(ME, lm(1), 0.0, 1); // the truth from the other side
         assert_eq!(t.outgoing(ME, lm(1)), 0.0);
-        assert!(t.neighbors(ME, 0.05).is_empty());
     }
 }

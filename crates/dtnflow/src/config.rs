@@ -64,38 +64,18 @@ impl Default for LoadBalanceConfig {
 
 /// Graceful-degradation parameters for fault-injected runs (station
 /// outages and node churn — see `dtnflow_sim::faults`). All three
-/// mechanisms are pure functions of information the router already has,
+/// mechanisms (staleness decay, down-landmark avoidance, stranded-packet
+/// retries) are pure functions of information the router already has,
 /// so they change nothing in a fault-free run until a vector actually
 /// goes stale or a station actually goes down.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DegradationConfig {
-    /// A stored distance vector older than this many time units is
-    /// considered stale and starts decaying.
-    pub staleness_max_age: u64,
-    /// Multiplicative penalty applied once per unit to every finite delay
-    /// claim in a stale vector — stale routes look progressively worse
-    /// until a fresh vector arrives, instead of being trusted forever.
-    pub staleness_factor: f64,
-    /// How many station outages a stranded packet survives (being
-    /// re-queued on recovery each time) before it is dropped.
-    pub max_retries: u32,
     /// Delay, in seconds, between a station recovering and its stranded
     /// packets being re-queued. The retry rides the engine timer queue
     /// as an ordinary timer event, so with `0` (the default) it fires at
     /// the recovery instant and with a positive delay it survives
     /// checkpoints like any other pending timer.
     pub retry_delay_secs: u64,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            staleness_max_age: 2,
-            staleness_factor: 1.5,
-            max_retries: 8,
-            retry_delay_secs: 0,
-        }
-    }
 }
 
 /// A deliberately injected routing loop (the Table VII experiment): at
@@ -133,8 +113,6 @@ impl Default for AccuracyFactors {
 pub struct FlowConfig {
     /// Markov predictor order (the paper uses 1 after Fig. 6).
     pub order_k: usize,
-    /// EWMA weight `α` in Eq. 4.
-    pub bandwidth_alpha: f64,
     /// Bandwidth below which a transit link is not considered a usable
     /// neighbour link.
     pub min_bandwidth: f64,
@@ -157,9 +135,6 @@ pub struct FlowConfig {
     pub load_balance: Option<LoadBalanceConfig>,
     /// Deliberate loop injections for the Table VII experiment.
     pub inject_loops: Vec<LoopInjection>,
-    /// How many frequently-visited landmarks a node registers for the
-    /// §IV-E.4 routing-to-mobile-nodes extension.
-    pub frequent_landmarks: usize,
     /// Graceful degradation under injected faults; `None` disables
     /// staleness decay, down-landmark avoidance and stranded-packet
     /// retries.
@@ -170,7 +145,6 @@ impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             order_k: 1,
-            bandwidth_alpha: 0.2,
             min_bandwidth: 0.05,
             delay_model: LinkDelayModel::TransitInterval,
             accuracy: AccuracyFactors::default(),
@@ -179,7 +153,6 @@ impl Default for FlowConfig {
             loop_correction: false,
             load_balance: None,
             inject_loops: Vec::new(),
-            frequent_landmarks: 2,
             // Off by default: staleness decay perturbs routing tables
             // even in fault-free runs (vectors can go stale for benign
             // reasons), and the paper's baseline configuration has no
@@ -213,10 +186,6 @@ impl FlowConfig {
     /// Panics on out-of-range parameters.
     pub fn validate(&self) {
         assert!(self.order_k >= 1, "order_k must be at least 1");
-        assert!(
-            (0.0..=1.0).contains(&self.bandwidth_alpha),
-            "alpha must be a weight in [0,1]"
-        );
         assert!(self.min_bandwidth >= 0.0);
         if let Some(d) = &self.dead_end {
             assert!(d.gamma >= 1.0, "gamma must be at least 1");
@@ -229,14 +198,6 @@ impl FlowConfig {
             self.mis_transit_tolerance >= 0.0,
             "mis-transit tolerance must be non-negative"
         );
-        assert!(self.frequent_landmarks >= 1);
-        if let Some(d) = &self.degradation {
-            assert!(
-                d.staleness_factor >= 1.0,
-                "staleness_factor must be at least 1"
-            );
-            assert!(d.max_retries >= 1, "max_retries must be at least 1");
-        }
     }
 }
 
@@ -248,7 +209,6 @@ mod tests {
     fn defaults_are_paper_defaults() {
         let c = FlowConfig::default();
         assert_eq!(c.order_k, 1);
-        assert!((c.bandwidth_alpha - 0.2).abs() < 1e-12);
         assert!(c.dead_end.is_none());
         assert!(!c.loop_correction);
         assert!(c.load_balance.is_none());
@@ -273,16 +233,6 @@ mod tests {
                 gamma: 0.5,
                 min_stays: 1,
             }),
-            ..FlowConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn rejects_bad_alpha() {
-        let c = FlowConfig {
-            bandwidth_alpha: 1.5,
             ..FlowConfig::default()
         };
         c.validate();

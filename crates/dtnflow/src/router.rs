@@ -151,7 +151,8 @@ struct PktMeta {
     next_hop: Option<LandmarkId>,
     expected: f64,
     /// How many station outages have stranded this packet (degradation:
-    /// re-queued on recovery until `DegradationConfig::max_retries`).
+    /// re-queued on recovery until `MAX_RETRIES` in
+    /// `process_stranded_retries`).
     retries: u32,
 }
 
@@ -266,13 +267,14 @@ impl FlowRouter {
                 cache_misses: 0,
             })
             .collect();
+        /// EWMA weight `α` of Eq. 4.
+        const BANDWIDTH_ALPHA: f64 = 0.2;
         let injections = cfg.inject_loops.clone();
-        let bandwidth_alpha = cfg.bandwidth_alpha;
         FlowRouter {
             cfg,
             nodes,
             landmarks,
-            bw: BandwidthMatrix::new(num_landmarks, bandwidth_alpha),
+            bw: BandwidthMatrix::new(num_landmarks, BANDWIDTH_ALPHA),
             meta: Vec::new(),
             observer: TableObserver::new(),
             current_unit: 0,
@@ -685,7 +687,7 @@ impl FlowRouter {
         }
     }
 
-    /// Downlink at node arrival: give the node up to `upload_cap` station
+    /// Downlink at node arrival: give the node up to `UPLOAD_CAP` station
     /// packets it can usefully carry — direct-delivery packets first, then
     /// packets routed toward its predicted landmark, in minimum-remaining-
     /// TTL order (§IV-D.5 step 4; TTL order equals id order because every
@@ -711,12 +713,14 @@ impl FlowRouter {
             self.scratch_dist = dist;
             return;
         }
-        // `upload_cap` (K = 50) is the §IV-D.5 *per-round* granularity and
-        // only applies when the radio is actually contended; with an
+        /// Packets moved station→node per contact round: `K` of §IV-D.5.
+        const UPLOAD_CAP: usize = 50;
+        // The cap is the §IV-D.5 *per-round* granularity and only
+        // applies when the radio is actually contended; with an
         // unconstrained radio the transfer is bounded by node memory, as
         // in the paper's trace experiments.
         let cap = if world.config().radio_budget_per_unit.is_some() {
-            world.config().upload_cap
+            UPLOAD_CAP
         } else {
             usize::MAX
         };
@@ -910,10 +914,12 @@ impl FlowRouter {
         let st = &mut self.landmarks[lm.index()];
         // Degradation: age out neighbour vectors that have not been
         // refreshed (e.g. across a station outage) before the recompute
-        // below re-ranks routes.
-        if let Some(deg) = &cfg.degradation {
-            st.rt
-                .decay_stale(unit, deg.staleness_max_age, deg.staleness_factor);
+        // below re-ranks routes. Past two units of age, each finite delay
+        // claim of a vector grows 1.5x per unit.
+        const STALENESS_MAX_AGE: u64 = 2;
+        const STALENESS_FACTOR: f64 = 1.5;
+        if cfg.degradation.is_some() {
+            st.rt.decay_stale(unit, STALENESS_MAX_AGE, STALENESS_FACTOR);
         }
         st.unit_seq = unit;
         st.seen_corrections.clear();
@@ -935,9 +941,10 @@ impl FlowRouter {
 
     /// Refresh §IV-E.4 registrations, reusing each node's buffer.
     fn refresh_registrations(&mut self) {
-        let top = self.cfg.frequent_landmarks;
+        /// Frequently visited landmarks a node registers at (§IV-E.4).
+        const FREQUENT_LANDMARKS: usize = 2;
         for (ns, reg) in self.nodes.iter().zip(self.registrations.iter_mut()) {
-            ns.history.frequent_landmarks_into(top, reg);
+            ns.history.frequent_landmarks_into(FREQUENT_LANDMARKS, reg);
         }
     }
 
@@ -968,9 +975,12 @@ impl FlowRouter {
     /// permitting) and try to move the survivors out through any
     /// connected carriers right away.
     fn process_stranded_retries(&mut self, world: &mut World, lm: LandmarkId) {
-        let Some(deg) = self.cfg.degradation else {
+        /// Station outages a stranded packet survives (re-queued on each
+        /// recovery) before it is dropped.
+        const MAX_RETRIES: u32 = 8;
+        if self.cfg.degradation.is_none() {
             return;
-        };
+        }
         // A delayed retry may outlive its recovery window: if the station
         // went down again before the timer fired, the next recovery
         // schedules a fresh one.
@@ -985,7 +995,7 @@ impl FlowRouter {
             };
             let mut meta = self.meta_of(pkt);
             meta.retries += 1;
-            if meta.retries > deg.max_retries {
+            if meta.retries > MAX_RETRIES {
                 self.unindex(lm, pkt, dst, dst_node);
                 if world.drop_lost(pkt, LossReason::Outage).is_ok() {
                     self.stats.stranded_drops += 1;

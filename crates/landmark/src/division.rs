@@ -42,15 +42,6 @@ impl SubareaDivision {
     pub fn assign(&self, p: Point) -> LandmarkId {
         LandmarkId::from(nearest_site(&self.sites, p))
     }
-
-    /// Whether `p` lies strictly closer to `lm` than to all others.
-    pub fn strictly_inside(&self, lm: LandmarkId, p: Point) -> bool {
-        let d = self.sites[lm.index()].distance_sq(p);
-        self.sites
-            .iter()
-            .enumerate()
-            .all(|(j, s)| j == lm.index() || s.distance_sq(p) > d)
-    }
 }
 
 /// A rasterized subarea division over a rectangle: per-cell landmark
@@ -173,14 +164,6 @@ mod tests {
         assert_eq!(d.assign(Point::new(5.1, -3.0)), LandmarkId(1));
         // The midpoint itself belongs to exactly one subarea (no overlap).
         assert_eq!(d.assign(Point::new(5.0, 0.0)), LandmarkId(0));
-    }
-
-    #[test]
-    fn strict_interior_test() {
-        let d = two_sites();
-        assert!(d.strictly_inside(LandmarkId(0), Point::new(1.0, 0.0)));
-        assert!(!d.strictly_inside(LandmarkId(0), Point::new(5.0, 0.0)));
-        assert!(!d.strictly_inside(LandmarkId(0), Point::new(9.0, 0.0)));
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl EvalResult {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
     }
-
-    /// Pooled accuracy: total correct over total attempts.
-    pub fn pooled_accuracy(&self) -> Option<f64> {
-        (self.attempts > 0).then(|| self.correct as f64 / self.attempts as f64)
-    }
 }
 
 /// Evaluate an order-k predictor on every node of a trace.
@@ -168,7 +163,6 @@ mod tests {
         let r = evaluate_order_k(&t, 2);
         assert_eq!(r.per_node[0], None);
         assert!(r.mean_node_accuracy().is_none());
-        assert!(r.pooled_accuracy().is_none());
     }
 
     #[test]

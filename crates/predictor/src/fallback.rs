@@ -31,11 +31,6 @@ impl FallbackPredictor {
         }
     }
 
-    /// The maximum order.
-    pub fn max_order(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Feed the next visited landmark into every level.
     pub fn observe(&mut self, lm: LandmarkId) {
         for p in &mut self.levels {

@@ -46,11 +46,6 @@ impl VisitHistory {
         *n += 1;
     }
 
-    /// All rows, oldest first.
-    pub fn entries(&self) -> &[HistoryEntry] {
-        &self.entries
-    }
-
     /// Total completed stays recorded.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -59,11 +54,6 @@ impl VisitHistory {
     /// Whether no stay has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The landmark sequence (for feeding a Markov predictor).
-    pub fn landmark_seq(&self) -> impl Iterator<Item = LandmarkId> + '_ {
-        self.entries.iter().map(|e| e.landmark)
     }
 
     /// Average stay time at one landmark, if ever visited.
@@ -81,11 +71,6 @@ impl VisitHistory {
         (n > 0).then(|| SimDuration::from_secs(sum / n))
     }
 
-    /// Number of completed stays at one landmark.
-    pub fn visits_at(&self, landmark: LandmarkId) -> u32 {
-        self.stay_sums[landmark.index()].1
-    }
-
     /// The `top` most frequently visited landmarks, descending by visit
     /// count (used by the §IV-E.4 routing-to-mobile-nodes extension).
     pub fn frequent_landmarks(&self, top: usize) -> Vec<LandmarkId> {
@@ -96,7 +81,7 @@ impl VisitHistory {
 
     /// [`VisitHistory::frequent_landmarks`] into a caller-owned buffer
     /// (cleared first), allocation-free: `top` is tiny (the §IV-E.4
-    /// registration count, 2 by default), so a selection scan per rank
+    /// registration count, 2 in the router), so a selection scan per rank
     /// beats building and sorting a count vector. Ties rank the lower
     /// landmark id first, as the sorted form did.
     pub fn frequent_landmarks_into(&self, top: usize, out: &mut Vec<LandmarkId>) {
@@ -211,16 +196,6 @@ mod tests {
         assert_eq!(h.avg_stay_at(lm(1)), Some(SimDuration(300)));
         assert_eq!(h.avg_stay_at(lm(2)), None);
         assert_eq!(h.avg_stay_overall(), Some(SimDuration(233)));
-        assert_eq!(h.visits_at(lm(0)), 2);
-    }
-
-    #[test]
-    fn landmark_seq_in_order() {
-        let mut h = VisitHistory::new(2);
-        h.record(lm(1), t(0), t(10));
-        h.record(lm(0), t(20), t(30));
-        let seq: Vec<_> = h.landmark_seq().collect();
-        assert_eq!(seq, vec![lm(1), lm(0)]);
     }
 
     #[test]

@@ -258,10 +258,6 @@ pub struct SimSession<'a, R: Router + ?Sized> {
     // detlint: allow(S1, reason = "pure function of (trace, cfg, workload, plan); rebuilt by resume(), only the cursor is checkpointed")
     events: Vec<Event>,
     next_static: usize,
-    // detlint: allow(S1, reason = "run input, not state: the shard plan never affects outcomes, and resume() always runs one shard")
-    plan: ShardPlan,
-    // detlint: allow(S1, reason = "run input, not state: a throughput knob, never a semantic one")
-    exec: ShardExec,
     /// Pending router timers in a sorted deadline queue (DESIGN.md §14):
     /// pops in exactly the `(at, seq)` order the old binary heap
     /// produced (the queue holds only `Timer` events, whose kind
@@ -301,42 +297,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         router: &'a mut R,
         sink: Option<Box<dyn TraceSink>>,
     ) -> SimSession<'a, R> {
-        let shard_plan = ShardPlan::single(trace.num_landmarks());
-        Self::start_sharded(
-            trace,
-            cfg,
-            workload,
-            plan,
-            router,
-            sink,
-            shard_plan,
-            ShardExec::sequential(),
-        )
-    }
-
-    /// [`SimSession::start`] under a shard runtime, which the engine only
-    /// hands to [`Router::on_time_unit_sharded`]. No router in the
-    /// workspace uses the runtime, so outcomes are those of
-    /// [`SimSession::start`]. This constructor stays because the
-    /// benchmark adapter still calls it; ROADMAP items 1(b) and 2 delete
-    /// it with the rest of the shard runtime (DESIGN.md §13).
-    #[allow(clippy::too_many_arguments)] // mirrors `start` plus the shard runtime
-    pub fn start_sharded(
-        trace: &Trace,
-        cfg: &SimConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        router: &'a mut R,
-        sink: Option<Box<dyn TraceSink>>,
-        shard_plan: ShardPlan,
-        exec: ShardExec,
-    ) -> SimSession<'a, R> {
         plan.check_against(trace);
-        debug_assert_eq!(
-            shard_plan.num_landmarks(),
-            trace.num_landmarks(),
-            "shard plan must partition exactly the trace's landmarks"
-        );
         let mut world = World::new(cfg.clone(), trace.num_nodes(), trace.num_landmarks());
         if let Some(sink) = sink {
             world.set_trace_sink(sink);
@@ -347,8 +308,6 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             world,
             events,
             next_static: 0,
-            plan: shard_plan,
-            exec,
             timers: DeadlineQueue::new(),
             timer_seq: u64::MAX / 2,
             record_lost: build_record_lost(trace, plan),
@@ -357,6 +316,25 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             router,
             present: Vec::new(),
         }
+    }
+
+    /// [`SimSession::start`], ignoring the inert shard arguments. It
+    /// stays because the benchmark adapter still calls it; ROADMAP items
+    /// 1(b) and 2 delete it with the rest of the shard names
+    /// (DESIGN.md §13).
+    #[allow(clippy::too_many_arguments)] // mirrors `start` plus the shard names
+    pub fn start_sharded(
+        trace: &Trace,
+        cfg: &SimConfig,
+        workload: &Workload,
+        plan: &FaultPlan,
+        router: &'a mut R,
+        sink: Option<Box<dyn TraceSink>>,
+        shard_plan: ShardPlan,
+        exec: ShardExec,
+    ) -> SimSession<'a, R> {
+        let _ = (shard_plan, exec);
+        Self::start(trace, cfg, workload, plan, router, sink)
     }
 
     /// Current simulation time.
@@ -371,11 +349,6 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     /// The driven router.
     pub fn router(&self) -> &R {
-        self.router
-    }
-
-    /// The driven router, mutably (checkpoint composition).
-    pub fn router_mut(&mut self) -> &mut R {
         self.router
     }
 
@@ -485,8 +458,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
                 world.emit(|at| SimEvent::UnitBoundary { at, unit: u });
                 world.purge_expired();
                 world.reset_radio_budget();
-                let sharding = Sharding::new(&self.plan, &self.exec);
-                self.router.on_time_unit_sharded(world, u, &sharding);
+                self.router
+                    .on_time_unit_sharded(world, u, &Sharding::default());
             }
             EventKind::StationDown(l) => {
                 world.station_down(l);
@@ -641,8 +614,6 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             world: restored,
             events,
             next_static,
-            plan: ShardPlan::single(trace.num_landmarks()),
-            exec: ShardExec::sequential(),
             timers,
             timer_seq,
             record_lost: build_record_lost(trace, plan),
@@ -946,8 +917,6 @@ mod tests {
     fn step_events_pauses_and_resumes_anywhere() {
         // Drip-feed the run a few events at a time; the hook stream must
         // equal an uninterrupted run regardless of where pauses land.
-        // Driven through `start_sharded`, the entry point the benchmark
-        // adapter calls, so the workspace still covers it.
         let trace = dense_trace(8);
         let cfg = small_cfg();
         let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
@@ -957,20 +926,82 @@ mod tests {
             .run(&mut base);
         for step in [1, 3, 17] {
             let mut r = RecorderRouter::default();
-            let mut session = SimSession::start_sharded(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut r,
-                None,
-                ShardPlan::contiguous(4, 2),
-                ShardExec::new(2),
-            );
+            let mut session =
+                SimSession::start(&trace, &cfg, &workload, &FaultPlan::none(), &mut r, None);
             while session.step_events(step) {}
             let _ = session.finish();
             assert_eq!(r.log, base.log, "step={step}");
         }
+    }
+
+    /// Counts the two unit hooks apart. The trait default of
+    /// `on_time_unit_sharded` forwards to `on_time_unit`, so a router
+    /// that logs only `on_time_unit` cannot tell which one the engine
+    /// called.
+    #[derive(Default)]
+    struct UnitHookCounter {
+        direct: u64,
+        sharded: u64,
+    }
+
+    impl Router for UnitHookCounter {
+        fn name(&self) -> &'static str {
+            "unit-hooks"
+        }
+        fn on_arrive(&mut self, _w: &mut World, _node: NodeId, _lm: LandmarkId) {}
+        fn on_packet_generated(&mut self, _w: &mut World, _pkt: PacketId) {}
+        fn on_time_unit(&mut self, _w: &mut World, _unit: u64) {
+            self.direct += 1;
+        }
+        fn on_time_unit_sharded(&mut self, _w: &mut World, _unit: u64, _s: &Sharding<'_>) {
+            self.sharded += 1;
+        }
+    }
+
+    #[test]
+    fn every_unit_boundary_goes_through_the_sharded_hook() {
+        // The benchmark adapter's timing wrapper overrides
+        // `on_time_unit_sharded`; a dispatch that called `on_time_unit`
+        // directly would skip it on every entry point.
+        let trace = dense_trace(8);
+        let cfg = small_cfg();
+        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
+        let none = FaultPlan::none();
+
+        let mut started = UnitHookCounter::default();
+        let mut session = SimSession::start(&trace, &cfg, &workload, &none, &mut started, None);
+        session.run_to_end();
+        let _ = session.finish();
+
+        let mut sharded = UnitHookCounter::default();
+        let mut session = SimSession::start_sharded(
+            &trace,
+            &cfg,
+            &workload,
+            &none,
+            &mut sharded,
+            None,
+            ShardPlan::contiguous(trace.num_landmarks(), 2),
+            ShardExec::new(2),
+        );
+        session.run_to_end();
+        let _ = session.finish();
+
+        let mut spec = UnitHookCounter::default();
+        let _ = RunSpec::new(&trace, &cfg)
+            .workload(&workload)
+            .run(&mut spec);
+
+        for (entry, r) in [
+            ("start", &started),
+            ("start_sharded", &sharded),
+            ("RunSpec::run", &spec),
+        ] {
+            assert_eq!(r.direct, 0, "{entry}: a boundary skipped the sharded hook");
+            assert!(r.sharded > 0, "{entry}: no unit boundary fired");
+        }
+        assert_eq!(started.sharded, sharded.sharded);
+        assert_eq!(started.sharded, spec.sharded);
     }
 
     #[test]

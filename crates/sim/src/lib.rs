@@ -46,7 +46,7 @@ pub use world::{LossReason, TransferError, TransferOutcome, World, WorldError};
 // sinks without a direct dtnflow-obs dependency.
 pub use dtnflow_obs::{NoopSink, Recorder, SimEvent, TraceSink};
 
-// The shard runtime stays re-exported only because the benchmark
+// The inert shard names stay re-exported only because the benchmark
 // adapter still builds a `ShardPlan` and `ShardExec` for
 // `SimSession::start_sharded` and wraps `Router::on_time_unit_sharded`
 // (DESIGN.md §13); ROADMAP items 1(b) and 2 delete them together.

@@ -59,12 +59,12 @@ pub trait Router {
         let _ = (world, unit);
     }
 
-    /// [`Router::on_time_unit`] under a shard runtime: ignores `shards`
-    /// and calls `on_time_unit`. No router in the workspace overrides it
-    /// and only the engine's dispatch calls it. It stays because the
-    /// benchmark adapter's timing wrapper still overrides it; ROADMAP
-    /// items 1(b) and 2 delete it with the rest of the shard runtime
-    /// (DESIGN.md §13).
+    /// The engine's entry to [`Router::on_time_unit`]: every unit
+    /// boundary comes through here, and the default ignores the inert
+    /// `shards` and calls `on_time_unit`. No router in the workspace
+    /// overrides it. It stays because the benchmark adapter's timing
+    /// wrapper still overrides it; ROADMAP items 1(b) and 2 delete it
+    /// with the rest of the shard names (DESIGN.md §13).
     fn on_time_unit_sharded(&mut self, world: &mut World, unit: u64, shards: &Sharding<'_>) {
         let _ = shards;
         self.on_time_unit(world, unit);
