@@ -4,6 +4,9 @@
 use crate::time::SimDuration;
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
+/// Table entries that fit one packet-equivalent (DESIGN.md §6).
+const ENTRIES_PER_PACKET: usize = 50;
+
 /// Counters accumulated while a simulation runs.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
@@ -19,7 +22,7 @@ pub struct RunMetrics {
     /// packet transfer counts one).
     pub forwarding_ops: u64,
     /// Routing-information forwarding cost, in forwarding-op equivalents
-    /// (a table with `n` entries costs `n / entries_per_packet`).
+    /// (a table with `n` entries costs `n / ENTRIES_PER_PACKET`).
     pub maintenance_ops: f64,
     /// Packets destroyed by station outages (generated at a down station,
     /// or dropped after exhausting their retry budget at a failed one).
@@ -51,10 +54,9 @@ impl RunMetrics {
     }
 
     /// Record the exchange of a routing/utility table with `entries`
-    /// entries, where `entries_per_packet` entries fit one packet-equivalent.
-    pub fn record_table_exchange(&mut self, entries: usize, entries_per_packet: usize) {
-        assert!(entries_per_packet > 0, "entries_per_packet must be > 0");
-        self.maintenance_ops += entries as f64 / entries_per_packet as f64;
+    /// entries, `ENTRIES_PER_PACKET` of which fit one packet-equivalent.
+    pub fn record_table_exchange(&mut self, entries: usize) {
+        self.maintenance_ops += entries as f64 / ENTRIES_PER_PACKET as f64;
     }
 
     /// Record a packet destroyed by a station outage.
@@ -284,7 +286,7 @@ mod tests {
         let mut m = RunMetrics::default();
         m.record_forward();
         m.record_forward();
-        m.record_table_exchange(100, 50);
+        m.record_table_exchange(100);
         assert_eq!(m.forwarding_ops, 2);
         assert!((m.maintenance_ops - 2.0).abs() < 1e-12);
         assert!((m.total_cost() - 4.0).abs() < 1e-12);

@@ -110,6 +110,13 @@ impl RankIndex {
         true
     }
 
+    /// Whether any entry is filed in `group`, toward any target. O(1):
+    /// `remove` drops an emptied list, so a group's map is empty exactly
+    /// when it holds no entry.
+    pub fn has_any(&self, group: usize) -> bool {
+        self.groups.get(group).is_some_and(|g| !g.is_empty())
+    }
+
     /// The candidates toward `target` in `group`, best first; empty
     /// when none are filed.
     pub fn ranked(&self, group: usize, target: u16) -> &[RankEntry] {

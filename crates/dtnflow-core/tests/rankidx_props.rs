@@ -5,7 +5,8 @@
 //! the same keys (scores are frozen during a stay), and a "fold"
 //! re-files the member with fresh scores (remove-then-reinsert, the
 //! arrive-side maintenance). After every step each ranked list must be
-//! exactly the scan result: score descending, member ascending.
+//! exactly the scan result: score descending, member ascending, and
+//! `has_any` must say whether the scan finds any entry in the group.
 
 use dtnflow_core::{RankEntry, RankIndex};
 use proptest::prelude::*;
@@ -123,13 +124,17 @@ proptest! {
                 }
             }
             for group in 0..GROUPS {
+                let mut any = false;
                 for target in 0..TARGETS {
+                    let scan = rescan(&live, group, target);
+                    any |= !scan.is_empty();
                     prop_assert_eq!(
                         idx.ranked(group, target),
-                        &rescan(&live, group, target)[..],
+                        &scan[..],
                         "group {} target {}", group, target
                     );
                 }
+                prop_assert_eq!(idx.has_any(group), any, "group {}", group);
             }
         }
         let total: usize = live.values().map(|(_, s)| s.len()).sum();

@@ -106,7 +106,9 @@ struct LandmarkState {
     /// storage is reused tick after tick.
     by_next_hop: DenseMap<LandmarkId, DenseSet<PacketId>>,
     /// Station packets indexed by final destination (direct-delivery
-    /// opportunities, §IV-D.2).
+    /// opportunities, §IV-D.2). Every packet at the station is filed
+    /// here; entries of packets that left without the router (the TTL
+    /// purge, a fault drop) linger until the next rebucket.
     by_dst: DenseMap<LandmarkId, DenseSet<PacketId>>,
     /// Station packets addressed to a mobile node (§IV-E.4).
     by_dst_node: DenseMap<NodeId, DenseSet<PacketId>>,
@@ -127,21 +129,6 @@ struct LandmarkState {
     /// run.
     cache_hits: u64,
     cache_misses: u64,
-}
-
-impl LandmarkState {
-    /// Empty every station bucket, keeping the allocated sets for reuse.
-    fn clear_buckets(&mut self) {
-        for s in self.by_next_hop.values_mut() {
-            s.clear();
-        }
-        for s in self.by_dst.values_mut() {
-            s.clear();
-        }
-        for s in self.by_dst_node.values_mut() {
-            s.clear();
-        }
-    }
 }
 
 /// Routing metadata DTN-FLOW stamps on a packet when forwarding it
@@ -400,6 +387,13 @@ impl FlowRouter {
         self.route_epoch += 1;
     }
 
+    /// Rebuild station `lm`'s indices, as a unit boundary, station-down
+    /// or retry does (bench support).
+    #[doc(hidden)]
+    pub fn bench_rebucket(&mut self, world: &World, lm: LandmarkId) {
+        self.rebucket(world, lm);
+    }
+
     // ---- internals --------------------------------------------------------
 
     fn meta_of(&self, pkt: PacketId) -> PktMeta {
@@ -606,6 +600,11 @@ impl FlowRouter {
         pkt: PacketId,
         exclude: Option<NodeId>,
     ) {
+        // No carrier is filed at the station: neither walk below could
+        // find one.
+        if !self.rank.has_any(lm.index()) {
+            return;
+        }
         let meta = self.meta_of(pkt);
         let p = world.packet(pkt);
         if p.loc != PacketLoc::AtStation(lm) {
@@ -646,17 +645,20 @@ impl FlowRouter {
         carrier: NodeId,
         toward: LandmarkId,
     ) -> bool {
-        let dst = world.packet(pkt).dst;
+        let (dst, dst_node) = {
+            let p = world.packet(pkt);
+            (p.dst, p.dst_node)
+        };
         let expected = self.landmarks[lm.index()].rt.delay_to(dst);
         match world.transfer_to_node(pkt, carrier) {
             Ok(()) => {
-                self.unindex(lm, pkt, dst, world.packet(pkt).dst_node);
+                self.unindex(lm, pkt, dst, dst_node);
                 self.landmarks[lm.index()].lb_outgoing[toward.index()] += 1;
                 self.restamp(pkt, Some(toward), expected);
                 true
             }
             Err(TransferError::Expired) => {
-                self.unindex(lm, pkt, dst, None);
+                self.unindex(lm, pkt, dst, dst_node);
                 false
             }
             Err(_) => false,
@@ -865,13 +867,93 @@ impl FlowRouter {
         }
     }
 
-    /// Rebuild station `lm`'s indices (by next hop, destination and
-    /// destination node) from the packets it holds, in ascending packet-id
-    /// order: each packet gets a fresh next hop from the route cache, and
-    /// every down-fallback it takes is counted. Run by the unit boundary
-    /// after the table recompute, and by the station-down and retry paths.
+    /// Rebuild station `lm`'s indices from its destination index, which
+    /// files every packet at the station (DESIGN.md §14), without
+    /// reading a packet record:
+    ///
+    /// 1. entries of packets that left without the router go: from
+    ///    `by_dst` when its groups count more packets than the station
+    ///    holds, from `by_dst_node` always;
+    /// 2. each destination group asks the route cache once and stamps
+    ///    all its packets with the answer, counting the `n − 1` hits
+    ///    and, when the answer fell back, the `n` down-fallbacks that
+    ///    asking once per packet counts;
+    /// 3. the next-hop buckets are refilled from one ascending walk of
+    ///    the station store, each packet appended to the bucket of the
+    ///    stamp it was just given.
+    ///
+    /// Stamps, buckets, map slots and counters equal those of the walk
+    /// that asks the route cache per packet and reads each packet's
+    /// record (`rebucket_walk`, the test oracle). Every group is rebuilt:
+    /// a table may recompute between rebuckets without re-stamping, so
+    /// any stamp at the station may be stale. Run by the unit boundary
+    /// after the table recompute, and by the station-down and retry
+    /// paths.
     fn rebucket(&mut self, world: &World, lm: LandmarkId) {
-        self.landmarks[lm.index()].clear_buckets();
+        let held = world.station_packet_count(lm);
+        let st = &mut self.landmarks[lm.index()];
+        if st.by_dst.values().map(DenseSet::len).sum::<usize>() > held {
+            for group in st.by_dst.values_mut() {
+                group.retain(|pkt| world.station_holds(lm, pkt));
+            }
+        }
+        for group in st.by_dst_node.values_mut() {
+            group.retain(|pkt| world.station_holds(lm, pkt));
+        }
+        debug_assert_eq!(
+            st.by_dst.values().map(DenseSet::len).sum::<usize>(),
+            held,
+            "every station packet is filed by destination"
+        );
+        for dst in (0..self.landmarks.len()).map(LandmarkId::from) {
+            let st = &self.landmarks[lm.index()];
+            let n = st.by_dst.get(dst).map_or(0, DenseSet::len);
+            if n == 0 {
+                continue;
+            }
+            let (next, expected, _, fellback) = self.choose_next(lm, dst);
+            if fellback {
+                self.stats.fallback_reroutes += n as u64;
+            }
+            let st = &mut self.landmarks[lm.index()];
+            st.cache_hits += n as u64 - 1;
+            let group = st.by_dst[dst].as_slice();
+            let top = group[n - 1].index();
+            if self.meta.len() <= top {
+                self.meta.resize(top + 1, PktMeta::default());
+            }
+            for pkt in group {
+                let m = &mut self.meta[pkt.index()];
+                m.next_hop = next;
+                m.expected = expected;
+            }
+        }
+        let st = &mut self.landmarks[lm.index()];
+        for bucket in st.by_next_hop.values_mut() {
+            bucket.clear();
+        }
+        for pkt in world.station_packets(lm) {
+            if let Some(nh) = self.meta.get(pkt.index()).and_then(|m| m.next_hop) {
+                st.by_next_hop.get_or_default(nh).insert(pkt);
+            }
+        }
+    }
+
+    /// The per-packet walk `rebucket` replaced, kept as its oracle:
+    /// clear the three indices, then re-file each packet the station
+    /// holds, in ascending id order, asking the route cache per packet.
+    #[cfg(test)]
+    fn rebucket_walk(&mut self, world: &World, lm: LandmarkId) {
+        let st = &mut self.landmarks[lm.index()];
+        for s in st.by_next_hop.values_mut() {
+            s.clear();
+        }
+        for s in st.by_dst.values_mut() {
+            s.clear();
+        }
+        for s in st.by_dst_node.values_mut() {
+            s.clear();
+        }
         for pkt in world.station_packets(lm) {
             let p = world.packet(pkt);
             let (next, expected, _, fellback) = self.choose_next(lm, p.dst);
@@ -989,13 +1071,11 @@ impl FlowRouter {
         }
         let stranded: Vec<PacketId> = world.station_packets(lm).collect();
         for pkt in stranded {
-            let (dst, dst_node) = {
-                let p = world.packet(pkt);
-                (p.dst, p.dst_node)
-            };
             let mut meta = self.meta_of(pkt);
             meta.retries += 1;
             if meta.retries > MAX_RETRIES {
+                let p = world.packet(pkt);
+                let (dst, dst_node) = (p.dst, p.dst_node);
                 self.unindex(lm, pkt, dst, dst_node);
                 if world.drop_lost(pkt, LossReason::Outage).is_ok() {
                     self.stats.stranded_drops += 1;
@@ -1435,7 +1515,8 @@ impl Router for FlowRouter {
         }
         for &pkt in addressed.iter() {
             let dst = world.packet(pkt).dst;
-            if world.deliver_to_dst_node(pkt, node).is_ok() {
+            // A packet that expired on the way out leaves the station too.
+            if let Ok(()) | Err(TransferError::Expired) = world.deliver_to_dst_node(pkt, node) {
                 self.unindex(lm, pkt, dst, Some(node));
             }
         }
@@ -1712,7 +1793,8 @@ mod tests {
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};
     use dtnflow_mobility::{Trace, Visit};
-    use dtnflow_sim::RunSpec;
+    use dtnflow_sim::{FaultConfig, FaultPlan, RunSpec, SimSession, Workload};
+    use proptest::prelude::*;
 
     /// A three-landmark corridor: node 0 shuttles l0<->l1, node 1 shuttles
     /// l1<->l2, daily. No node ever visits both ends, so only inter-
@@ -2080,51 +2162,56 @@ mod tests {
         );
     }
 
+    /// Forwards every hook to a DTN-FLOW router and, at the unit-8
+    /// boundary, sends one packet from l2's subarea to node 0 (who
+    /// frequents l0/l1, never l2) through §IV-E.4.
+    struct NodeSender {
+        inner: FlowRouter,
+        sent: bool,
+        created: Vec<PacketId>,
+    }
+
+    impl Router for NodeSender {
+        fn name(&self) -> &'static str {
+            "node-sender"
+        }
+        fn uses_stations(&self) -> bool {
+            true
+        }
+        fn on_arrive(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
+            self.inner.on_arrive(w, n, l);
+        }
+        fn on_depart(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
+            self.inner.on_depart(w, n, l);
+        }
+        fn on_packet_generated(&mut self, w: &mut World, p: PacketId) {
+            self.inner.on_packet_generated(w, p);
+        }
+        fn on_time_unit(&mut self, w: &mut World, u: u64) {
+            self.inner.on_time_unit(w, u);
+            if u == 8 && !self.sent {
+                self.sent = true;
+                self.created = self.inner.send_to_node(w, LandmarkId(2), NodeId(0));
+            }
+        }
+        fn on_timer(&mut self, w: &mut World, t: u64) {
+            self.inner.on_timer(w, t);
+        }
+    }
+
+    fn node_sender() -> NodeSender {
+        NodeSender {
+            inner: FlowRouter::new(FlowConfig::default(), 2, 3),
+            sent: false,
+            created: Vec::new(),
+        }
+    }
+
     #[test]
     fn send_to_node_uses_registrations() {
         let trace = corridor_trace(16);
         let cfg = corridor_cfg();
-
-        struct Wrapper {
-            inner: FlowRouter,
-            sent: bool,
-            created: Vec<PacketId>,
-        }
-        impl Router for Wrapper {
-            fn name(&self) -> &'static str {
-                "wrapper"
-            }
-            fn uses_stations(&self) -> bool {
-                true
-            }
-            fn on_arrive(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
-                self.inner.on_arrive(w, n, l);
-            }
-            fn on_depart(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
-                self.inner.on_depart(w, n, l);
-            }
-            fn on_packet_generated(&mut self, w: &mut World, p: PacketId) {
-                self.inner.on_packet_generated(w, p);
-            }
-            fn on_time_unit(&mut self, w: &mut World, u: u64) {
-                self.inner.on_time_unit(w, u);
-                // Mid-run, send a packet from l2's subarea to node 0
-                // (who frequents l0/l1, never l2).
-                if u == 8 && !self.sent {
-                    self.sent = true;
-                    self.created = self.inner.send_to_node(w, LandmarkId(2), NodeId(0));
-                }
-            }
-            fn on_timer(&mut self, w: &mut World, t: u64) {
-                self.inner.on_timer(w, t);
-            }
-        }
-
-        let mut router = Wrapper {
-            inner: FlowRouter::new(FlowConfig::default(), 2, 3),
-            sent: false,
-            created: Vec::new(),
-        };
+        let mut router = node_sender();
         let out = RunSpec::new(&trace, &cfg).run(&mut router);
         assert!(!router.created.is_empty(), "copies were created");
         // At least one copy reached node 0.
@@ -2175,6 +2262,252 @@ mod tests {
             let mut r = Reader::new(&bad);
             let got = FlowRouter::restore_state(&mut r, FlowConfig::default(), 4, 3);
             assert_eq!(got.is_ok(), ok, "by_dst_node key {node}");
+        }
+    }
+
+    /// Six landmarks, eight nodes: each node makes three stays a day on
+    /// its own loop (stride 1, 2 or 3 landmarks, shifted on odd days),
+    /// so packets relay over several hops and every station routes
+    /// toward several next hops.
+    fn mesh_trace(days: u64) -> Trace {
+        let mut visits = Vec::new();
+        for d in 0..days {
+            for n in 0..8u64 {
+                for k in 0..3u64 {
+                    let lm = LandmarkId(((n + k * (1 + n % 3) + d % 2) % 6) as u16);
+                    let start = d * 86_400 + 1_000 + k * 25_000 + n * 1_500;
+                    visits.push(Visit::new(
+                        NodeId(n as u32),
+                        lm,
+                        SimTime(start),
+                        SimTime(start + 9_000),
+                    ));
+                }
+            }
+        }
+        let positions = (0..6).map(|i| Point::new(i as f64 * 400.0, 0.0)).collect();
+        Trace::new("mesh", 8, 6, positions, visits).unwrap()
+    }
+
+    fn state_bytes(router: &FlowRouter) -> Vec<u8> {
+        let mut w = Writer::new();
+        router.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Two copies of a mid-run router and world. In both worlds the
+    /// station packets `drops` picks are lost behind the router's back,
+    /// as the TTL purge does, so their index entries go stale; then
+    /// every station of one copy is rebuilt by `rebucket`, of the other
+    /// by the per-packet walk. The two routers must encode to the same
+    /// bytes: stamps, all three indices with their map slots, route
+    /// cache cells and counters, and `FlowStats`.
+    fn assert_rebuckets_agree(
+        router: &FlowRouter,
+        world: &World,
+        flow: &FlowConfig,
+        drops: &[u32],
+        flip_down: Option<usize>,
+    ) {
+        let (nodes, landmarks) = (world.num_nodes(), world.num_landmarks());
+        let mut world_bytes = Writer::new();
+        world.encode_state(&mut world_bytes);
+        let router_bytes = state_bytes(router);
+        let copy = || {
+            let mut r = Reader::new(&router_bytes);
+            let router = FlowRouter::restore_state(&mut r, flow.clone(), nodes, landmarks);
+            let mut r = Reader::new(world_bytes.as_bytes());
+            let world = World::decode_state(&mut r, world.config().clone(), nodes, landmarks);
+            (router.unwrap(), world.unwrap())
+        };
+        let (mut walked, mut walked_world) = copy();
+        let (mut grouped, mut grouped_world) = copy();
+        let held: Vec<PacketId> = (0..landmarks)
+            .flat_map(|l| world.station_packets(LandmarkId::from(l)))
+            .collect();
+        for &d in drops.iter().filter(|_| !held.is_empty()) {
+            let pkt = held[d as usize % held.len()];
+            let a = walked_world.drop_lost(pkt, LossReason::Outage);
+            let b = grouped_world.drop_lost(pkt, LossReason::Outage);
+            assert_eq!(a, b);
+        }
+        // A station going down or up first, as `on_station_down` flips
+        // the down-set before its rebuckets.
+        if let Some(l) = flip_down {
+            for r in [&mut walked, &mut grouped] {
+                r.known_down[l] = !r.known_down[l];
+                r.route_epoch += 1;
+            }
+        }
+        for lm in (0..landmarks).map(LandmarkId::from) {
+            walked.rebucket_walk(&walked_world, lm);
+            grouped.rebucket(&grouped_world, lm);
+        }
+        assert!(
+            state_bytes(&walked) == state_bytes(&grouped),
+            "grouped rebucket diverged from the per-packet walk"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The grouped rebuild equals the per-packet walk it replaced,
+        /// at any event of a degradation run with station outages.
+        #[test]
+        fn grouped_rebucket_equals_the_per_packet_walk(
+            seed in any::<u64>(),
+            events in 0usize..4_000,
+            drops in proptest::collection::vec(any::<u32>(), 0..60),
+            flip in 0usize..9,
+        ) {
+            let trace = mesh_trace(10);
+            let cfg = SimConfig {
+                packets_per_landmark_per_day: 40.0,
+                ttl: DAY.mul(3),
+                time_unit: DAY,
+                seed,
+                ..SimConfig::default()
+            };
+            let workload = Workload::uniform(&cfg, 6, trace.duration());
+            let faults = FaultConfig {
+                station_outage_duty: 0.3,
+                mean_outage_secs: 86_400.0,
+                seed,
+                ..FaultConfig::default()
+            };
+            let plan = FaultPlan::generate(&faults, &trace);
+            let flow = FlowConfig::with_degradation();
+            let mut router = FlowRouter::new(flow.clone(), 8, 6);
+            let mut session = SimSession::start(&trace, &cfg, &workload, &plan, &mut router, None);
+            session.step_events(events);
+            let flip_down = (flip < 6).then_some(flip);
+            assert_rebuckets_agree(session.router(), session.world(), &flow, &drops, flip_down);
+        }
+    }
+
+    /// The same equality with node-addressed packets (§IV-E.4) at the
+    /// stations: every event from the send until the run ends.
+    #[test]
+    fn grouped_rebucket_equals_the_walk_with_node_addressed_packets() {
+        let trace = corridor_trace(16);
+        let cfg = corridor_cfg();
+        let workload = Workload::uniform(&cfg, 3, trace.duration());
+        let flow = FlowConfig::default();
+        let mut router = node_sender();
+        let plan = FaultPlan::none();
+        let mut session = SimSession::start(&trace, &cfg, &workload, &plan, &mut router, None);
+        assert!(session.run_to_unit(9), "the send happens at unit 8");
+        let mut filed = 0;
+        let mut step = 0u32;
+        while session.step_events(1) {
+            let (router, world) = (&session.router().inner, session.world());
+            for st in &router.landmarks {
+                filed += st.by_dst_node.values().map(DenseSet::len).sum::<usize>();
+            }
+            let drops = [step, step.wrapping_mul(7) + 3];
+            assert_rebuckets_agree(router, world, &flow, &drops[..(step % 3) as usize], None);
+            step += 1;
+        }
+        assert!(filed > 0, "node-addressed packets waited at a station");
+    }
+
+    /// Without a carrier filed at the station, `try_assign_packet` can
+    /// hand nothing over: it leaves the world and the router as they
+    /// were.
+    #[test]
+    fn try_assign_packet_without_a_filed_carrier_changes_nothing() {
+        let cfg = corridor_cfg();
+        let mut world = World::new(cfg, 2, 3);
+        let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
+        let (l0, l2) = (LandmarkId(0), LandmarkId(2));
+        let pkt = world.create_node_packet(l0, l2, NodeId(1), true);
+        router.station_accept(&mut world, l0, pkt, None);
+        assert!(!router.rank.has_any(l0.index()));
+        let world_bytes = |w: &World| {
+            let mut out = Writer::new();
+            w.encode_state(&mut out);
+            out.into_bytes()
+        };
+        let (router_before, world_before) = (state_bytes(&router), world_bytes(&world));
+        router.try_assign_packet(&mut world, l0, pkt, None);
+        assert!(state_bytes(&router) == router_before, "router changed");
+        assert!(world_bytes(&world) == world_before, "world changed");
+    }
+
+    /// Node-addressed packets that expire at a station leave all three
+    /// of its indices, whether the expiry surfaces on a hand-over
+    /// (`hand_to_carrier`) or on the §IV-E.4 delivery at arrival.
+    #[test]
+    fn expired_node_addressed_packets_leave_every_index() {
+        /// At node 0's first arrival, files two node-1-addressed packets
+        /// at l0: one waits for a carrier toward l1, the other for node 1
+        /// itself. At node 0's second arrival, past their deadlines,
+        /// hands the first to node 0 before the arrival runs. No unit
+        /// boundary is forwarded, so no rebucket clears what the two
+        /// expiry paths leave behind.
+        struct Expirer {
+            inner: FlowRouter,
+            pkts: Vec<PacketId>,
+        }
+        impl Router for Expirer {
+            fn name(&self) -> &'static str {
+                "expirer"
+            }
+            fn uses_stations(&self) -> bool {
+                true
+            }
+            fn on_arrive(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
+                if n == NodeId(0) && !self.pkts.is_empty() {
+                    let via_l1 = self.pkts[0];
+                    assert!(!self.inner.hand_to_carrier(w, l, via_l1, n, LandmarkId(1)));
+                    assert_eq!(w.packet(via_l1).loc, PacketLoc::Expired);
+                }
+                self.inner.on_arrive(w, n, l);
+                if n == NodeId(0) && self.pkts.is_empty() {
+                    for via in [LandmarkId(1), l] {
+                        let pkt = w.create_node_packet(l, via, NodeId(1), true);
+                        self.inner.station_accept(w, l, pkt, None);
+                        self.pkts.push(pkt);
+                    }
+                }
+            }
+            fn on_depart(&mut self, w: &mut World, n: NodeId, l: LandmarkId) {
+                self.inner.on_depart(w, n, l);
+            }
+            fn on_packet_generated(&mut self, w: &mut World, p: PacketId) {
+                self.inner.on_packet_generated(w, p);
+            }
+        }
+        let l0 = LandmarkId(0);
+        let visits = vec![
+            Visit::new(NodeId(0), l0, SimTime(1_000), SimTime(2_000)),
+            Visit::new(NodeId(0), l0, SimTime(10_000), SimTime(11_000)),
+            Visit::new(NodeId(1), l0, SimTime(12_000), SimTime(13_000)),
+        ];
+        let positions = vec![Point::new(0.0, 0.0), Point::new(500.0, 0.0)];
+        let trace = Trace::new("expiry", 2, 2, positions, visits).unwrap();
+        // A one-hour TTL: both packets expire before either later contact.
+        let cfg = SimConfig {
+            packets_per_landmark_per_day: 0.0,
+            ttl: SimDuration::from_secs(3_600),
+            time_unit: DAY,
+            ..SimConfig::default()
+        };
+        let mut router = Expirer {
+            inner: FlowRouter::new(FlowConfig::default(), 2, 2),
+            pkts: Vec::new(),
+        };
+        let out = RunSpec::new(&trace, &cfg).run(&mut router);
+        assert_eq!(router.pkts.len(), 2);
+        for &pkt in &router.pkts {
+            assert_eq!(out.packets[pkt.index()].loc, PacketLoc::Expired);
+        }
+        let st = &router.inner.landmarks[l0.index()];
+        let indices = [&st.by_next_hop, &st.by_dst];
+        let by_landmark = indices.into_iter().flat_map(|m| m.values());
+        for set in by_landmark.chain(st.by_dst_node.values()) {
+            assert!(set.is_empty(), "stale entries {:?}", set.as_slice());
         }
     }
 }

@@ -279,6 +279,16 @@ impl World {
         self.station_store[lm.index()].iter()
     }
 
+    /// Number of packets stored at a station.
+    pub fn station_packet_count(&self, lm: LandmarkId) -> usize {
+        self.station_store[lm.index()].len()
+    }
+
+    /// Whether the station at `lm` stores `pkt`.
+    pub fn station_holds(&self, lm: LandmarkId, pkt: PacketId) -> bool {
+        self.station_store[lm.index()].contains(pkt)
+    }
+
     /// Packets pending pickup in a subarea (no-station routers).
     pub fn pending_at(&self, lm: LandmarkId) -> impl Iterator<Item = PacketId> + '_ {
         self.pending[lm.index()].iter()
@@ -358,10 +368,7 @@ impl World {
     /// Account the exchange of a routing/utility table with `entries`
     /// entries (§V-A.1 overall-cost metric).
     pub fn record_table_exchange(&mut self, entries: usize) {
-        /// Table entries that fit one packet-equivalent (DESIGN.md §6).
-        const ENTRIES_PER_PACKET: usize = 50;
-        self.metrics
-            .record_table_exchange(entries, ENTRIES_PER_PACKET);
+        self.metrics.record_table_exchange(entries);
     }
 
     /// Account one re-queue/retry of a fault-stranded packet (resilience
