@@ -107,8 +107,10 @@ struct LandmarkState {
     by_next_hop: DenseMap<LandmarkId, DenseSet<PacketId>>,
     /// Station packets indexed by final destination (direct-delivery
     /// opportunities, §IV-D.2). Every packet at the station is filed
-    /// here; entries of packets that left without the router (the TTL
-    /// purge, a fault drop) linger until the next rebucket.
+    /// here. The router unindexes every packet it moves out and every
+    /// fault drop it makes, so only the unit-boundary TTL purge leaves
+    /// entries behind, and the same boundary's rebucket clears them
+    /// before any hand-off can run.
     by_dst: DenseMap<LandmarkId, DenseSet<PacketId>>,
     /// Station packets addressed to a mobile node (§IV-E.4).
     by_dst_node: DenseMap<NodeId, DenseSet<PacketId>>,
@@ -327,7 +329,9 @@ impl FlowRouter {
     /// §IV-E.4: send a packet from `src`'s subarea to a mobile node, by
     /// copying it to each of the destination node's registered frequent
     /// landmarks. Returns the created packet copies (empty if the node has
-    /// no registration yet).
+    /// no registration yet). Copies made while `src`'s station is down
+    /// are lost to the outage at once, as generated packets are, and
+    /// never reach its indices.
     pub fn send_to_node(
         &mut self,
         world: &mut World,
@@ -337,8 +341,10 @@ impl FlowRouter {
         let vias = self.registrations[dst_node.index()].clone();
         let mut out = Vec::with_capacity(vias.len());
         for via in vias {
-            let pkt = world.create_node_packet(src, via, dst_node, true);
-            self.station_accept(world, src, pkt, None);
+            let pkt = world.create_node_packet(src, via, dst_node);
+            if world.packet(pkt).loc.is_live() {
+                self.station_accept(world, src, pkt, None);
+            }
             out.push(pkt);
         }
         out
@@ -400,20 +406,18 @@ impl FlowRouter {
         self.meta.get(pkt.index()).copied().unwrap_or_default()
     }
 
-    fn set_meta(&mut self, pkt: PacketId, m: PktMeta) {
+    /// `pkt`'s metadata slot, growing the table to reach it.
+    fn meta_mut(&mut self, pkt: PacketId) -> &mut PktMeta {
         if self.meta.len() <= pkt.index() {
             self.meta.resize(pkt.index() + 1, PktMeta::default());
         }
-        self.meta[pkt.index()] = m;
+        &mut self.meta[pkt.index()]
     }
 
     /// Give `pkt` a fresh next hop and expected delay, keeping its retry
     /// count.
     fn restamp(&mut self, pkt: PacketId, next_hop: Option<LandmarkId>, expected: f64) {
-        if self.meta.len() <= pkt.index() {
-            self.meta.resize(pkt.index() + 1, PktMeta::default());
-        }
-        let m = &mut self.meta[pkt.index()];
+        let m = self.meta_mut(pkt);
         m.next_hop = next_hop;
         m.expected = expected;
     }
@@ -607,9 +611,11 @@ impl FlowRouter {
         }
         let meta = self.meta_of(pkt);
         let p = world.packet(pkt);
-        if p.loc != PacketLoc::AtStation(lm) {
-            return;
-        }
+        debug_assert_eq!(
+            p.loc,
+            PacketLoc::AtStation(lm),
+            "callers pass station packets"
+        );
         let dst = p.dst;
         let remaining = p.remaining_ttl(world.now()).secs() as f64;
 
@@ -645,33 +651,28 @@ impl FlowRouter {
         carrier: NodeId,
         toward: LandmarkId,
     ) -> bool {
-        let (dst, dst_node) = {
-            let p = world.packet(pkt);
-            (p.dst, p.dst_node)
-        };
+        let dst = world.packet(pkt).dst;
         let expected = self.landmarks[lm.index()].rt.delay_to(dst);
         match world.transfer_to_node(pkt, carrier) {
             Ok(()) => {
-                self.unindex(lm, pkt, dst, dst_node);
+                self.unindex(world, lm, pkt);
                 self.landmarks[lm.index()].lb_outgoing[toward.index()] += 1;
                 self.restamp(pkt, Some(toward), expected);
                 true
             }
             Err(TransferError::Expired) => {
-                self.unindex(lm, pkt, dst, dst_node);
+                self.unindex(world, lm, pkt);
                 false
             }
             Err(_) => false,
         }
     }
 
-    fn unindex(
-        &mut self,
-        lm: LandmarkId,
-        pkt: PacketId,
-        dst: LandmarkId,
-        dst_node: Option<NodeId>,
-    ) {
+    /// Remove a packet that left station `lm` from the station's three
+    /// indices.
+    fn unindex(&mut self, world: &World, lm: LandmarkId, pkt: PacketId) {
+        let p = world.packet(pkt);
+        let (dst, dst_node) = (p.dst, p.dst_node);
         let meta = self.meta_of(pkt);
         let st = &mut self.landmarks[lm.index()];
         if let Some(set) = st.by_dst.get_mut(dst) {
@@ -762,15 +763,13 @@ impl FlowRouter {
                         if assigned >= cap || bucket_quota == 0 || !world.node_has_space(node) {
                             break;
                         }
-                        let p = world.packet(pkt);
-                        // Lazily drop stale index entries.
-                        if p.loc != PacketLoc::AtStation(lm) {
-                            let dst = p.dst;
-                            let dn = p.dst_node;
-                            self.unindex(lm, pkt, dst, dn);
-                            continue;
-                        }
+                        debug_assert_eq!(
+                            world.packet(pkt).loc,
+                            PacketLoc::AtStation(lm),
+                            "station indices name only packets at the station"
+                        );
                         if !direct {
+                            let p = world.packet(pkt);
                             if p.dst == h {
                                 continue; // handled by the direct pass
                             }
@@ -791,6 +790,23 @@ impl FlowRouter {
         }
         self.scratch_bucket = bucket;
         self.scratch_dist = dist;
+    }
+
+    /// Upload a packet carried by `node` to station `lm` (§IV-D.1, or a
+    /// §IV-E.1 dead-end hand-back). A closed loop raises a correction;
+    /// a packet the upload did not deliver is accepted at the station,
+    /// whose first carrier search skips `node`. A refused upload leaves
+    /// the router as it was.
+    fn upload(&mut self, world: &mut World, lm: LandmarkId, pkt: PacketId, node: NodeId) {
+        let Ok(out) = world.transfer_to_station(pkt, lm) else {
+            return;
+        };
+        if out.loop_closed {
+            self.handle_loop(world, lm, pkt);
+        }
+        if !out.delivered {
+            self.station_accept(world, lm, pkt, Some(node));
+        }
     }
 
     /// A packet closed a loop at `lm`: raise and apply a correction
@@ -871,9 +887,10 @@ impl FlowRouter {
     /// files every packet at the station (DESIGN.md §14), without
     /// reading a packet record:
     ///
-    /// 1. entries of packets that left without the router go: from
-    ///    `by_dst` when its groups count more packets than the station
-    ///    holds, from `by_dst_node` always;
+    /// 1. entries of packets that left without the router (the unit
+    ///    boundary's TTL purge) go: from `by_dst` when its groups count
+    ///    more packets than the station holds, from `by_dst_node`
+    ///    always;
     /// 2. each destination group asks the route cache once and stamps
     ///    all its packets with the answer, counting the `n − 1` hits
     ///    and, when the answer fell back, the `n` down-fallbacks that
@@ -917,12 +934,10 @@ impl FlowRouter {
             }
             let st = &mut self.landmarks[lm.index()];
             st.cache_hits += n as u64 - 1;
-            let group = st.by_dst[dst].as_slice();
-            let top = group[n - 1].index();
-            if self.meta.len() <= top {
-                self.meta.resize(top + 1, PktMeta::default());
-            }
-            for pkt in group {
+            // The group's highest id sets how far the table must reach.
+            let top = st.by_dst[dst].as_slice()[n - 1];
+            self.meta_mut(top);
+            for pkt in self.landmarks[lm.index()].by_dst[dst].as_slice() {
                 let m = &mut self.meta[pkt.index()];
                 m.next_hop = next;
                 m.expected = expected;
@@ -1071,18 +1086,15 @@ impl FlowRouter {
         }
         let stranded: Vec<PacketId> = world.station_packets(lm).collect();
         for pkt in stranded {
-            let mut meta = self.meta_of(pkt);
-            meta.retries += 1;
-            if meta.retries > MAX_RETRIES {
-                let p = world.packet(pkt);
-                let (dst, dst_node) = (p.dst, p.dst_node);
-                self.unindex(lm, pkt, dst, dst_node);
+            let retries = self.meta_of(pkt).retries + 1;
+            if retries > MAX_RETRIES {
+                self.unindex(world, lm, pkt);
                 if world.drop_lost(pkt, LossReason::Outage).is_ok() {
                     self.stats.stranded_drops += 1;
                 }
                 continue;
             }
-            self.set_meta(pkt, meta);
+            self.meta_mut(pkt).retries = retries;
             world.record_retry();
             world.emit(|at| SimEvent::RetryQueued { at, lm, pkt });
             self.stats.stranded_requeues += 1;
@@ -1490,19 +1502,8 @@ impl Router for FlowRouter {
                     uploaded: upload,
                 });
             }
-            if !upload {
-                continue;
-            }
-            match world.transfer_to_station(pkt, lm) {
-                Ok(out) => {
-                    if out.loop_closed {
-                        self.handle_loop(world, lm, pkt);
-                    }
-                    if !out.delivered {
-                        self.station_accept(world, lm, pkt, Some(node));
-                    }
-                }
-                Err(_) => continue,
+            if upload {
+                self.upload(world, lm, pkt, node);
             }
         }
 
@@ -1514,10 +1515,9 @@ impl Router for FlowRouter {
             addressed.extend(s.iter());
         }
         for &pkt in addressed.iter() {
-            let dst = world.packet(pkt).dst;
             // A packet that expired on the way out leaves the station too.
             if let Ok(()) | Err(TransferError::Expired) = world.deliver_to_dst_node(pkt, node) {
-                self.unindex(lm, pkt, dst, Some(node));
+                self.unindex(world, lm, pkt);
             }
         }
         self.scratch_pkts = addressed;
@@ -1590,7 +1590,6 @@ impl Router for FlowRouter {
             report,
             corrections,
         });
-        let _ = world;
     }
 
     fn on_packet_generated(&mut self, world: &mut World, pkt: PacketId) {
@@ -1710,17 +1709,7 @@ impl Router for FlowRouter {
             })
             .collect();
         for pkt in pkts {
-            match world.transfer_to_station(pkt, lm) {
-                Ok(out) => {
-                    if out.loop_closed {
-                        self.handle_loop(world, lm, pkt);
-                    }
-                    if !out.delivered {
-                        self.station_accept(world, lm, pkt, Some(node));
-                    }
-                }
-                Err(_) => continue,
-            }
+            self.upload(world, lm, pkt, node);
         }
     }
 
@@ -2162,12 +2151,12 @@ mod tests {
         );
     }
 
-    /// Forwards every hook to a DTN-FLOW router and, at the unit-8
-    /// boundary, sends one packet from l2's subarea to node 0 (who
-    /// frequents l0/l1, never l2) through §IV-E.4.
+    /// Forwards every hook to a DTN-FLOW router and, at each unit
+    /// boundary `sends` names, sends one packet from a landmark's
+    /// subarea to a mobile node through §IV-E.4.
     struct NodeSender {
         inner: FlowRouter,
-        sent: bool,
+        sends: Vec<(u64, LandmarkId, NodeId)>,
         created: Vec<PacketId>,
     }
 
@@ -2189,20 +2178,33 @@ mod tests {
         }
         fn on_time_unit(&mut self, w: &mut World, u: u64) {
             self.inner.on_time_unit(w, u);
-            if u == 8 && !self.sent {
-                self.sent = true;
-                self.created = self.inner.send_to_node(w, LandmarkId(2), NodeId(0));
+            for &(at, src, dst) in &self.sends {
+                if at == u {
+                    let copies = self.inner.send_to_node(w, src, dst);
+                    self.created.extend(copies);
+                }
             }
         }
         fn on_timer(&mut self, w: &mut World, t: u64) {
             self.inner.on_timer(w, t);
         }
+        fn on_station_down(&mut self, w: &mut World, l: LandmarkId) {
+            self.inner.on_station_down(w, l);
+        }
+        fn on_station_up(&mut self, w: &mut World, l: LandmarkId) {
+            self.inner.on_station_up(w, l);
+        }
+        fn on_node_fail(&mut self, w: &mut World, n: NodeId, at: Option<LandmarkId>) {
+            self.inner.on_node_fail(w, n, at);
+        }
     }
 
+    /// The corridor sender: at the unit-8 boundary, one packet from
+    /// l2's subarea to node 0, who frequents l0/l1, never l2.
     fn node_sender() -> NodeSender {
         NodeSender {
             inner: FlowRouter::new(FlowConfig::default(), 2, 3),
-            sent: false,
+            sends: vec![(8, LandmarkId(2), NodeId(0))],
             created: Vec::new(),
         }
     }
@@ -2386,6 +2388,91 @@ mod tests {
         }
     }
 
+    /// Every station index is exact: each `by_dst`, `by_next_hop` and
+    /// `by_dst_node` entry names a packet its station holds, filed under
+    /// the packet's destination, stamp and destination node, and each
+    /// index files as many packets as the station holds with that key.
+    fn assert_station_indices_exact(router: &FlowRouter, world: &World) {
+        for (l, st) in router.landmarks.iter().enumerate() {
+            let lm = LandmarkId::from(l);
+            let held = |pkt| assert!(world.station_holds(lm, pkt), "{pkt} is not at {lm}");
+            for (dst, group) in st.by_dst.iter() {
+                group.iter().for_each(held);
+                assert!(group.iter().all(|p| world.packet(p).dst == dst));
+            }
+            for (nh, bucket) in st.by_next_hop.iter() {
+                bucket.iter().for_each(held);
+                assert!(bucket
+                    .iter()
+                    .all(|p| router.meta_of(p).next_hop == Some(nh)));
+            }
+            for (node, group) in st.by_dst_node.iter() {
+                group.iter().for_each(held);
+                assert!(group.iter().all(|p| world.packet(p).dst_node == Some(node)));
+            }
+            let at_station = || world.station_packets(lm);
+            let stamped = at_station().filter(|&p| router.meta_of(p).next_hop.is_some());
+            let addressed = at_station().filter(|&p| world.packet(p).dst_node.is_some());
+            let filed = [
+                st.by_dst.values().map(DenseSet::len).sum::<usize>(),
+                st.by_next_hop.values().map(DenseSet::len).sum(),
+                st.by_dst_node.values().map(DenseSet::len).sum(),
+            ];
+            let keyed = [at_station().count(), stamped.count(), addressed.count()];
+            assert_eq!(filed, keyed, "index sizes at {lm}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Between any two events the station indices are exact, so the
+        /// hand-off paths may assume every entry is at its station. A
+        /// degradation run with station outages and retries, packets
+        /// sent to mobile nodes every unit, and a 30-hour TTL under daily
+        /// units, so that packets past their deadline wait at stations
+        /// and expire when touched; checked at random pause points.
+        #[test]
+        fn station_indices_are_exact_between_events(
+            seed in any::<u64>(),
+            gaps in proptest::collection::vec(1usize..600, 1..12),
+        ) {
+            let trace = mesh_trace(10);
+            let cfg = SimConfig {
+                packets_per_landmark_per_day: 40.0,
+                ttl: SimDuration::from_secs(30 * 3_600),
+                time_unit: DAY,
+                seed,
+                ..SimConfig::default()
+            };
+            let workload = Workload::uniform(&cfg, 6, trace.duration());
+            let faults = FaultConfig {
+                station_outage_duty: 0.3,
+                mean_outage_secs: 86_400.0,
+                seed,
+                ..FaultConfig::default()
+            };
+            let plan = FaultPlan::generate(&faults, &trace);
+            let sends = (2..10).map(|u| (u, LandmarkId::from(u as usize % 6), NodeId((u % 8) as u32)));
+            let mut router = NodeSender {
+                inner: FlowRouter::new(FlowConfig::with_degradation(), 8, 6),
+                sends: sends.collect(),
+                created: Vec::new(),
+            };
+            let mut session = SimSession::start(&trace, &cfg, &workload, &plan, &mut router, None);
+            let mut ended = false;
+            for gap in gaps {
+                ended = !session.step_events(gap);
+                assert_station_indices_exact(&session.router().inner, session.world());
+                if ended {
+                    break;
+                }
+            }
+            drop(session);
+            assert!(!ended || !router.created.is_empty(), "a whole run sends to nodes");
+        }
+    }
+
     /// The same equality with node-addressed packets (§IV-E.4) at the
     /// stations: every event from the send until the run ends.
     #[test]
@@ -2421,7 +2508,7 @@ mod tests {
         let mut world = World::new(cfg, 2, 3);
         let mut router = FlowRouter::new(FlowConfig::default(), 2, 3);
         let (l0, l2) = (LandmarkId(0), LandmarkId(2));
-        let pkt = world.create_node_packet(l0, l2, NodeId(1), true);
+        let pkt = world.create_node_packet(l0, l2, NodeId(1));
         router.station_accept(&mut world, l0, pkt, None);
         assert!(!router.rank.has_any(l0.index()));
         let world_bytes = |w: &World| {
@@ -2466,7 +2553,7 @@ mod tests {
                 self.inner.on_arrive(w, n, l);
                 if n == NodeId(0) && self.pkts.is_empty() {
                     for via in [LandmarkId(1), l] {
-                        let pkt = w.create_node_packet(l, via, NodeId(1), true);
+                        let pkt = w.create_node_packet(l, via, NodeId(1));
                         self.inner.station_accept(w, l, pkt, None);
                         self.pkts.push(pkt);
                     }

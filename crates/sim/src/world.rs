@@ -6,6 +6,13 @@
 //! call the transfer methods, which enforce the physical rules every
 //! algorithm plays by: co-location, memory limits, TTLs, and single-copy
 //! semantics.
+//!
+//! Custody follows one rule. A live packet sits in exactly the container
+//! its `loc` names: a pending pool, a node store or a station store. Every
+//! move of a live packet is one take-out step, which removes it from that
+//! container and yields the [`Place`] it left, then one landing step: a
+//! node store, a station store, delivery, expiry or loss. Terminal packets
+//! sit in no container.
 
 use crate::store::PacketStore;
 use dtnflow_core::config::SimConfig;
@@ -17,17 +24,6 @@ use dtnflow_core::packet::{Packet, PacketLoc};
 use dtnflow_core::time::SimTime;
 use dtnflow_obs::{LossKind, Place, SimEvent, TraceSink};
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
-
-/// Map a live packet location to its observability [`Place`]; terminal
-/// states have no place.
-fn place_of(loc: PacketLoc) -> Option<Place> {
-    match loc {
-        PacketLoc::PendingAtSource(l) => Some(Place::Pending(l)),
-        PacketLoc::OnNode(n) => Some(Place::Node(n)),
-        PacketLoc::AtStation(l) => Some(Place::Station(l)),
-        _ => None,
-    }
-}
 
 /// Why a transfer was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,11 +235,6 @@ impl World {
         &self.packets[id.index()]
     }
 
-    /// All packets created so far (diagnostics; includes finished ones).
-    pub fn packets(&self) -> &[Packet] {
-        &self.packets
-    }
-
     /// The landmark a node is currently associated with.
     pub fn node_location(&self, node: NodeId) -> Option<LandmarkId> {
         self.node_loc[node.index()]
@@ -257,11 +248,6 @@ impl World {
     /// Packets in a node's memory, ascending by id.
     pub fn node_packets(&self, node: NodeId) -> impl Iterator<Item = PacketId> + '_ {
         self.node_store[node.index()].iter()
-    }
-
-    /// Number of packets in a node's memory.
-    pub fn node_packet_count(&self, node: NodeId) -> usize {
-        self.node_store[node.index()].len()
     }
 
     /// Free bytes in a node's memory.
@@ -384,47 +370,29 @@ impl World {
     /// co-located node. Counts one forwarding operation.
     pub fn transfer_to_node(&mut self, pkt: PacketId, to: NodeId) -> Result<(), TransferError> {
         self.check_live(pkt)?;
-        let loc = self.packets[pkt.index()].loc;
         let to_lm = self.node_loc[to.index()].ok_or(TransferError::NotColocated)?;
-        let size = self.cfg.packet_size;
-        match loc {
-            PacketLoc::PendingAtSource(l) => {
-                if l != to_lm {
-                    return Err(TransferError::NotColocated);
-                }
-                if !self.node_store[to.index()].fits(size) {
-                    return Err(TransferError::NoSpace);
-                }
-                self.pending[l.index()].remove(pkt);
-            }
-            PacketLoc::AtStation(l) => {
-                if l != to_lm {
-                    return Err(TransferError::NotColocated);
-                }
-                if !self.station_up[l.index()] {
-                    return Err(TransferError::StationDown);
-                }
-                if !self.node_store[to.index()].fits(size) {
-                    return Err(TransferError::NoSpace);
-                }
-                self.take_radio_budget(l)?;
-                self.station_store[l.index()].remove(pkt, size);
-                self.note_station_activity(l);
-            }
-            PacketLoc::OnNode(m) => {
-                if m == to {
-                    return Err(TransferError::SamePlace);
-                }
-                if self.node_loc[m.index()] != Some(to_lm) {
-                    return Err(TransferError::NotColocated);
-                }
-                if !self.node_store[to.index()].fits(size) {
-                    return Err(TransferError::NoSpace);
-                }
-                self.node_store[m.index()].remove(pkt, size);
-            }
+        let (at, from_station) = match self.packets[pkt.index()].loc {
+            PacketLoc::PendingAtSource(l) => (Some(l), false),
+            PacketLoc::AtStation(l) => (Some(l), true),
+            PacketLoc::OnNode(m) if m == to => return Err(TransferError::SamePlace),
+            PacketLoc::OnNode(m) => (self.node_loc[m.index()], false),
             _ => return Err(TransferError::NotLive),
+        };
+        if at != Some(to_lm) {
+            return Err(TransferError::NotColocated);
         }
+        if from_station && !self.station_up[to_lm.index()] {
+            return Err(TransferError::StationDown);
+        }
+        let size = self.cfg.packet_size;
+        if !self.node_store[to.index()].fits(size) {
+            return Err(TransferError::NoSpace);
+        }
+        if from_station {
+            self.take_radio_budget(to_lm)?;
+            self.note_station_activity(to_lm);
+        }
+        let from = self.take_out(pkt).ok_or(TransferError::NotLive)?;
         // Invariant: `fits` was checked above and nothing touched the
         // store since, so the insert cannot be refused.
         assert!(
@@ -435,14 +403,12 @@ impl World {
         p.loc = PacketLoc::OnNode(to);
         p.hops += 1;
         self.metrics.record_forward();
-        if let Some(from) = place_of(loc) {
-            self.emit(|at| SimEvent::PacketForwarded {
-                at,
-                pkt,
-                from,
-                to: Place::Node(to),
-            });
-        }
+        self.emit(|at| SimEvent::PacketForwarded {
+            at,
+            pkt,
+            from,
+            to: Place::Node(to),
+        });
         Ok(())
     }
 
@@ -459,67 +425,38 @@ impl World {
         if !self.station_up[lm.index()] {
             return Err(TransferError::StationDown);
         }
-        let size = self.cfg.packet_size;
-        let loc = self.packets[pkt.index()].loc;
-        match loc {
-            PacketLoc::OnNode(m) => {
-                if self.node_loc[m.index()] != Some(lm) {
-                    return Err(TransferError::NotColocated);
-                }
+        match self.packets[pkt.index()].loc {
+            PacketLoc::OnNode(m) if self.node_loc[m.index()] == Some(lm) => {
                 self.take_radio_budget(lm)?;
-                self.node_store[m.index()].remove(pkt, size);
             }
-            PacketLoc::PendingAtSource(l) => {
-                if l != lm {
-                    return Err(TransferError::NotColocated);
-                }
-                self.pending[l.index()].remove(pkt);
+            PacketLoc::PendingAtSource(l) if l == lm => {}
+            PacketLoc::OnNode(_) | PacketLoc::PendingAtSource(_) => {
+                return Err(TransferError::NotColocated);
             }
             PacketLoc::AtStation(l) if l == lm => return Err(TransferError::SamePlace),
             _ => return Err(TransferError::NotLive),
         }
+        let from = self.take_out(pkt).ok_or(TransferError::NotLive)?;
         self.note_station_activity(lm);
         self.metrics.record_forward();
-        let now = self.now;
         let p = &mut self.packets[pkt.index()];
         p.hops += 1;
         // A node-addressed packet (§IV-E.4) is only delivered by its
         // destination *node* claiming it, never by reaching a landmark.
         if p.dst == lm && p.dst_node.is_none() {
-            p.loc = PacketLoc::Delivered(now);
-            let delay = now.since(p.created);
-            let hops = p.hops;
-            self.metrics.record_delivery(delay);
-            if let Some(from) = place_of(loc) {
-                self.emit(|at| SimEvent::PacketDelivered {
-                    at,
-                    pkt,
-                    lm,
-                    delay,
-                    hops,
-                    from,
-                });
-            }
+            self.deliver(pkt, lm, from);
             return Ok(TransferOutcome {
                 delivered: true,
                 loop_closed: false,
             });
         }
-        let loop_closed = p.record_station_visit(lm);
-        p.loc = PacketLoc::AtStation(lm);
-        // Invariant: station stores are unbounded, inserts never fail.
-        assert!(
-            self.station_store[lm.index()].insert(pkt, size),
-            "unbounded station store refused an insert"
-        );
-        if let Some(from) = place_of(loc) {
-            self.emit(|at| SimEvent::PacketForwarded {
-                at,
-                pkt,
-                from,
-                to: Place::Station(lm),
-            });
-        }
+        let loop_closed = self.store_at_station(pkt, lm);
+        self.emit(|at| SimEvent::PacketForwarded {
+            at,
+            pkt,
+            from,
+            to: Place::Station(lm),
+        });
         Ok(TransferOutcome {
             delivered: false,
             loop_closed,
@@ -543,26 +480,69 @@ impl World {
         if !self.station_up[l.index()] {
             return Err(TransferError::StationDown);
         }
-        let size = self.cfg.packet_size;
-        self.station_store[l.index()].remove(pkt, size);
+        let from = self.take_out(pkt).ok_or(TransferError::NotLive)?;
         self.note_station_activity(l);
+        self.packets[pkt.index()].hops += 1;
+        self.metrics.record_forward();
+        self.deliver(pkt, l, from);
+        Ok(())
+    }
+
+    // ---- custody steps -----------------------------------------------------
+
+    /// The take-out step: remove a live packet from the pending pool,
+    /// node store or station store that holds it and return the place it
+    /// left. A terminal packet sits nowhere: `None`, nothing changes.
+    fn take_out(&mut self, pkt: PacketId) -> Option<Place> {
+        let size = self.cfg.packet_size;
+        match self.packets[pkt.index()].loc {
+            PacketLoc::PendingAtSource(l) => {
+                self.pending[l.index()].remove(pkt);
+                Some(Place::Pending(l))
+            }
+            PacketLoc::OnNode(n) => {
+                self.node_store[n.index()].remove(pkt, size);
+                Some(Place::Node(n))
+            }
+            PacketLoc::AtStation(l) => {
+                self.station_store[l.index()].remove(pkt, size);
+                Some(Place::Station(l))
+            }
+            _ => None,
+        }
+    }
+
+    /// Land a taken-out packet as delivered at `lm`: records its delay
+    /// and emits the delivery.
+    fn deliver(&mut self, pkt: PacketId, lm: LandmarkId, from: Place) {
         let now = self.now;
         let p = &mut self.packets[pkt.index()];
         p.loc = PacketLoc::Delivered(now);
-        p.hops += 1;
         let delay = now.since(p.created);
         let hops = p.hops;
         self.metrics.record_delivery(delay);
-        self.metrics.record_forward();
         self.emit(|at| SimEvent::PacketDelivered {
             at,
             pkt,
-            lm: l,
+            lm,
             delay,
             hops,
-            from: Place::Station(l),
+            from,
         });
-        Ok(())
+    }
+
+    /// Land a packet in the station store at `lm`, recording the visit.
+    /// Returns whether the visit closed a routing loop (§IV-E.2).
+    fn store_at_station(&mut self, pkt: PacketId, lm: LandmarkId) -> bool {
+        let p = &mut self.packets[pkt.index()];
+        let loop_closed = p.record_station_visit(lm);
+        p.loc = PacketLoc::AtStation(lm);
+        // Invariant: station stores are unbounded, inserts never fail.
+        assert!(
+            self.station_store[lm.index()].insert(pkt, self.cfg.packet_size),
+            "unbounded station store refused an insert"
+        );
+        loop_closed
     }
 
     // ---- engine-side mutations (crate-private) ----------------------------
@@ -592,20 +572,7 @@ impl World {
     /// this when a stranded packet exhausts its retry budget; the engine
     /// calls it for churn and down-station generation losses.
     pub fn drop_lost(&mut self, pkt: PacketId, reason: LossReason) -> Result<(), TransferError> {
-        let size = self.cfg.packet_size;
-        let loc = self.packets[pkt.index()].loc;
-        match loc {
-            PacketLoc::OnNode(n) => {
-                self.node_store[n.index()].remove(pkt, size);
-            }
-            PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, size);
-            }
-            PacketLoc::PendingAtSource(l) => {
-                self.pending[l.index()].remove(pkt);
-            }
-            _ => return Err(TransferError::NotLive),
-        }
+        let from = self.take_out(pkt).ok_or(TransferError::NotLive)?;
         self.packets[pkt.index()].loc = PacketLoc::Lost;
         let kind = match reason {
             LossReason::Outage => {
@@ -617,11 +584,10 @@ impl World {
                 LossKind::Churn
             }
         };
-        let from = place_of(loc);
         self.emit(|at| SimEvent::PacketLost {
             at,
             pkt,
-            from,
+            from: Some(from),
             kind,
         });
         Ok(())
@@ -689,12 +655,6 @@ impl World {
         Ok(())
     }
 
-    /// Remaining node↔station transfers at `lm` this unit (`None` when
-    /// radio is unconstrained).
-    pub fn radio_budget_left(&self, lm: LandmarkId) -> Option<u64> {
-        self.radio_budget.as_ref().map(|b| b[lm.index()])
-    }
-
     pub(crate) fn set_now(&mut self, t: SimTime) {
         debug_assert!(t >= self.now, "time must not go backwards");
         self.now = t;
@@ -736,9 +696,8 @@ impl World {
         src: LandmarkId,
         via: LandmarkId,
         dst_node: NodeId,
-        station_mode: bool,
     ) -> PacketId {
-        self.create_packet(src, via, Some(dst_node), station_mode)
+        self.create_packet(src, via, Some(dst_node), true)
     }
 
     /// Create a packet; it starts pending (no-station mode) or directly at
@@ -757,53 +716,31 @@ impl World {
         let id = PacketId::from(self.packets.len());
         let mut p = Packet::new(id, src, dst, self.now, self.cfg.ttl);
         p.dst_node = dst_node;
-        if station_mode {
-            if !self.station_up[src.index()] {
-                // A down station buffers nothing: the packet is generated
-                // (it counts against the delivery rate) but immediately
-                // lost to the outage.
-                p.loc = PacketLoc::Lost;
-                self.packets.push(p);
-                self.metrics.generated += 1;
-                self.metrics.record_lost_to_outage();
-                self.emit(|at| SimEvent::PacketGenerated {
-                    at,
-                    pkt: id,
-                    src,
-                    dst,
-                    start: None,
-                });
-                self.emit(|at| SimEvent::PacketLost {
-                    at,
-                    pkt: id,
-                    from: None,
-                    kind: LossKind::Outage,
-                });
-                return id;
-            }
-            p.loc = PacketLoc::AtStation(src);
-            p.record_station_visit(src);
-            // Invariant: station stores are unbounded, inserts never fail.
-            assert!(
-                self.station_store[src.index()].insert(id, self.cfg.packet_size),
-                "unbounded station store refused an insert"
-            );
-        } else {
-            self.pending[src.index()].insert(id);
-        }
-        let start = place_of(p.loc);
         let deadline = p.deadline();
-        // The queue's (deadline, id) drain order equals ascending id only
-        // while deadlines are non-decreasing in id: shared ttl + monotone
-        // creation times. Guard the invariant the purge order rests on.
+        // The expiry queue's (deadline, id) drain order equals ascending
+        // id only while deadlines are non-decreasing in id: shared ttl +
+        // monotone creation times. Guard the invariant the purge order
+        // rests on.
         debug_assert!(
             self.packets.last().is_none_or(|q| q.created <= p.created),
             "packet creation times must be non-decreasing"
         );
         self.packets.push(p);
-        self.expiry
-            .push(deadline.secs(), id.index() as u64, id.index() as u64);
         self.metrics.generated += 1;
+        let start = if !station_mode {
+            self.pending[src.index()].insert(id);
+            Some(Place::Pending(src))
+        } else if self.station_up[src.index()] {
+            self.store_at_station(id, src);
+            Some(Place::Station(src))
+        } else {
+            // A down station buffers nothing: the packet is generated (it
+            // counts against the delivery rate) but immediately lost to
+            // the outage.
+            self.packets[id.index()].loc = PacketLoc::Lost;
+            self.metrics.record_lost_to_outage();
+            None
+        };
         self.emit(|at| SimEvent::PacketGenerated {
             at,
             pkt: id,
@@ -811,30 +748,28 @@ impl World {
             dst,
             start,
         });
+        if start.is_some() {
+            self.expiry
+                .push(deadline.secs(), id.index() as u64, id.index() as u64);
+        } else {
+            self.emit(|at| SimEvent::PacketLost {
+                at,
+                pkt: id,
+                from: None,
+                kind: LossKind::Outage,
+            });
+        }
         id
     }
 
     /// Drop a packet whose TTL elapsed, removing it from wherever it sits.
     pub(crate) fn expire_packet(&mut self, pkt: PacketId) {
-        let size = self.cfg.packet_size;
-        let loc = self.packets[pkt.index()].loc;
-        match loc {
-            PacketLoc::OnNode(n) => {
-                self.node_store[n.index()].remove(pkt, size);
-            }
-            PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, size);
-            }
-            PacketLoc::PendingAtSource(l) => {
-                self.pending[l.index()].remove(pkt);
-            }
-            _ => return,
-        }
+        let Some(from) = self.take_out(pkt) else {
+            return;
+        };
         self.packets[pkt.index()].loc = PacketLoc::Expired;
         self.metrics.record_expiry();
-        if let Some(from) = place_of(loc) {
-            self.emit(|at| SimEvent::PacketExpired { at, pkt, from });
-        }
+        self.emit(|at| SimEvent::PacketExpired { at, pkt, from });
     }
 
     /// Drop every live packet whose TTL has elapsed.
@@ -860,7 +795,6 @@ impl World {
     /// forwarding operation (no-station routers: arrival at the
     /// destination subarea *is* delivery).
     pub(crate) fn auto_deliver_on_arrival(&mut self, node: NodeId, lm: LandmarkId) {
-        let size = self.cfg.packet_size;
         // Reused buffer: arrivals are the hottest event, and a fresh
         // allocation per arrival dwarfs the delivery work itself.
         let mut here = std::mem::take(&mut self.scratch_pkts);
@@ -878,20 +812,9 @@ impl World {
                 self.expire_packet(pkt);
                 continue;
             }
-            self.node_store[node.index()].remove(pkt, size);
-            let p = &mut self.packets[pkt.index()];
-            p.loc = PacketLoc::Delivered(now);
-            let delay = now.since(p.created);
-            let hops = p.hops;
-            self.metrics.record_delivery(delay);
-            self.emit(|at| SimEvent::PacketDelivered {
-                at,
-                pkt,
-                lm,
-                delay,
-                hops,
-                from: Place::Node(node),
-            });
+            if let Some(from) = self.take_out(pkt) {
+                self.deliver(pkt, lm, from);
+            }
         }
         self.scratch_pkts = here;
     }
@@ -989,7 +912,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtnflow_core::time::DAY;
+    use dtnflow_core::time::{SimDuration, DAY};
 
     fn world() -> World {
         let cfg = SimConfig {
@@ -1054,7 +977,7 @@ mod tests {
         w.transfer_to_node(b, n(0)).unwrap();
         assert_eq!(w.transfer_to_node(c, n(0)), Err(TransferError::NoSpace));
         assert!(!w.node_has_space(n(0)));
-        assert_eq!(w.node_packet_count(n(0)), 2);
+        assert_eq!(w.node_packets(n(0)).count(), 2);
     }
 
     #[test]
@@ -1090,7 +1013,7 @@ mod tests {
         w.transfer_to_node(p, n(0)).unwrap();
         w.transfer_to_node(p, n(1)).unwrap();
         assert_eq!(w.packet(p).loc, PacketLoc::OnNode(n(1)));
-        assert_eq!(w.node_packet_count(n(0)), 0);
+        assert_eq!(w.node_packets(n(0)).count(), 0);
         assert_eq!(w.metrics().forwarding_ops, 2);
         assert_eq!(w.transfer_to_node(p, n(1)), Err(TransferError::SamePlace));
     }
@@ -1154,8 +1077,10 @@ mod tests {
         let a = w.create_packet(lm(0), lm(1), None, true);
         let b = w.create_packet(lm(0), lm(1), None, true);
         w.transfer_to_node(a, n(0)).unwrap();
-        assert_eq!(w.transfer_to_node(b, n(0)), Err(TransferError::RadioBusy));
-        assert_eq!(w.radio_budget_left(lm(0)), Some(0));
+        // The spent budget refuses every further station transfer.
+        for _ in 0..2 {
+            assert_eq!(w.transfer_to_node(b, n(0)), Err(TransferError::RadioBusy));
+        }
         w.reset_radio_budget();
         w.transfer_to_node(b, n(0)).unwrap();
     }
@@ -1190,5 +1115,187 @@ mod tests {
     fn rejects_same_src_dst_packet() {
         let mut w = world();
         w.create_packet(lm(0), lm(0), None, false);
+    }
+
+    fn state_bytes(w: &World) -> Vec<u8> {
+        let mut out = Writer::new();
+        w.encode_state(&mut out);
+        out.into_bytes()
+    }
+
+    /// The custody rule of the module doc: every live packet sits in
+    /// exactly the container its `loc` names and terminal packets in
+    /// none; store bytes match their counts; the metrics count every
+    /// packet in exactly one state and every hop as one forwarding op.
+    fn assert_custody(w: &World) {
+        let size = w.cfg.packet_size;
+        for store in w.node_store.iter().chain(&w.station_store) {
+            assert_eq!(store.used_bytes(), store.len() as u64 * size);
+        }
+        for p in &w.packets {
+            let pkt = p.id;
+            let holders = w.pending.iter().filter(|s| s.contains(pkt)).count()
+                + w.node_store.iter().filter(|s| s.contains(pkt)).count()
+                + w.station_store.iter().filter(|s| s.contains(pkt)).count();
+            let named = match p.loc {
+                PacketLoc::PendingAtSource(l) => w.pending[l.index()].contains(pkt),
+                PacketLoc::OnNode(m) => w.node_store[m.index()].contains(pkt),
+                PacketLoc::AtStation(l) => w.station_store[l.index()].contains(pkt),
+                _ => {
+                    assert_eq!(holders, 0, "terminal {p:?} is still held");
+                    continue;
+                }
+            };
+            assert!(named && holders == 1, "{p:?} is held {holders} times");
+        }
+        let count =
+            |f: &dyn Fn(PacketLoc) -> bool| w.packets.iter().filter(|p| f(p.loc)).count() as u64;
+        let m = &w.metrics;
+        let live = count(&PacketLoc::is_live);
+        assert_eq!(m.generated, w.packets.len() as u64);
+        assert_eq!(m.generated, m.delivered + m.expired + m.lost() + live);
+        assert_eq!(
+            m.delivered,
+            count(&|l| matches!(l, PacketLoc::Delivered(_)))
+        );
+        assert_eq!(m.expired, count(&|l| l == PacketLoc::Expired));
+        assert_eq!(m.lost(), count(&|l| l == PacketLoc::Lost));
+        let hops: u64 = w.packets.iter().map(|p| u64::from(p.hops)).sum();
+        assert_eq!(m.forwarding_ops, hops);
+    }
+
+    /// One transfer of `pkt`. A terminal packet is refused `NotLive`,
+    /// and any refusal but a lapsed TTL leaves the world as it was.
+    fn checked_transfer(
+        w: &mut World,
+        pkt: PacketId,
+        transfer: impl FnOnce(&mut World) -> Result<(), TransferError>,
+    ) {
+        let was_live = w.packet(pkt).loc.is_live();
+        let before = state_bytes(w);
+        let got = transfer(w);
+        if !was_live {
+            assert_eq!(got, Err(TransferError::NotLive));
+        }
+        match got {
+            Err(TransferError::Expired) => assert_eq!(w.packet(pkt).loc, PacketLoc::Expired),
+            Err(e) => assert!(state_bytes(w) == before, "refused ({e:?}) but changed"),
+            Ok(()) => {}
+        }
+    }
+
+    /// The operands of one random operation: a packet (live ones four
+    /// times in five), a node at the landmark where that packet is (three
+    /// times in four, when one is there) and that landmark (likewise).
+    fn operands(w: &World, x: u16, y: u16) -> (PacketId, NodeId, LandmarkId) {
+        let live: Vec<PacketId> = w
+            .packets
+            .iter()
+            .filter(|p| p.loc.is_live())
+            .map(|p| p.id)
+            .collect();
+        let pkt = match (x % 5, live.len()) {
+            (0, _) | (_, 0) => PacketId::from(usize::from(x) % w.packets.len().max(1)),
+            (_, k) => live[usize::from(x) % k],
+        };
+        let here = match w.packets.get(pkt.index()).map(|p| p.loc) {
+            Some(PacketLoc::PendingAtSource(l) | PacketLoc::AtStation(l)) => Some(l),
+            Some(PacketLoc::OnNode(m)) => w.node_location(m),
+            _ => None,
+        };
+        let here = here.filter(|_| !y.is_multiple_of(4));
+        let present = here.map_or(&[][..], |l| w.nodes_at(l).as_slice());
+        let node = match present.len() {
+            0 => n(u32::from(y) % 4),
+            k => present[usize::from(y) % k],
+        };
+        (pkt, node, here.unwrap_or(lm(y % 3)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 192,
+            ..Default::default()
+        })]
+
+        /// Random operations on a four-node, three-landmark world, in
+        /// station and pending mode, with node-addressed packets, a TTL
+        /// that lapses within a few steps and, in some cases, a radio
+        /// budget: custody holds after every one.
+        #[test]
+        fn custody_holds_after_every_operation(
+            station_mode in proptest::arbitrary::any::<bool>(),
+            radio in 0u64..3,
+            ops in proptest::collection::vec(
+                (0u8..20, proptest::arbitrary::any::<u16>(), proptest::arbitrary::any::<u16>()),
+                0..200,
+            ),
+        ) {
+            let cfg = SimConfig {
+                node_memory: 2_048, // two packets
+                ttl: SimDuration::from_secs(2_000),
+                radio_budget_per_unit: (radio > 0).then_some(radio),
+                ..SimConfig::default()
+            };
+            let mut w = World::new(cfg, 4, 3);
+            for (op, x, y) in ops {
+                let (node, l) = (n(u32::from(x) % 4), lm(y % 3));
+                let src = lm(x % 3);
+                let (pkt, to, at) = operands(&w, x, y);
+                let has_pkt = !w.packets.is_empty();
+                match op {
+                    0..=2 if w.node_location(node).is_none() && !w.node_is_failed(node) => {
+                        w.node_arrive(node, l);
+                    }
+                    3 | 4 => {
+                        if let Some(at) = w.node_location(node) {
+                            w.node_depart(node, at);
+                        }
+                    }
+                    5 | 6 if src != l => {
+                        w.create_packet(src, l, None, station_mode);
+                    }
+                    7 => {
+                        w.create_node_packet(src, l, node);
+                    }
+                    8..=10 if has_pkt => {
+                        checked_transfer(&mut w, pkt, |w| w.transfer_to_node(pkt, to));
+                    }
+                    11 | 12 if has_pkt => checked_transfer(&mut w, pkt, |w| {
+                        w.transfer_to_station(pkt, at).map(|_| ())
+                    }),
+                    13 if has_pkt => {
+                        let to = w.packet(pkt).dst_node.filter(|_| !y.is_multiple_of(4)).unwrap_or(to);
+                        checked_transfer(&mut w, pkt, |w| w.deliver_to_dst_node(pkt, to));
+                    }
+                    14 if has_pkt => {
+                        let reason = [LossReason::Outage, LossReason::Churn][usize::from(y % 2)];
+                        checked_transfer(&mut w, pkt, |w| w.drop_lost(pkt, reason));
+                    }
+                    15 if y.is_multiple_of(3) => {
+                        w.node_fail(node);
+                    }
+                    16 => w.node_recover(node),
+                    17 if !w.station_is_up(l) => w.station_recover(l),
+                    17 if y.is_multiple_of(3) => w.station_down(l),
+                    18 => {
+                        w.set_now(w.now() + SimDuration::from_secs(u64::from(y % 600)));
+                        // Every other advance is a unit boundary; between
+                        // them, lapsed packets wait to expire on touch.
+                        if x.is_multiple_of(2) {
+                            w.purge_expired();
+                            w.reset_radio_budget();
+                        }
+                    }
+                    19 => {
+                        if let Some(at) = w.node_location(node) {
+                            w.auto_deliver_on_arrival(node, at);
+                        }
+                    }
+                    _ => {}
+                }
+                assert_custody(&w);
+            }
+        }
     }
 }
