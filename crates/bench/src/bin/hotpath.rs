@@ -29,10 +29,6 @@
 //!   (~1.15 µs/op); the committed baseline pins the improvement.
 //! * `rank_index_maintenance` — the price of keeping that index fresh:
 //!   one depart + arrive cycle (remove + reinsert a node's score keys).
-//! * `route_cache_lookup` — one next-hop decision through the real
-//!   `FlowRouter` route cache, with a periodic epoch flush so the miss
-//!   path (full `choose_next_uncached` recompute) stays in the
-//!   measurement.
 //! * `deadline_queue_cycle` — steady-state `DeadlineQueue` push + drain
 //!   tick, the world's packet-expiry schedule at TTL depth.
 //! * `routing_table_recompute` — one `RoutingTable::recompute` pass over
@@ -57,9 +53,8 @@
 //!   golden's state), so the regression gate covers codec speed.
 //! * `station_rebucket` — the station rebuild a unit boundary, a
 //!   station-down or a retry runs, over every station of the same
-//!   restored state, each destination group on the route cache's miss
-//!   path. Its `ns_per_op` and `ops_per_sec` count station packets
-//!   rebuilt.
+//!   restored state. Its `ns_per_op` and `ops_per_sec` count station
+//!   packets rebuilt.
 //!
 //! Each bench carries a `layer` tag: the `per_layer` metric of the
 //! repository's `BENCHMARK.json` whose time its loop models, so a leaf
@@ -129,7 +124,7 @@ const ON_STATION_DOWN: &str = "dtnflow.on_station_down.busy_s";
 type Bench = (&'static str, &'static str, u64, fn(usize, u64) -> f64);
 
 #[rustfmt::skip]
-const BENCHES: [Bench; 13] = [
+const BENCHES: [Bench; 12] = [
     ("carrier_selection", ON_ARRIVE, 1, bench_carrier_selection),
     // The arrival's insert half; the departure removes the same keys.
     (
@@ -138,7 +133,6 @@ const BENCHES: [Bench; 13] = [
         1,
         bench_rank_index_maintenance,
     ),
-    ("route_cache_lookup", ON_ARRIVE, 1, bench_route_cache_lookup),
     (
         "deadline_queue_cycle",
         "sim.engine_self_s",
@@ -295,24 +289,6 @@ fn claimed_table() -> RoutingTable {
 
 fn link_delay(lm: LandmarkId) -> f64 {
     30.0 + f64::from(lm.0) * 5.0
-}
-
-/// One next-hop decision through the real `FlowRouter` route cache over
-/// a fully-claimed table. Every 256th op flushes the cache (a station
-/// up/down epoch bump) so the measurement keeps the miss path — a full
-/// `choose_next_uncached` recompute — in the mix.
-fn bench_route_cache_lookup(samples: usize, ops: u64) -> f64 {
-    let mut router = FlowRouter::new(FlowConfig::default(), NUM_NODES, NUM_LANDMARKS);
-    router.bench_install_table(LandmarkId(0), claimed_table());
-    run_bench(samples, ops, move |i| {
-        if i % 256 == 0 {
-            router.bench_flush_route_cache();
-        }
-        let dst = LandmarkId((i % (NUM_LANDMARKS as u64 - 1) + 1) as u16);
-        router
-            .bench_route_lookup(LandmarkId(0), dst)
-            .map_or(0, |l| u64::from(l.0))
-    })
 }
 
 /// Steady-state deadline-queue tick: one push at TTL depth plus a
@@ -512,9 +488,8 @@ fn bench_snapshot_codec(samples: usize, ops: u64) -> f64 {
 }
 
 /// The station rebuild (`FlowRouter::rebucket`) of every station in the
-/// tiny cell's restored mid-run state. Each op bumps the route epoch
-/// first, as a station fault does, so every destination group takes the
-/// route cache's miss path. Reports ns per station packet rebuilt.
+/// tiny cell's restored mid-run state. Reports ns per station packet
+/// rebuilt.
 fn bench_station_rebucket(samples: usize, ops: u64) -> f64 {
     let (inp, file) = tiny_mid_run();
     let section = |name| Reader::new(&file.section(name).expect("section").payload);
@@ -530,7 +505,6 @@ fn bench_station_rebucket(samples: usize, ops: u64) -> f64 {
         .sum();
     assert!(held > 0, "the mid-run stations hold packets");
     let per_op = run_bench(samples, ops, |_| {
-        router.bench_flush_route_cache();
         for &lm in &stations {
             router.bench_rebucket(&world, lm);
         }

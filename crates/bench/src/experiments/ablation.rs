@@ -91,7 +91,6 @@ pub fn ablation(quick: bool) -> Vec<Table> {
             FlowConfig::default(),
             s.trace.num_nodes(),
             s.trace.num_landmarks(),
-            0.25,
         );
         let m = RunSpec::new(&s.trace, &cfg)
             .workload(&wl)

@@ -114,10 +114,10 @@ fn deleting_the_rank_index_from_the_router_codec_turns_s1_red() {
         s1[0].message
     );
 
-    // The route-cache hit counter travels through the landmark codec
-    // the same way: dropping it must fire too (restored lineages would
-    // report diverged observability totals).
-    let needle = "self.cache_hits.encode(w);";
+    // A field of the per-landmark codec, which is not a `Codec` impl
+    // (its decode takes the run's node count): dropping it must fire
+    // too.
+    let needle = "self.unit_seq.encode(w);";
     assert!(src.contains(needle), "mutation anchor moved in {rel}");
     let mutated: String = src
         .lines()
@@ -129,10 +129,10 @@ fn deleting_the_rank_index_from_the_router_codec_turns_s1_red() {
     assert_eq!(
         s1.len(),
         1,
-        "exactly one S1 after dropping cache_hits: {diags:?}"
+        "exactly one S1 after dropping unit_seq: {diags:?}"
     );
     assert!(
-        s1[0].message.contains("cache_hits") && s1[0].message.contains("encode path"),
+        s1[0].message.contains("unit_seq") && s1[0].message.contains("encode path"),
         "S1 names the dropped field and direction: {}",
         s1[0].message
     );

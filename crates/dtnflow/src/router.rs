@@ -72,32 +72,6 @@ struct NodeState {
     episode: u64,
 }
 
-/// One memoized [`FlowRouter::choose_next_uncached`] result (DESIGN.md §14). Valid while
-/// the owning table's `computed` stamp and the router-wide
-/// `route_epoch` (bumped on `known_down` changes) both still match the
-/// values the cell was filled under; `computed == u64::MAX` marks a
-/// never-filled cell (a table's real stamp counts up from zero).
-#[derive(Debug, Clone, Copy)]
-struct RouteCacheCell {
-    computed: u64,
-    epoch: u64,
-    next: Option<LandmarkId>,
-    expected: f64,
-    lb_diverted: bool,
-    fellback: bool,
-}
-
-impl RouteCacheCell {
-    const EMPTY: RouteCacheCell = RouteCacheCell {
-        computed: u64::MAX,
-        epoch: 0,
-        next: None,
-        expected: f64::INFINITY,
-        lb_diverted: false,
-        fellback: false,
-    };
-}
-
 /// Per-landmark router state.
 struct LandmarkState {
     rt: RoutingTable,
@@ -121,16 +95,6 @@ struct LandmarkState {
     lb_outgoing: Vec<u64>,
     overloaded: Vec<bool>,
     unit_seq: u64,
-    /// §IV-D.3 next-hop decisions memoized per destination
-    /// (DESIGN.md §14): forwarding between table changes is one flat
-    /// lookup instead of a fresh divert/fallback evaluation.
-    route_cache: Vec<RouteCacheCell>,
-    /// Cumulative route-cache hit/miss counts, exported through the
-    /// obs stream at each observation point and serialized verbatim so
-    /// a restored lineage reports the same totals as an uninterrupted
-    /// run.
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// Routing metadata DTN-FLOW stamps on a packet when forwarding it
@@ -195,9 +159,6 @@ pub struct FlowRouter {
     /// Landmarks currently known to be down (fault hooks); routing falls
     /// back to backup next hops around them.
     known_down: Vec<bool>,
-    /// Bumped whenever `known_down` changes; the second validity stamp
-    /// of every landmark's route cache (DESIGN.md §14).
-    route_epoch: u64,
     /// Per-(landmark, target-landmark) connected carriers ranked by
     /// `accuracy × transit-probability` (DESIGN.md §14), maintained on
     /// arrive/depart/fail so `try_assign_packet` walks a pre-ranked
@@ -251,9 +212,6 @@ impl FlowRouter {
                 lb_outgoing: vec![0; num_landmarks],
                 overloaded: vec![false; num_landmarks],
                 unit_seq: 0,
-                route_cache: vec![RouteCacheCell::EMPTY; num_landmarks],
-                cache_hits: 0,
-                cache_misses: 0,
             })
             .collect();
         /// EWMA weight `α` of Eq. 4.
@@ -270,7 +228,6 @@ impl FlowRouter {
             injections,
             registrations: vec![Vec::new(); num_nodes],
             known_down: vec![false; num_landmarks],
-            route_epoch: 0,
             rank: RankIndex::new(num_landmarks),
             stats: FlowStats::default(),
             scratch_pkts: Vec::new(),
@@ -370,28 +327,8 @@ impl FlowRouter {
 
     // ---- bench hooks ------------------------------------------------------
     //
-    // The `hotpath` microbenches (crates/bench) drive the real cached
-    // next-hop chooser without standing up a `World`. Hidden from docs;
-    // not a stable API.
-
-    /// Install a pre-built routing table at `lm` (bench support).
-    #[doc(hidden)]
-    pub fn bench_install_table(&mut self, lm: LandmarkId, rt: RoutingTable) {
-        self.landmarks[lm.index()].rt = rt;
-    }
-
-    /// One next-hop decision through the route cache (bench support).
-    #[doc(hidden)]
-    pub fn bench_route_lookup(&mut self, lm: LandmarkId, dst: LandmarkId) -> Option<LandmarkId> {
-        self.choose_next(lm, dst).0
-    }
-
-    /// Invalidate every landmark's route cache, as a station up/down
-    /// transition would (bench support).
-    #[doc(hidden)]
-    pub fn bench_flush_route_cache(&mut self) {
-        self.route_epoch += 1;
-    }
+    // The `hotpath` microbenches (crates/bench) drive the real station
+    // rebuild over restored state. Hidden from docs; not a stable API.
 
     /// Rebuild station `lm`'s indices, as a unit boundary, station-down
     /// or retry does (bench support).
@@ -468,7 +405,7 @@ impl FlowRouter {
     /// the primary is overloaded (§IV-E.3) or a known-down landmark
     /// (degradation). Returns `(next, expected delay, lb-diverted,
     /// down-fallback)`.
-    fn choose_next_uncached(
+    fn choose_next(
         &self,
         lm: LandmarkId,
         dst: LandmarkId,
@@ -513,39 +450,6 @@ impl FlowRouter {
             next = None;
             expected = 0.0;
         }
-        (next, expected, lb_diverted, fellback)
-    }
-
-    /// [`FlowRouter::choose_next_uncached`] behind the per-destination
-    /// route cache (DESIGN.md §14). Sound because every input that can
-    /// change the choice is covered by the two stamps: the table entries
-    /// only move on `recompute` (the `computed` stamp), `overloaded` only
-    /// moves at unit boundaries *before* that unit's recompute (so the
-    /// same stamp covers it), and `known_down` only moves with the
-    /// router-wide `route_epoch`.
-    fn choose_next(
-        &mut self,
-        lm: LandmarkId,
-        dst: LandmarkId,
-    ) -> (Option<LandmarkId>, f64, bool, bool) {
-        let epoch = self.route_epoch;
-        let st = &mut self.landmarks[lm.index()];
-        let computed = st.rt.computed();
-        let cell = st.route_cache[dst.index()];
-        if cell.computed == computed && cell.epoch == epoch {
-            st.cache_hits += 1;
-            return (cell.next, cell.expected, cell.lb_diverted, cell.fellback);
-        }
-        st.cache_misses += 1;
-        let (next, expected, lb_diverted, fellback) = self.choose_next_uncached(lm, dst);
-        self.landmarks[lm.index()].route_cache[dst.index()] = RouteCacheCell {
-            computed,
-            epoch,
-            next,
-            expected,
-            lb_diverted,
-            fellback,
-        };
         (next, expected, lb_diverted, fellback)
     }
 
@@ -891,17 +795,17 @@ impl FlowRouter {
     ///    boundary's TTL purge) go: from `by_dst` when its groups count
     ///    more packets than the station holds, from `by_dst_node`
     ///    always;
-    /// 2. each destination group asks the route cache once and stamps
-    ///    all its packets with the answer, counting the `n − 1` hits
-    ///    and, when the answer fell back, the `n` down-fallbacks that
-    ///    asking once per packet counts;
+    /// 2. each destination group chooses its next hop once and stamps
+    ///    all its packets with the choice, counting, when the choice fell
+    ///    back, the `n` down-fallbacks that choosing once per packet
+    ///    counts;
     /// 3. the next-hop buckets are refilled from one ascending walk of
     ///    the station store, each packet appended to the bucket of the
     ///    stamp it was just given.
     ///
     /// Stamps, buckets, map slots and counters equal those of the walk
-    /// that asks the route cache per packet and reads each packet's
-    /// record (`rebucket_walk`, the test oracle). Every group is rebuilt:
+    /// that chooses per packet and reads each packet's record
+    /// (`rebucket_walk`, the test oracle). Every group is rebuilt:
     /// a table may recompute between rebuckets without re-stamping, so
     /// any stamp at the station may be stale. Run by the unit boundary
     /// after the table recompute, and by the station-down and retry
@@ -932,10 +836,8 @@ impl FlowRouter {
             if fellback {
                 self.stats.fallback_reroutes += n as u64;
             }
-            let st = &mut self.landmarks[lm.index()];
-            st.cache_hits += n as u64 - 1;
             // The group's highest id sets how far the table must reach.
-            let top = st.by_dst[dst].as_slice()[n - 1];
+            let top = self.landmarks[lm.index()].by_dst[dst].as_slice()[n - 1];
             self.meta_mut(top);
             for pkt in self.landmarks[lm.index()].by_dst[dst].as_slice() {
                 let m = &mut self.meta[pkt.index()];
@@ -956,7 +858,7 @@ impl FlowRouter {
 
     /// The per-packet walk `rebucket` replaced, kept as its oracle:
     /// clear the three indices, then re-file each packet the station
-    /// holds, in ascending id order, asking the route cache per packet.
+    /// holds, in ascending id order, choosing its next hop per packet.
     #[cfg(test)]
     fn rebucket_walk(&mut self, world: &World, lm: LandmarkId) {
         let st = &mut self.landmarks[lm.index()];
@@ -1130,7 +1032,6 @@ impl FlowRouter {
         self.current_unit.encode(w);
         self.registrations.encode(w);
         self.known_down.encode(w);
-        self.route_epoch.encode(w);
         self.rank.encode(w);
         self.stats.encode(w);
     }
@@ -1160,7 +1061,6 @@ impl FlowRouter {
             cfg,
             registrations: Codec::decode(r)?,
             known_down: Codec::decode(r)?,
-            route_epoch: Codec::decode(r)?,
             rank: Codec::decode(r)?,
             stats: Codec::decode(r)?,
             scratch_pkts: Vec::new(),
@@ -1186,7 +1086,6 @@ impl FlowRouter {
                 st.lb_incoming.len(),
                 st.lb_outgoing.len(),
                 st.overloaded.len(),
-                st.route_cache.len(),
             ];
             st.rt.me().index() == l && lens.iter().all(|&n| n == num_landmarks)
         };
@@ -1273,28 +1172,6 @@ impl Codec for NodeState {
     }
 }
 
-impl Codec for RouteCacheCell {
-    fn encode(&self, w: &mut Writer) {
-        self.computed.encode(w);
-        self.epoch.encode(w);
-        self.next.encode(w);
-        self.expected.encode(w);
-        self.lb_diverted.encode(w);
-        self.fellback.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RouteCacheCell {
-            computed: Codec::decode(r)?,
-            epoch: Codec::decode(r)?,
-            next: Codec::decode(r)?,
-            expected: Codec::decode(r)?,
-            lb_diverted: Codec::decode(r)?,
-            fellback: Codec::decode(r)?,
-        })
-    }
-}
-
 /// Not a [`Codec`]: decoding needs the run's node count, which bounds
 /// the `by_dst_node` keys.
 impl LandmarkState {
@@ -1309,12 +1186,6 @@ impl LandmarkState {
         self.lb_outgoing.encode(w);
         self.overloaded.encode(w);
         self.unit_seq.encode(w);
-        // The route cache travels verbatim (cells, then the counters): a
-        // restored lineage must serve the same hits and misses as the
-        // uninterrupted run, and a cold cache would diverge the counters.
-        self.route_cache.encode(w);
-        self.cache_hits.encode(w);
-        self.cache_misses.encode(w);
     }
 
     /// Inverse of [`LandmarkState::encode`]. `by_dst_node` keys are
@@ -1332,9 +1203,6 @@ impl LandmarkState {
             lb_outgoing: Codec::decode(r)?,
             overloaded: Codec::decode(r)?,
             unit_seq: Codec::decode(r)?,
-            route_cache: Codec::decode(r)?,
-            cache_hits: Codec::decode(r)?,
-            cache_misses: Codec::decode(r)?,
         })
     }
 }
@@ -1645,17 +1513,6 @@ impl Router for FlowRouter {
                     coverage,
                     revision,
                 });
-                let (hits, misses) = (st.cache_hits, st.cache_misses);
-                world.emit(|at| SimEvent::RouteCacheHit {
-                    at,
-                    lm,
-                    count: hits,
-                });
-                world.emit(|at| SimEvent::RouteCacheMiss {
-                    at,
-                    lm,
-                    count: misses,
-                });
             }
         }
         let per_landmark = self
@@ -1715,7 +1572,6 @@ impl Router for FlowRouter {
 
     fn on_station_down(&mut self, world: &mut World, lm: LandmarkId) {
         self.known_down[lm.index()] = true;
-        self.route_epoch += 1; // `known_down` changed: stale route caches
         if self.cfg.degradation.is_none() {
             return;
         }
@@ -1738,7 +1594,6 @@ impl Router for FlowRouter {
 
     fn on_station_up(&mut self, world: &mut World, lm: LandmarkId) {
         self.known_down[lm.index()] = false;
-        self.route_epoch += 1; // `known_down` changed: stale route caches
         let Some(deg) = self.cfg.degradation else {
             return;
         };
@@ -1778,6 +1633,7 @@ impl Router for FlowRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LoadBalanceConfig;
     use dtnflow_core::config::SimConfig;
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};
@@ -1869,10 +1725,10 @@ mod tests {
         assert!(out.metrics.maintenance_ops > 0.0, "tables were exchanged");
     }
 
-    #[test]
-    fn fallback_next_hop_avoids_known_down_landmark() {
-        // l0 routes to l3 via l1 (delay 6) with backup l2 (delay 7).
-        let mut router = FlowRouter::new(FlowConfig::with_degradation(), 2, 4);
+    /// A 4-landmark router whose l0 table routes to l3 via l1 (delay 6)
+    /// with backup l2 (delay 7).
+    fn detour_router(flow: FlowConfig) -> FlowRouter {
+        let mut router = FlowRouter::new(flow, 2, 4);
         let mk = |pairs: &[(usize, f64)], seq| {
             let mut delays = vec![f64::INFINITY; 4];
             for &(d, v) in pairs {
@@ -1889,6 +1745,12 @@ mod tests {
         st.rt.receive(LandmarkId(1), mk(&[(1, 0.0), (3, 5.0)], 1));
         st.rt.receive(LandmarkId(2), mk(&[(2, 0.0), (3, 5.0)], 1));
         st.rt.recompute(&link);
+        router
+    }
+
+    #[test]
+    fn fallback_next_hop_avoids_known_down_landmark() {
+        let mut router = detour_router(FlowConfig::with_degradation());
 
         // Healthy: the primary wins, no fallback flagged.
         let (next, delay, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
@@ -1896,11 +1758,8 @@ mod tests {
         assert!((delay - 6.0).abs() < 1e-12);
         assert!(!fellback);
 
-        // Primary's landmark is known down: divert to the backup. Every
-        // raw `known_down` write mirrors the station-fault path's epoch
-        // bump — that is the route-cache invalidation contract.
+        // Primary's landmark is known down: divert to the backup.
         router.known_down[1] = true;
-        router.route_epoch += 1;
         let (next, delay, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
         assert_eq!(next, Some(LandmarkId(2)));
         assert!((delay - 7.0).abs() < 1e-12);
@@ -1908,7 +1767,6 @@ mod tests {
 
         // Backup down too: nothing better exists, keep the primary.
         router.known_down[2] = true;
-        router.route_epoch += 1;
         let (next, _, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
         assert_eq!(next, Some(LandmarkId(1)));
         assert!(!fellback);
@@ -1916,10 +1774,59 @@ mod tests {
         // Without the degradation extension the down-set is ignored.
         router.cfg.degradation = None;
         router.known_down[2] = false;
-        router.route_epoch += 1;
         let (next, _, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
         assert_eq!(next, Some(LandmarkId(1)));
         assert!(!fellback);
+    }
+
+    /// §IV-E.3: an overloaded primary diverts to a free backup within
+    /// `max_detour` of the primary's delay, and only then.
+    #[test]
+    fn overloaded_primary_diverts_to_a_free_nearby_backup() {
+        let (l0, l1, l2, l3) = (LandmarkId(0), LandmarkId(1), LandmarkId(2), LandmarkId(3));
+        let lb = LoadBalanceConfig::default();
+        let mut router = detour_router(FlowConfig {
+            load_balance: Some(lb),
+            ..FlowConfig::default()
+        });
+        router.landmarks[0].overloaded[1] = true;
+
+        // Backup free and 7 <= 2.0 x 6: divert.
+        let (next, delay, lb_diverted, fellback) = router.choose_next(l0, l3);
+        assert_eq!(next, Some(l2));
+        assert!((delay - 7.0).abs() < 1e-12);
+        assert!(lb_diverted);
+        assert!(!fellback);
+
+        // Backup beyond the detour bound (7 > 1.1 x 6): keep the primary.
+        router.cfg.load_balance = Some(LoadBalanceConfig {
+            max_detour: 1.1,
+            ..lb
+        });
+        let (next, delay, lb_diverted, _) = router.choose_next(l0, l3);
+        assert_eq!(next, Some(l1));
+        assert!((delay - 6.0).abs() < 1e-12);
+        assert!(!lb_diverted);
+
+        // Backup overloaded too: keep the primary.
+        router.cfg.load_balance = Some(lb);
+        router.landmarks[0].overloaded[2] = true;
+        let (next, _, lb_diverted, _) = router.choose_next(l0, l3);
+        assert_eq!(next, Some(l1));
+        assert!(!lb_diverted);
+
+        // Without the extension the overload flags are ignored.
+        router.landmarks[0].overloaded[2] = false;
+        router.cfg.load_balance = None;
+        let (next, _, lb_diverted, _) = router.choose_next(l0, l3);
+        assert_eq!(next, Some(l1));
+        assert!(!lb_diverted);
+
+        // A packet already at its destination landmark has no next hop.
+        router.cfg.load_balance = Some(lb);
+        let (next, delay, lb_diverted, fellback) = router.choose_next(l0, l0);
+        assert_eq!((next, delay), (None, 0.0));
+        assert!(!lb_diverted && !fellback);
     }
 
     #[test]
@@ -2302,8 +2209,8 @@ mod tests {
     /// as the TTL purge does, so their index entries go stale; then
     /// every station of one copy is rebuilt by `rebucket`, of the other
     /// by the per-packet walk. The two routers must encode to the same
-    /// bytes: stamps, all three indices with their map slots, route
-    /// cache cells and counters, and `FlowStats`.
+    /// bytes: stamps, all three indices with their map slots, and
+    /// `FlowStats`.
     fn assert_rebuckets_agree(
         router: &FlowRouter,
         world: &World,
@@ -2338,7 +2245,6 @@ mod tests {
         if let Some(l) = flip_down {
             for r in [&mut walked, &mut grouped] {
                 r.known_down[l] = !r.known_down[l];
-                r.route_epoch += 1;
             }
         }
         for lm in (0..landmarks).map(LandmarkId::from) {

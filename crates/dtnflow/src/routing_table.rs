@@ -53,13 +53,6 @@ pub struct RoutingTable {
     /// claim injection, distrust, stale decay) — lets observers tell
     /// "table content changed" apart from "recompute over same inputs".
     revision: u64,
-    /// Bumped on every [`RoutingTable::recompute`] — the entries (what
-    /// [`RoutingTable::entry`] serves) can only change when this does,
-    /// so it is the validity stamp for the router's next-hop route
-    /// cache (DESIGN.md §14). Distinct from `revision`: stored vectors
-    /// can change without a recompute, and a recompute can rerun over
-    /// changed link delays without any vector change.
-    computed: u64,
 }
 
 impl RoutingTable {
@@ -79,7 +72,6 @@ impl RoutingTable {
             vectors: DenseMap::with_index_capacity(num),
             entries,
             revision: 0,
-            computed: 0,
         }
     }
 
@@ -96,12 +88,6 @@ impl RoutingTable {
     /// How many times the stored vectors have changed (observability).
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// How many times the entries have been recomputed — the validity
-    /// stamp for memoized next-hop decisions.
-    pub fn computed(&self) -> u64 {
-        self.computed
     }
 
     /// Store a vector received from `from` unless an equally-new or newer
@@ -237,7 +223,6 @@ impl RoutingTable {
                 }
             }
         }
-        self.computed += 1;
     }
 
     /// The routing entry for a destination.
@@ -346,7 +331,6 @@ impl Codec for RoutingTable {
         self.vectors.encode(w);
         self.entries.encode(w);
         self.revision.encode(w);
-        self.computed.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<RoutingTable, SnapshotError> {
@@ -356,7 +340,6 @@ impl Codec for RoutingTable {
             vectors: Codec::decode(r)?,
             entries: Codec::decode(r)?,
             revision: Codec::decode(r)?,
-            computed: Codec::decode(r)?,
         };
         if rt.me.index() >= rt.num
             || rt.entries.len() != rt.num

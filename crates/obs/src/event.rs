@@ -158,21 +158,6 @@ pub enum SimEvent {
         lm: LandmarkId,
         pkt: PacketId,
     },
-    /// Periodic route-cache health sample for one landmark: cumulative
-    /// forwarding decisions served from the memoized next-hop cell
-    /// (DESIGN.md §14).
-    RouteCacheHit {
-        at: SimTime,
-        lm: LandmarkId,
-        count: u64,
-    },
-    /// Counterpart of [`SimEvent::RouteCacheHit`]: cumulative decisions
-    /// that had to re-evaluate the divert/fallback logic.
-    RouteCacheMiss {
-        at: SimTime,
-        lm: LandmarkId,
-        count: u64,
-    },
     /// Periodic routing-table health sample for one landmark.
     RouteCoverage {
         at: SimTime,
@@ -192,7 +177,7 @@ pub enum SimEvent {
 /// Every kind tag, sorted — `kind_index` is the position here, so a flat
 /// `[u64; KIND_COUNT]` counter array iterated in index order reads back
 /// in exactly the order a `BTreeMap<&str, u64>` keyed by tag would.
-pub const KIND_TAGS: [&str; 21] = [
+pub const KIND_TAGS: [&str; 19] = [
     "bandwidth_updated",
     "checkpoint_written",
     "contact_close",
@@ -207,8 +192,6 @@ pub const KIND_TAGS: [&str; 21] = [
     "packet_lost",
     "restored",
     "retry_queued",
-    "route_cache_hit",
-    "route_cache_miss",
     "route_coverage",
     "station_down",
     "station_up",
@@ -239,8 +222,6 @@ impl SimEvent {
             | SimEvent::BandwidthUpdated { at, .. }
             | SimEvent::MisTransit { at, .. }
             | SimEvent::RetryQueued { at, .. }
-            | SimEvent::RouteCacheHit { at, .. }
-            | SimEvent::RouteCacheMiss { at, .. }
             | SimEvent::RouteCoverage { at, .. }
             | SimEvent::CheckpointWritten { at, .. }
             | SimEvent::Restored { at, .. } => at,
@@ -270,13 +251,11 @@ impl SimEvent {
             SimEvent::PacketLost { .. } => 11,
             SimEvent::Restored { .. } => 12,
             SimEvent::RetryQueued { .. } => 13,
-            SimEvent::RouteCacheHit { .. } => 14,
-            SimEvent::RouteCacheMiss { .. } => 15,
-            SimEvent::RouteCoverage { .. } => 16,
-            SimEvent::StationDown { .. } => 17,
-            SimEvent::StationUp { .. } => 18,
-            SimEvent::TableExchanged { .. } => 19,
-            SimEvent::UnitBoundary { .. } => 20,
+            SimEvent::RouteCoverage { .. } => 14,
+            SimEvent::StationDown { .. } => 15,
+            SimEvent::StationUp { .. } => 16,
+            SimEvent::TableExchanged { .. } => 17,
+            SimEvent::UnitBoundary { .. } => 18,
         }
     }
 }
@@ -353,8 +332,6 @@ impl Codec for SimEvent {
                 uploaded.encode(w);
             }
             SimEvent::RetryQueued { lm, pkt, .. } => (lm, pkt).encode(w),
-            SimEvent::RouteCacheHit { lm, count, .. }
-            | SimEvent::RouteCacheMiss { lm, count, .. } => (lm, count).encode(w),
             SimEvent::RouteCoverage {
                 lm,
                 coverage,
@@ -449,38 +426,28 @@ impl Codec for SimEvent {
                 lm: Codec::decode(r)?,
                 pkt: Codec::decode(r)?,
             },
-            14 => SimEvent::RouteCacheHit {
-                at,
-                lm: Codec::decode(r)?,
-                count: Codec::decode(r)?,
-            },
-            15 => SimEvent::RouteCacheMiss {
-                at,
-                lm: Codec::decode(r)?,
-                count: Codec::decode(r)?,
-            },
-            16 => SimEvent::RouteCoverage {
+            14 => SimEvent::RouteCoverage {
                 at,
                 lm: Codec::decode(r)?,
                 coverage: Codec::decode(r)?,
                 revision: Codec::decode(r)?,
             },
-            17 => SimEvent::StationDown {
+            15 => SimEvent::StationDown {
                 at,
                 lm: Codec::decode(r)?,
             },
-            18 => SimEvent::StationUp {
+            16 => SimEvent::StationUp {
                 at,
                 lm: Codec::decode(r)?,
             },
-            19 => SimEvent::TableExchanged {
+            17 => SimEvent::TableExchanged {
                 at,
                 from: Codec::decode(r)?,
                 to: Codec::decode(r)?,
                 entries: Codec::decode(r)?,
                 accepted: Codec::decode(r)?,
             },
-            20 => SimEvent::UnitBoundary {
+            18 => SimEvent::UnitBoundary {
                 at,
                 unit: Codec::decode(r)?,
             },
@@ -641,12 +608,6 @@ impl fmt::Display for SimEvent {
                 )
             }
             SimEvent::RetryQueued { lm, pkt, .. } => write!(f, "@{t} retry_queued {pkt} at {lm}"),
-            SimEvent::RouteCacheHit { lm, count, .. } => {
-                write!(f, "@{t} route_cache_hit {lm} count={count}")
-            }
-            SimEvent::RouteCacheMiss { lm, count, .. } => {
-                write!(f, "@{t} route_cache_miss {lm} count={count}")
-            }
             SimEvent::RouteCoverage {
                 lm,
                 coverage,
@@ -792,16 +753,6 @@ mod tests {
                 at: SimTime(0),
                 lm: LandmarkId(0),
                 pkt: PacketId(0),
-            },
-            SimEvent::RouteCacheHit {
-                at: SimTime(0),
-                lm: LandmarkId(0),
-                count: 0,
-            },
-            SimEvent::RouteCacheMiss {
-                at: SimTime(0),
-                lm: LandmarkId(0),
-                count: 0,
             },
             SimEvent::RouteCoverage {
                 at: SimTime(0),
@@ -950,16 +901,6 @@ mod tests {
                 at: SimTime(24),
                 lm: LandmarkId(2),
                 pkt: PacketId(8),
-            },
-            SimEvent::RouteCacheHit {
-                at: SimTime(24),
-                lm: LandmarkId(2),
-                count: 990,
-            },
-            SimEvent::RouteCacheMiss {
-                at: SimTime(24),
-                lm: LandmarkId(2),
-                count: 10,
             },
             SimEvent::RouteCoverage {
                 at: SimTime(25),

@@ -153,8 +153,9 @@ pub struct ObsMetrics {
     pub bandwidth: LinkMatrix,
     /// Latest `(coverage, table revision)` sample per landmark.
     pub coverage: DenseMap<u16, (f64, u64)>,
-    /// Latest cumulative route-cache `(hits, misses)` sample per
-    /// landmark (DESIGN.md §14).
+    /// Always empty: nothing writes it. It stays public only because
+    /// the benchmark adapter (`perfbench/`) still reads it.
+    // detlint: allow(S1, reason = "never written, so nothing to checkpoint; the benchmark adapter still reads it")
     pub route_cache: DenseMap<u16, (u64, u64)>,
     /// Event counts per kind tag.
     pub event_counts: EventCounts,
@@ -288,12 +289,6 @@ impl ObsMetrics {
             } => {
                 self.coverage.insert(lm.0, (coverage, revision));
             }
-            SimEvent::RouteCacheHit { lm, count, .. } => {
-                self.route_cache.get_or_default(lm.0).0 = count;
-            }
-            SimEvent::RouteCacheMiss { lm, count, .. } => {
-                self.route_cache.get_or_default(lm.0).1 = count;
-            }
         }
     }
 }
@@ -368,7 +363,6 @@ impl Codec for ObsMetrics {
         self.landmarks.encode(w);
         self.bandwidth.encode(w);
         self.coverage.encode(w);
-        self.route_cache.encode(w);
         self.event_counts.encode(w);
         self.delay_hist.encode(w);
         self.hop_hist.encode(w);
@@ -380,7 +374,7 @@ impl Codec for ObsMetrics {
             landmarks: Codec::decode(r)?,
             bandwidth: Codec::decode(r)?,
             coverage: Codec::decode(r)?,
-            route_cache: Codec::decode(r)?,
+            route_cache: DenseMap::new(),
             event_counts: Codec::decode(r)?,
             delay_hist: Codec::decode(r)?,
             hop_hist: Codec::decode(r)?,
@@ -504,19 +498,8 @@ mod tests {
                 coverage: v,
                 revision: unit,
             });
-            m.apply(&SimEvent::RouteCacheHit {
-                at: SimTime(unit * 100),
-                lm: LandmarkId(0),
-                count: unit * 10,
-            });
-            m.apply(&SimEvent::RouteCacheMiss {
-                at: SimTime(unit * 100),
-                lm: LandmarkId(0),
-                count: unit,
-            });
         }
         assert_eq!(m.bandwidth.get(0, 1), Some(0.75));
         assert_eq!(m.coverage[0], (0.75, 2));
-        assert_eq!(m.route_cache[0], (20, 2));
     }
 }

@@ -107,13 +107,6 @@ pub fn validate_snapshot(doc: &Value) -> Result<(), String> {
         require_count(cov, "revision", inner)?;
     }
 
-    for rc in require_array(doc, "route_cache", what)? {
-        let inner = "snapshot.route_cache[]";
-        require_count(rc, "lm", inner)?;
-        require_count(rc, "hits", inner)?;
-        require_count(rc, "misses", inner)?;
-    }
-
     let delay = require(doc, "delay_histogram", what)?;
     let edges = require_array(delay, "edges_secs", "snapshot.delay_histogram")?;
     let counts = require_array(delay, "counts", "snapshot.delay_histogram")?;

@@ -39,9 +39,6 @@ pub struct Snapshot {
     pub bandwidth: Vec<(u16, u16, f64)>,
     /// Latest (coverage, revision) per landmark, sorted by landmark id.
     pub route_coverage: Vec<(u16, f64, u64)>,
-    /// Latest cumulative route-cache (hits, misses) per landmark,
-    /// sorted by landmark id (DESIGN.md §14).
-    pub route_cache: Vec<(u16, u64, u64)>,
     /// Delivery-delay histogram counts (edges in
     /// [`DELAY_BUCKET_EDGES_SECS`] plus one overflow bucket).
     pub delay_hist: Vec<u64>,
@@ -78,11 +75,6 @@ impl Snapshot {
                 .coverage
                 .iter()
                 .map(|(lm, &(coverage, revision))| (lm, coverage, revision))
-                .collect(),
-            route_cache: metrics
-                .route_cache
-                .iter()
-                .map(|(lm, &(hits, misses))| (lm, hits, misses))
                 .collect(),
             delay_hist: metrics.delay_hist.to_vec(),
             hop_hist: metrics.hop_hist.to_vec(),
@@ -152,21 +144,6 @@ impl Snapshot {
                                 ("lm".to_owned(), Value::int(u64::from(lm))),
                                 ("coverage".to_owned(), Value::Number(coverage)),
                                 ("revision".to_owned(), Value::int(revision)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "route_cache".to_owned(),
-                Value::Array(
-                    self.route_cache
-                        .iter()
-                        .map(|&(lm, hits, misses)| {
-                            Value::object([
-                                ("lm".to_owned(), Value::int(u64::from(lm))),
-                                ("hits".to_owned(), Value::int(hits)),
-                                ("misses".to_owned(), Value::int(misses)),
                             ])
                         })
                         .collect(),
