@@ -50,7 +50,6 @@ fn builtin(name: &str, seed: Option<u64>) -> Option<Trace> {
         "deployment" => Some(
             DeploymentModel::new(DeploymentConfig {
                 seed: seed.unwrap_or(DeploymentConfig::default().seed),
-                ..DeploymentConfig::default()
             })
             .generate(),
         ),

@@ -9,7 +9,7 @@ use dtnflow_core::config::SimConfig;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_core::time::SimDuration;
 use dtnflow_mobility::stats;
-use dtnflow_router::{DeadEndConfig, FlowConfig, FlowRouter, LoadBalanceConfig, LoopInjection};
+use dtnflow_router::{FlowConfig, FlowRouter, LoopInjection};
 use dtnflow_sim::RunSpec;
 
 struct FlowRun {
@@ -64,10 +64,7 @@ pub fn table6(quick: bool) -> Vec<Table> {
             variants.push((
                 format!("gamma={g}"),
                 FlowConfig {
-                    dead_end: Some(DeadEndConfig {
-                        gamma: g,
-                        min_stays: 10,
-                    }),
+                    dead_end: Some(g),
                     ..FlowConfig::default()
                 },
             ));
@@ -197,7 +194,7 @@ pub fn table8(quick: bool) -> Vec<Table> {
         let runs = parallel_map(&jobs, |&(r, balance)| {
             let cfg = s.cfg(0x7AB8).with_packet_rate(r);
             let flow = FlowConfig {
-                load_balance: balance.then(LoadBalanceConfig::default),
+                load_balance: balance,
                 ..FlowConfig::default()
             };
             run_flow(&s, &cfg, flow)

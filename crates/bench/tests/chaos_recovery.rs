@@ -16,10 +16,10 @@ use dtnflow_core::ids::{LandmarkId, NodeId};
 use dtnflow_core::time::{SimTime, DAY};
 use dtnflow_mobility::{Trace, Visit};
 use dtnflow_obs::{Recorder, SimEvent, DEFAULT_RING_CAPACITY};
-use dtnflow_router::{DegradationConfig, FlowConfig, FlowRouter, LoopInjection};
+use dtnflow_router::{FlowConfig, FlowRouter, LoopInjection};
 use dtnflow_sim::{FaultPlan, SimSession, Workload};
 use dtnflow_snapshot::{
-    validate_schema, Codec, Reader, SnapshotBuilder, SnapshotError, SnapshotFile,
+    validate_schema, Codec, Reader, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -194,68 +194,74 @@ fn checkpoint_written_event_lands_inside_the_snapshot_recorder() {
 
 // ---- timer-backed stranded-packet retries (DESIGN.md §14) -------------
 
-/// The tiny outage cell with graceful degradation on and a configurable
-/// recovery→retry delay, so stranded-packet retries ride the engine
-/// timer queue instead of firing inline at the recovery instant.
-fn tiny_retry_inputs(seed: u64, retry_delay_secs: u64) -> ChaosInputs {
+/// The tiny outage cell with graceful degradation on, so each station
+/// recovery schedules a stranded-packet retry on the engine timer queue.
+fn tiny_retry_inputs(seed: u64) -> ChaosInputs {
     let base = ChaosInputs::tiny(seed, FaultPlan::none());
     let plan = outage_plan(&base.trace, base.cfg.time_unit.secs(), seed);
     assert!(!plan.station_outages.is_empty());
-    let flow = FlowConfig {
-        degradation: Some(DegradationConfig { retry_delay_secs }),
-        ..FlowConfig::default()
-    };
-    ChaosInputs { plan, flow, ..base }
+    ChaosInputs {
+        plan,
+        flow: FlowConfig::with_degradation(),
+        ..base
+    }
 }
 
 /// The retry-timer token tag (`dtnflow_router`'s bit-63 namespace); the
 /// test asserts a pending timer entry carries it across a checkpoint.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
 
-/// A delayed retry is an ordinary pending timer: a checkpoint taken at a
-/// boundary between a station's recovery and its retry firing contains
-/// the tagged timer entry, and the restored run is byte-identical to the
-/// uninterrupted one — under the old inline scan the retry state would
-/// have been lost with the process.
+/// A retry is an ordinary pending timer: it fires at the recovery
+/// instant, but only after the station-up event that scheduled it. A
+/// checkpoint taken between the two events holds the tagged timer entry
+/// in its engine section, and the restored run is byte-identical to the
+/// uninterrupted one. A restore that dropped the pending retry would
+/// lose the stranded packets' re-queue and diverge.
 #[test]
-fn delayed_retry_timer_survives_checkpoint_restore() {
-    // 1.5 time units: every recovery has a unit boundary before its
-    // retry fires (boundary gap ≤ 1 unit < delay).
-    let unit = ChaosInputs::tiny(13, FaultPlan::none())
-        .cfg
-        .time_unit
-        .secs();
-    let inp = tiny_retry_inputs(13, unit + unit / 2);
-    let m = inp.max_unit();
-    let kill = inp
-        .plan
-        .station_outages
-        .iter()
-        .map(|o| o.up.secs() / unit + 1)
-        .find(|&u| u >= 1 && u < m)
-        .expect("an outage recovery is followed by a unit boundary");
+fn pending_retry_timer_survives_checkpoint_restore() {
+    let inp = tiny_retry_inputs(13);
     let straight = run_straight(&inp).expect("straight run");
     assert!(straight.conservation_holds());
 
-    let bytes = match run_segment(&inp, None, Some(kill)).expect("segment runs") {
-        SegmentEnd::Paused(b) => b,
-        SegmentEnd::Finished(_) => panic!("run ended before unit {kill}"),
-    };
-    // The snapshot's engine section holds the tagged retry timer.
-    let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
-    let engine = file.section("engine").expect("engine section");
-    // Cursor, timer sequence, then the pending `(at, payload, seq)` timers.
-    let (_cursor, _timer_seq, timers): (usize, u64, Vec<(u64, u64, u64)>) =
-        Codec::decode(&mut Reader::new(&engine.payload)).expect("engine section decodes");
-    let tagged = timers
-        .iter()
-        .filter(|&&(_, payload, _)| payload & RETRY_TOKEN_TAG != 0)
-        .count();
-    assert!(
-        tagged > 0,
-        "no tagged retry timer pending at unit {kill} (of {} timers)",
-        timers.len()
+    // Step one event at a time until a tagged retry timer is pending for
+    // a station that still holds stranded packets, so the retry has work
+    // to lose.
+    let mut router = FlowRouter::new(
+        inp.flow.clone(),
+        inp.trace.num_nodes(),
+        inp.trace.num_landmarks(),
     );
+    let mut session = SimSession::start(
+        &inp.trace,
+        &inp.cfg,
+        &inp.workload,
+        &inp.plan,
+        &mut router,
+        Some(Box::new(Recorder::new(DEFAULT_RING_CAPACITY))),
+    );
+    let mut steps = 0;
+    loop {
+        assert!(
+            session.step_events(1),
+            "no retry timer pending before the run ended"
+        );
+        steps += 1;
+        let mut w = Writer::new();
+        session.encode_engine(&mut w);
+        // Cursor, timer sequence, then the pending `(at, payload, seq)` timers.
+        let (_cursor, _timer_seq, timers): (usize, u64, Vec<(u64, u64, u64)>) =
+            Codec::decode(&mut Reader::new(&w.into_bytes())).expect("engine section decodes");
+        let stranded_retry = |&(_, payload, _): &(u64, u64, u64)| {
+            let lm = LandmarkId((payload & 0xFFFF) as u16);
+            payload & RETRY_TOKEN_TAG != 0 && session.world().station_packet_count(lm) > 0
+        };
+        if timers.iter().any(stranded_retry) {
+            break;
+        }
+    }
+    let unit = session.now().secs() / inp.cfg.time_unit.secs();
+    let bytes = checkpoint(&mut session, &inp, unit);
+    drop(session);
 
     let art = match run_segment(&inp, Some(&bytes), None).expect("resume runs") {
         SegmentEnd::Finished(a) => a,
@@ -264,18 +270,16 @@ fn delayed_retry_timer_survives_checkpoint_restore() {
     assert!(art.conservation_holds());
     assert!(
         art.matches(&straight),
-        "restore across a pending retry timer diverged"
+        "restore across a pending retry timer (after {steps} events) diverged"
     );
 }
 
 /// Golden pin of the retry firing order: at each recovery the stranded
 /// packets re-queue in ascending packet id — exactly the station-store
-/// scan order the old inline implementation used — and with the default
-/// zero delay the whole faulted run stays byte-identical to itself
-/// across kill/restore cycles.
+/// scan order the old inline implementation used.
 #[test]
 fn wheel_retries_fire_in_station_scan_order() {
-    let inp = tiny_retry_inputs(13, 0);
+    let inp = tiny_retry_inputs(13);
     let mut router = FlowRouter::new(
         inp.flow.clone(),
         inp.trace.num_nodes(),

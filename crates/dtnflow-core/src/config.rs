@@ -7,13 +7,15 @@
 
 use crate::time::{SimDuration, DAY};
 
+/// Size of every packet in bytes: the paper's `S` (§IV-C.2), 1 kB in
+/// every experiment it reports.
+pub const PACKET_SIZE: u64 = 1_024;
+
 /// Configuration for one simulation run. Construct with
 /// [`SimConfig::default`] and adjust fields, or use the named-trace
 /// constructors.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Size of every packet in bytes (`S` in the paper). Default 1024.
-    pub packet_size: u64,
     /// Memory of every mobile node in bytes (`M`). Default 2 048 000
     /// (2000 kB).
     pub node_memory: u64,
@@ -48,7 +50,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            packet_size: 1_024,
             node_memory: 2_000 * 1_024,
             ttl: DAY.mul(20),
             time_unit: DAY.mul(3),
@@ -93,8 +94,7 @@ impl SimConfig {
 
     /// How many whole packets fit in one node's memory (`M / S`).
     pub fn packets_per_node(&self) -> u64 {
-        assert!(self.packet_size > 0, "packet size must be positive");
-        self.node_memory / self.packet_size
+        self.node_memory / PACKET_SIZE
     }
 
     /// Set the node memory in kB (the unit the paper sweeps in Figs. 11/12).
@@ -118,10 +118,7 @@ impl SimConfig {
     /// Validate internal consistency; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.packet_size == 0 {
-            return Err("packet_size must be positive".into());
-        }
-        if self.node_memory < self.packet_size {
+        if self.node_memory < PACKET_SIZE {
             return Err("node_memory must hold at least one packet".into());
         }
         if self.time_unit == SimDuration::ZERO {
@@ -147,7 +144,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = SimConfig::default();
-        assert_eq!(c.packet_size, 1_024);
         assert_eq!(c.node_memory, 2_048_000);
         assert_eq!(c.ttl, DAY.mul(20));
         assert_eq!(c.time_unit, DAY.mul(3));

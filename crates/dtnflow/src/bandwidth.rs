@@ -13,7 +13,7 @@
 //! `B(j→i) ≈ B(i→j)` using `j`'s own incoming measurement.
 
 use crate::config::{FlowConfig, LinkDelayModel};
-use dtnflow_core::config::SimConfig;
+use dtnflow_core::config::{SimConfig, PACKET_SIZE};
 use dtnflow_core::dense::LinkMatrix;
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
@@ -135,14 +135,17 @@ impl BandwidthMatrix {
         flow: &FlowConfig,
         sim: &SimConfig,
     ) -> f64 {
+        /// Bandwidth (transits per unit) below which a transit link is
+        /// not a usable neighbour link.
+        const MIN_BANDWIDTH: f64 = 0.05;
         let b = self.outgoing(me, to);
-        if b < flow.min_bandwidth {
+        if b < MIN_BANDWIDTH {
             return f64::INFINITY;
         }
         let t = sim.time_unit.secs() as f64;
         match flow.delay_model {
             LinkDelayModel::TransitInterval => t / b,
-            LinkDelayModel::Throughput => t * sim.packet_size as f64 / (b * sim.node_memory as f64),
+            LinkDelayModel::Throughput => t * PACKET_SIZE as f64 / (b * sim.node_memory as f64),
         }
     }
 }

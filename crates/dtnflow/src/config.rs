@@ -1,5 +1,12 @@
 //! DTN-FLOW configuration: the base algorithm knobs plus the §IV-E
 //! extension switches, all defaulting to the paper's settings.
+//!
+//! Only what an experiment or test varies is a field. The rest are
+//! constants where they are used (DESIGN.md §6): the usable-link floor in
+//! [`BandwidthMatrix::link_delay`](crate::bandwidth::BandwidthMatrix::link_delay),
+//! and in the router the load-balancing factor `θ`, its overload floor
+//! and detour bound, and the dead-end stay floor. Of the extensions'
+//! factors only the dead-end `γ` is a field, because Table VI sweeps it.
 
 use dtnflow_core::ids::LandmarkId;
 
@@ -15,67 +22,6 @@ pub enum LinkDelayModel {
     /// `d = T·S / (B·M)`: the throughput-based per-packet delay (each
     /// transit can move `M/S` packets).
     Throughput,
-}
-
-/// Dead-end prevention (§IV-E.1) parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct DeadEndConfig {
-    /// Stay-time factor `γ`: a stay `γ×` longer than the node's average
-    /// marks a dead end. The paper finds 2 best (Table VI).
-    pub gamma: f64,
-    /// Minimum recorded stays before detection activates (false-positive
-    /// guard).
-    pub min_stays: usize,
-}
-
-impl Default for DeadEndConfig {
-    fn default() -> Self {
-        DeadEndConfig {
-            gamma: 2.0,
-            min_stays: 10,
-        }
-    }
-}
-
-/// Load balancing (§IV-E.3) parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadBalanceConfig {
-    /// A link is overloaded when its per-unit incoming packet rate exceeds
-    /// `theta ×` its outgoing rate.
-    pub theta: f64,
-    /// Ignore links with fewer incoming packets than this per unit
-    /// (overload needs actual pressure).
-    pub min_incoming: u64,
-    /// Only divert to the backup next hop when its delay is at most this
-    /// factor of the primary's — offloading onto a far slower path costs
-    /// more than the queueing it avoids.
-    pub max_detour: f64,
-}
-
-impl Default for LoadBalanceConfig {
-    fn default() -> Self {
-        LoadBalanceConfig {
-            theta: 2.0,
-            min_incoming: 50,
-            max_detour: 2.0,
-        }
-    }
-}
-
-/// Graceful-degradation parameters for fault-injected runs (station
-/// outages and node churn — see `dtnflow_sim::faults`). All three
-/// mechanisms (staleness decay, down-landmark avoidance, stranded-packet
-/// retries) are pure functions of information the router already has,
-/// so they change nothing in a fault-free run until a vector actually
-/// goes stale or a station actually goes down.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegradationConfig {
-    /// Delay, in seconds, between a station recovering and its stranded
-    /// packets being re-queued. The retry rides the engine timer queue
-    /// as an ordinary timer event, so with `0` (the default) it fires at
-    /// the recovery instant and with a positive delay it survives
-    /// checkpoints like any other pending timer.
-    pub retry_delay_secs: u64,
 }
 
 /// A deliberately injected routing loop (the Table VII experiment): at
@@ -113,9 +59,6 @@ impl Default for AccuracyFactors {
 pub struct FlowConfig {
     /// Markov predictor order (the paper uses 1 after Fig. 6).
     pub order_k: usize,
-    /// Bandwidth below which a transit link is not considered a usable
-    /// neighbour link.
-    pub min_bandwidth: f64,
     /// Link delay model.
     pub delay_model: LinkDelayModel,
     /// Carrier-ranking accuracy factors.
@@ -127,49 +70,55 @@ pub struct FlowConfig {
     /// the packet back into the routed system instead of stranding it on
     /// a wandering carrier.
     pub mis_transit_tolerance: f64,
-    /// Dead-end prevention; `None` = the paper's "ORG" configuration.
-    pub dead_end: Option<DeadEndConfig>,
+    /// Dead-end prevention (§IV-E.1) with stay-time factor `γ`: a stay
+    /// `γ×` longer than the node's average marks a dead end (the paper
+    /// finds 2 best, Table VI). `None` is the paper's "ORG"
+    /// configuration.
+    pub dead_end: Option<f64>,
     /// Routing-loop detection and correction (§IV-E.2).
     pub loop_correction: bool,
-    /// Load balancing via backup next hops; `None` disables.
-    pub load_balance: Option<LoadBalanceConfig>,
+    /// Load balancing via backup next hops (§IV-E.3).
+    pub load_balance: bool,
     /// Deliberate loop injections for the Table VII experiment.
     pub inject_loops: Vec<LoopInjection>,
-    /// Graceful degradation under injected faults; `None` disables
-    /// staleness decay, down-landmark avoidance and stranded-packet
-    /// retries.
-    pub degradation: Option<DegradationConfig>,
+    /// Graceful degradation under injected faults (station outages and
+    /// node churn, see `dtnflow_sim::faults`): staleness decay,
+    /// down-landmark avoidance and stranded-packet retries. All three
+    /// are pure functions of information the router already has, so they
+    /// change nothing in a fault-free run until a vector actually goes
+    /// stale or a station actually goes down.
+    pub degradation: bool,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             order_k: 1,
-            min_bandwidth: 0.05,
             delay_model: LinkDelayModel::TransitInterval,
             accuracy: AccuracyFactors::default(),
             mis_transit_tolerance: 0.0,
             dead_end: None,
             loop_correction: false,
-            load_balance: None,
+            load_balance: false,
             inject_loops: Vec::new(),
             // Off by default: staleness decay perturbs routing tables
             // even in fault-free runs (vectors can go stale for benign
             // reasons), and the paper's baseline configuration has no
             // fault handling. Fault experiments switch it on.
-            degradation: None,
+            degradation: false,
         }
     }
 }
 
 impl FlowConfig {
-    /// The paper's full configuration with every extension enabled.
+    /// The paper's full configuration with every extension enabled
+    /// (dead-end prevention at its best `γ = 2`).
     pub fn with_all_extensions() -> Self {
         FlowConfig {
-            dead_end: Some(DeadEndConfig::default()),
+            dead_end: Some(2.0),
             loop_correction: true,
-            load_balance: Some(LoadBalanceConfig::default()),
-            degradation: Some(DegradationConfig::default()),
+            load_balance: true,
+            degradation: true,
             ..FlowConfig::default()
         }
     }
@@ -178,7 +127,7 @@ impl FlowConfig {
     /// fault-injected runs.
     pub fn with_degradation() -> Self {
         FlowConfig {
-            degradation: Some(DegradationConfig::default()),
+            degradation: true,
             ..FlowConfig::default()
         }
     }
@@ -186,13 +135,8 @@ impl FlowConfig {
     /// Panics on out-of-range parameters.
     pub fn validate(&self) {
         assert!(self.order_k >= 1, "order_k must be at least 1");
-        assert!(self.min_bandwidth >= 0.0);
-        if let Some(d) = &self.dead_end {
-            assert!(d.gamma >= 1.0, "gamma must be at least 1");
-        }
-        if let Some(l) = &self.load_balance {
-            assert!(l.theta >= 1.0, "theta must be at least 1");
-            assert!(l.max_detour >= 1.0, "max_detour must be at least 1");
+        if let Some(gamma) = self.dead_end {
+            assert!(gamma >= 1.0, "gamma must be at least 1");
         }
         assert!(
             self.mis_transit_tolerance >= 0.0,
@@ -211,17 +155,17 @@ mod tests {
         assert_eq!(c.order_k, 1);
         assert!(c.dead_end.is_none());
         assert!(!c.loop_correction);
-        assert!(c.load_balance.is_none());
+        assert!(!c.load_balance);
         c.validate();
     }
 
     #[test]
     fn all_extensions_config() {
         let c = FlowConfig::with_all_extensions();
-        assert!(c.dead_end.is_some());
+        assert_eq!(c.dead_end, Some(2.0));
         assert!(c.loop_correction);
-        assert!(c.load_balance.is_some());
-        assert!((c.dead_end.unwrap().gamma - 2.0).abs() < 1e-12);
+        assert!(c.load_balance);
+        assert!(c.degradation);
         c.validate();
     }
 
@@ -229,10 +173,7 @@ mod tests {
     #[should_panic(expected = "gamma")]
     fn rejects_gamma_below_one() {
         let c = FlowConfig {
-            dead_end: Some(DeadEndConfig {
-                gamma: 0.5,
-                min_stays: 1,
-            }),
+            dead_end: Some(0.5),
             ..FlowConfig::default()
         };
         c.validate();

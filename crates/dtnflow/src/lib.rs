@@ -8,7 +8,9 @@
 //!
 //! * [`bandwidth::BandwidthMatrix`] — Table III, Eq. 4;
 //! * [`routing_table::RoutingTable`] — Tables IV/V, Fig. 7;
-//! * [`config::FlowConfig`] — all knobs, including the §IV-E extensions;
+//! * [`config::FlowConfig`] — the algorithm knobs and the §IV-E extension
+//!   switches (values no experiment varies are constants at their one
+//!   use, DESIGN.md §6);
 //! * [`router::FlowRouter`] — the `dtnflow_sim::Router` implementation;
 //! * [`observer`] — routing-table coverage/stability snapshots (Fig. 8);
 //! * [`hybrid::HybridFlowRouter`] — the §VI future-work extension adding
@@ -27,9 +29,7 @@ pub mod router;
 pub mod routing_table;
 
 pub use bandwidth::BandwidthMatrix;
-pub use config::{
-    DeadEndConfig, DegradationConfig, FlowConfig, LinkDelayModel, LoadBalanceConfig, LoopInjection,
-};
+pub use config::{FlowConfig, LinkDelayModel, LoopInjection};
 pub use hybrid::HybridFlowRouter;
 pub use observer::ObservationRow;
 pub use router::FlowRouter;

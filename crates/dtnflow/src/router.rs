@@ -20,6 +20,7 @@ use crate::bandwidth::BandwidthMatrix;
 use crate::config::{FlowConfig, LoopInjection};
 use crate::observer::{ObservationRow, TableObserver};
 use crate::routing_table::{RoutingTable, StoredVector};
+use dtnflow_core::config::PACKET_SIZE;
 use dtnflow_core::dense::{DenseMap, DenseSet};
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::packet::PacketLoc;
@@ -140,6 +141,10 @@ pub struct FlowStats {
 /// [`FlowRouter::retry_token`]): retries ride the engine timer queue as
 /// ordinary timer events, distinguished from dead-end timers by this bit.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
+
+/// Recorded stays a node needs before dead-end detection (§IV-E.1)
+/// arms: a guard against false positives from a thin stay history.
+const DEAD_END_MIN_STAYS: usize = 10;
 
 /// The DTN-FLOW router.
 pub struct FlowRouter {
@@ -416,11 +421,15 @@ impl FlowRouter {
         let mut expected = entry.delay;
         let mut lb_diverted = false;
         let mut fellback = false;
-        if let Some(lb) = &self.cfg.load_balance {
+        if self.cfg.load_balance {
+            /// Divert to the backup only when its delay is at most this
+            /// factor of the primary's: offloading onto a far slower path
+            /// costs more than the queueing it avoids.
+            const MAX_DETOUR: f64 = 2.0;
             if let (Some(nh), Some(bk)) = (next, entry.backup) {
                 if st.overloaded[nh.index()]
                     && !st.overloaded[bk.index()]
-                    && entry.backup_delay <= lb.max_detour * entry.delay
+                    && entry.backup_delay <= MAX_DETOUR * entry.delay
                 {
                     next = Some(bk);
                     expected = entry.backup_delay;
@@ -428,7 +437,7 @@ impl FlowRouter {
                 }
             }
         }
-        if self.cfg.degradation.is_some() {
+        if self.cfg.degradation {
             if let Some(nh) = next {
                 if self.known_down[nh.index()] {
                     if let Some(bk) = entry.backup {
@@ -651,8 +660,7 @@ impl FlowRouter {
                 // carrier that only sometimes heads to `h` takes only a
                 // slice of the queue, leaving the rest for better-matched
                 // carriers instead of stranding mis-transited packets.
-                let free_slots =
-                    (world.node_free_bytes(node) / world.config().packet_size) as usize;
+                let free_slots = (world.node_free_bytes(node) / PACKET_SIZE) as usize;
                 let mut bucket_quota = ((free_slots as f64) * p).ceil() as usize;
                 for direct in [true, false] {
                     if phase == 1 && direct {
@@ -917,19 +925,22 @@ impl FlowRouter {
         // claim of a vector grows 1.5x per unit.
         const STALENESS_MAX_AGE: u64 = 2;
         const STALENESS_FACTOR: f64 = 1.5;
-        if cfg.degradation.is_some() {
+        if cfg.degradation {
             st.rt.decay_stale(unit, STALENESS_MAX_AGE, STALENESS_FACTOR);
         }
         st.unit_seq = unit;
         st.seen_corrections.clear();
         st.pending_corrections
             .retain(|(born, _)| unit.saturating_sub(*born) <= 1);
-        // Load-balance rates: overloaded when incoming exceeds theta x
-        // outgoing with real pressure behind it.
-        if let Some(lb) = &cfg.load_balance {
+        // Load-balance rates (§IV-E.3): overloaded when incoming exceeds
+        // THETA x outgoing with real pressure (at least MIN_INCOMING
+        // packets this unit) behind it.
+        const THETA: f64 = 2.0;
+        const MIN_INCOMING: u64 = 50;
+        if cfg.load_balance {
             for h in 0..st.overloaded.len() {
-                st.overloaded[h] = st.lb_incoming[h] >= lb.min_incoming
-                    && st.lb_incoming[h] as f64 > lb.theta * st.lb_outgoing[h] as f64;
+                st.overloaded[h] = st.lb_incoming[h] >= MIN_INCOMING
+                    && st.lb_incoming[h] as f64 > THETA * st.lb_outgoing[h] as f64;
             }
         }
         st.lb_incoming.iter_mut().for_each(|c| *c = 0);
@@ -977,12 +988,12 @@ impl FlowRouter {
         /// Station outages a stranded packet survives (re-queued on each
         /// recovery) before it is dropped.
         const MAX_RETRIES: u32 = 8;
-        if self.cfg.degradation.is_none() {
+        if !self.cfg.degradation {
             return;
         }
-        // A delayed retry may outlive its recovery window: if the station
-        // went down again before the timer fired, the next recovery
-        // schedules a fresh one.
+        // The retry fires after the recovery instant's other trace events:
+        // if the station went down again before the timer fired, the next
+        // recovery schedules a fresh one.
         if !world.station_is_up(lm) || self.known_down[lm.index()] {
             return;
         }
@@ -1394,9 +1405,9 @@ impl Router for FlowRouter {
         self.assign_to_node(world, lm, node);
 
         // 7. Dead-end timer (§IV-E.1).
-        if let Some(de) = self.cfg.dead_end {
+        if let Some(gamma) = self.cfg.dead_end {
             let ns = &self.nodes[node.index()];
-            if ns.history.len() >= de.min_stays {
+            if ns.history.len() >= DEAD_END_MIN_STAYS {
                 let overall = ns.history.avg_stay_overall().map(|d| d.secs());
                 let here = ns.history.avg_stay_at(lm).map(|d| d.secs());
                 let base = match (overall, here) {
@@ -1404,7 +1415,7 @@ impl Router for FlowRouter {
                     (a, b) => a.or(b),
                 };
                 if let Some(avg) = base {
-                    let thr = SimDuration::from_secs(((avg as f64) * de.gamma).round() as u64 + 1);
+                    let thr = SimDuration::from_secs(((avg as f64) * gamma).round() as u64 + 1);
                     world.schedule_timer(
                         now + thr,
                         Self::timer_token(node, self.nodes[node.index()].episode),
@@ -1530,7 +1541,9 @@ impl Router for FlowRouter {
             self.process_stranded_retries(world, lm);
             return;
         }
-        let Some(de) = self.cfg.dead_end else { return };
+        let Some(gamma) = self.cfg.dead_end else {
+            return;
+        };
         let (node, episode) = Self::decode_token(token);
         if node.index() >= self.nodes.len() {
             return;
@@ -1548,7 +1561,7 @@ impl Router for FlowRouter {
         let stuck =
             self.nodes[node.index()]
                 .history
-                .is_dead_end(lm, elapsed, de.gamma, de.min_stays);
+                .is_dead_end(lm, elapsed, gamma, DEAD_END_MIN_STAYS);
         if !stuck {
             return;
         }
@@ -1572,7 +1585,7 @@ impl Router for FlowRouter {
 
     fn on_station_down(&mut self, world: &mut World, lm: LandmarkId) {
         self.known_down[lm.index()] = true;
-        if self.cfg.degradation.is_none() {
+        if !self.cfg.degradation {
             return;
         }
         // Re-stamp packets at other stations that were aimed at the downed
@@ -1594,17 +1607,16 @@ impl Router for FlowRouter {
 
     fn on_station_up(&mut self, world: &mut World, lm: LandmarkId) {
         self.known_down[lm.index()] = false;
-        let Some(deg) = self.cfg.degradation else {
+        if !self.cfg.degradation {
             return;
-        };
+        }
         // Recompute routes with the landmark available again, then hand
         // the stranded-packet scan to the timer queue: the retry fires as
-        // an ordinary timer event — immediately with the default zero
-        // delay, or after the configured grace period (in which case it
-        // survives checkpoints like any pending timer).
+        // an ordinary timer event at the recovery instant, after the
+        // event that scheduled it, and survives a checkpoint taken in
+        // between like any pending timer.
         self.recompute_tables(lm, world);
-        let at = world.now() + SimDuration::from_secs(deg.retry_delay_secs);
-        world.schedule_timer(at, Self::retry_token(lm));
+        world.schedule_timer(world.now(), Self::retry_token(lm));
     }
 
     fn on_node_fail(&mut self, _world: &mut World, node: NodeId, at: Option<LandmarkId>) {
@@ -1633,7 +1645,6 @@ impl Router for FlowRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LoadBalanceConfig;
     use dtnflow_core::config::SimConfig;
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};
@@ -1725,9 +1736,10 @@ mod tests {
         assert!(out.metrics.maintenance_ops > 0.0, "tables were exchanged");
     }
 
-    /// A 4-landmark router whose l0 table routes to l3 via l1 (delay 6)
-    /// with backup l2 (delay 7).
-    fn detour_router(flow: FlowConfig) -> FlowRouter {
+    /// A 4-landmark router whose l0 table routes to l3 via l1 (delay
+    /// 1 + 5 = 6) with backup l2 (delay 2 + `backup_claim`, l2's claimed
+    /// delay to l3).
+    fn detour_router(flow: FlowConfig, backup_claim: f64) -> FlowRouter {
         let mut router = FlowRouter::new(flow, 2, 4);
         let mk = |pairs: &[(usize, f64)], seq| {
             let mut delays = vec![f64::INFINITY; 4];
@@ -1743,14 +1755,15 @@ mod tests {
         };
         let st = &mut router.landmarks[0];
         st.rt.receive(LandmarkId(1), mk(&[(1, 0.0), (3, 5.0)], 1));
-        st.rt.receive(LandmarkId(2), mk(&[(2, 0.0), (3, 5.0)], 1));
+        st.rt
+            .receive(LandmarkId(2), mk(&[(2, 0.0), (3, backup_claim)], 1));
         st.rt.recompute(&link);
         router
     }
 
     #[test]
     fn fallback_next_hop_avoids_known_down_landmark() {
-        let mut router = detour_router(FlowConfig::with_degradation());
+        let mut router = detour_router(FlowConfig::with_degradation(), 5.0);
 
         // Healthy: the primary wins, no fallback flagged.
         let (next, delay, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
@@ -1772,7 +1785,7 @@ mod tests {
         assert!(!fellback);
 
         // Without the degradation extension the down-set is ignored.
-        router.cfg.degradation = None;
+        router.cfg.degradation = false;
         router.known_down[2] = false;
         let (next, _, _, fellback) = router.choose_next(LandmarkId(0), LandmarkId(3));
         assert_eq!(next, Some(LandmarkId(1)));
@@ -1780,36 +1793,25 @@ mod tests {
     }
 
     /// §IV-E.3: an overloaded primary diverts to a free backup within
-    /// `max_detour` of the primary's delay, and only then.
+    /// twice the primary's delay, and only then.
     #[test]
     fn overloaded_primary_diverts_to_a_free_nearby_backup() {
         let (l0, l1, l2, l3) = (LandmarkId(0), LandmarkId(1), LandmarkId(2), LandmarkId(3));
-        let lb = LoadBalanceConfig::default();
-        let mut router = detour_router(FlowConfig {
-            load_balance: Some(lb),
+        let balanced = FlowConfig {
+            load_balance: true,
             ..FlowConfig::default()
-        });
+        };
+        let mut router = detour_router(balanced.clone(), 5.0);
         router.landmarks[0].overloaded[1] = true;
 
-        // Backup free and 7 <= 2.0 x 6: divert.
+        // Backup free and 7 <= 2 x 6: divert.
         let (next, delay, lb_diverted, fellback) = router.choose_next(l0, l3);
         assert_eq!(next, Some(l2));
         assert!((delay - 7.0).abs() < 1e-12);
         assert!(lb_diverted);
         assert!(!fellback);
 
-        // Backup beyond the detour bound (7 > 1.1 x 6): keep the primary.
-        router.cfg.load_balance = Some(LoadBalanceConfig {
-            max_detour: 1.1,
-            ..lb
-        });
-        let (next, delay, lb_diverted, _) = router.choose_next(l0, l3);
-        assert_eq!(next, Some(l1));
-        assert!((delay - 6.0).abs() < 1e-12);
-        assert!(!lb_diverted);
-
         // Backup overloaded too: keep the primary.
-        router.cfg.load_balance = Some(lb);
         router.landmarks[0].overloaded[2] = true;
         let (next, _, lb_diverted, _) = router.choose_next(l0, l3);
         assert_eq!(next, Some(l1));
@@ -1817,16 +1819,26 @@ mod tests {
 
         // Without the extension the overload flags are ignored.
         router.landmarks[0].overloaded[2] = false;
-        router.cfg.load_balance = None;
+        router.cfg.load_balance = false;
         let (next, _, lb_diverted, _) = router.choose_next(l0, l3);
         assert_eq!(next, Some(l1));
         assert!(!lb_diverted);
 
         // A packet already at its destination landmark has no next hop.
-        router.cfg.load_balance = Some(lb);
+        router.cfg.load_balance = true;
         let (next, delay, lb_diverted, fellback) = router.choose_next(l0, l0);
         assert_eq!((next, delay), (None, 0.0));
         assert!(!lb_diverted && !fellback);
+
+        // Backup beyond the detour bound (13 > 2 x 6): keep the primary.
+        let mut router = detour_router(balanced, 11.0);
+        router.landmarks[0].overloaded[1] = true;
+        let entry = router.landmarks[0].rt.entry(l3);
+        assert_eq!((entry.backup, entry.backup_delay), (Some(l2), 13.0));
+        let (next, delay, lb_diverted, _) = router.choose_next(l0, l3);
+        assert_eq!(next, Some(l1));
+        assert!((delay - 6.0).abs() < 1e-12);
+        assert!(!lb_diverted);
     }
 
     #[test]
@@ -1946,10 +1958,7 @@ mod tests {
             ..SimConfig::default()
         };
         let flow = FlowConfig {
-            dead_end: Some(crate::config::DeadEndConfig {
-                gamma: 2.0,
-                min_stays: 5,
-            }),
+            dead_end: Some(2.0),
             ..FlowConfig::default()
         };
         let mut router = FlowRouter::new(flow, 2, 2);

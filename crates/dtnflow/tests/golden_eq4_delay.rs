@@ -4,7 +4,7 @@
 //! `d(i→j) = T·S/(B·M)` (throughput), including the zero-/low-bandwidth
 //! edge cases that make a link unusable.
 
-use dtnflow_core::config::SimConfig;
+use dtnflow_core::config::{SimConfig, PACKET_SIZE};
 use dtnflow_core::ids::LandmarkId;
 use dtnflow_router::{BandwidthMatrix, FlowConfig, LinkDelayModel};
 
@@ -67,7 +67,7 @@ fn throughput_delay_matches_formula() {
     t.record_arrival_from(ME, lm(1));
     t.end_of_unit_all();
     let sim = SimConfig::default();
-    assert_eq!(sim.packet_size, 1_024);
+    assert_eq!(PACKET_SIZE, 1_024);
     assert_eq!(sim.node_memory, 2_048_000);
     let flow = FlowConfig {
         delay_model: LinkDelayModel::Throughput,
@@ -77,8 +77,9 @@ fn throughput_delay_matches_formula() {
     assert!((d - 64.8).abs() < 1e-9, "d = {d}");
 }
 
-/// A never-measured link has B = 0 < min_bandwidth: infinite delay under
-/// both models (the zero-bandwidth edge case — no division blow-up).
+/// A never-measured link has B = 0, below the 0.05 usability floor:
+/// infinite delay under both models (the zero-bandwidth edge case — no
+/// division blow-up).
 #[test]
 fn zero_bandwidth_link_is_unusable() {
     let t = BandwidthMatrix::new(2, 0.2);
@@ -92,25 +93,24 @@ fn zero_bandwidth_link_is_unusable() {
     }
 }
 
-/// A measured-but-weak link below `min_bandwidth` is also unusable, and
-/// crossing the threshold flips it to a finite delay.
+/// A measured-but-weak link below the 0.05 usability floor is also
+/// unusable, and crossing the floor flips it to a finite delay. At
+/// α = 0.04, one arrival per unit reads B₁ = 0.04 (below), then
+/// B₂ = 0.04 + 0.96·0.04 = 0.0784 (above).
 #[test]
 fn below_min_bandwidth_is_unusable() {
-    let mut t = BandwidthMatrix::new(2, 0.2);
-    t.record_arrival_from(ME, lm(1));
-    t.end_of_unit_all(); // B = 0.2·1 = 0.2
+    let mut t = BandwidthMatrix::new(2, 0.04);
     let sim = SimConfig::default();
-    let strict = FlowConfig {
-        min_bandwidth: 0.25,
-        ..FlowConfig::default()
-    };
-    assert!(t.link_delay(ME, lm(1), &strict, &sim).is_infinite());
-    let lax = FlowConfig {
-        min_bandwidth: 0.1,
-        ..FlowConfig::default()
-    };
-    let d = t.link_delay(ME, lm(1), &lax, &sim);
-    assert!((d - 259_200.0 / 0.2).abs() < 1e-9, "d = {d}");
+    let flow = FlowConfig::default();
+    t.record_arrival_from(ME, lm(1));
+    t.end_of_unit_all();
+    assert!((t.incoming(ME, lm(1)) - 0.04).abs() < 1e-12);
+    assert!(t.link_delay(ME, lm(1), &flow, &sim).is_infinite());
+    t.record_arrival_from(ME, lm(1));
+    t.end_of_unit_all();
+    assert!((t.incoming(ME, lm(1)) - 0.0784).abs() < 1e-12);
+    let d = t.link_delay(ME, lm(1), &flow, &sim);
+    assert!((d - 259_200.0 / 0.0784).abs() < 1e-6, "d = {d}");
 }
 
 /// A reported zero overrides the symmetric fallback (one-way road): the

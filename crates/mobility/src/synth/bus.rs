@@ -8,7 +8,7 @@
 //! * **AP ambiguity** — in DNET a bus "may associate with one of several
 //!   neighbouring APs after each transit", which is why bus prediction
 //!   accuracy is *below* campus accuracy despite repetitive motion
-//!   (§IV-B.3). With probability `ambiguity` a stop is logged as its
+//!   (§IV-B.3). With probability `AMBIGUITY` a stop is logged as its
 //!   spatially nearest other stop.
 //! * **Garage trips** — a bus occasionally retires to a garage/parking lot
 //!   for maintenance (§IV-E.1's dead-end example). The garage is the last
@@ -31,32 +31,8 @@ pub struct BusConfig {
     pub stops: usize,
     pub routes: usize,
     pub days: u32,
-    /// Median dwell at a stop, seconds.
-    pub dwell_median_s: f64,
-    /// Median drive between consecutive stops, seconds.
-    pub hop_median_s: f64,
-    /// Mean number of route loops a bus drives per day. DNET buses were
-    /// only intermittently near open APs, so the *logged* service is
-    /// sparse; low values reproduce the day-scale delivery latencies of
-    /// the paper's DNET experiments.
-    pub loops_per_day: f64,
-    /// Probability a stop is logged as its nearest neighbouring stop.
-    pub ambiguity: f64,
-    /// Probability a stop visit goes unlogged entirely. DNET's APs were
-    /// third-party roadside APs that "may not appear constantly in the
-    /// trace, leading to missing records" (§IV-B.3) — this is what makes
-    /// order-1 the best Markov order despite ping-pong routes.
-    pub record_loss: f64,
     /// Per-day probability a bus retires early to the garage.
     pub garage_prob: f64,
-    /// Per-day probability a bus breaks down mid-route and stalls at a
-    /// regular stop for several hours — the §IV-E.1 "dead end on its
-    /// regular route", rescuable because other buses pass the stop.
-    pub breakdown_prob: f64,
-    /// Per-day probability a bus is pulled into day-long depot maintenance
-    /// at the downtown hub — a long, rescuable dead end (other buses keep
-    /// passing the hub).
-    pub depot_prob: f64,
     pub seed: u64,
 }
 
@@ -69,14 +45,7 @@ impl Default for BusConfig {
             stops: 13,
             routes: 4,
             days: 20,
-            dwell_median_s: 900.0,
-            hop_median_s: 1_800.0,
-            loops_per_day: 2.0,
-            ambiguity: 0.12,
-            record_loss: 0.35,
             garage_prob: 0.04,
-            breakdown_prob: 0.05,
-            depot_prob: 0.05,
             seed: 0xB0_5EED,
         }
     }
@@ -107,13 +76,7 @@ impl BusConfig {
     fn validate(&self) {
         assert!(self.buses > 0 && self.routes > 0 && self.days > 0);
         assert!(self.stops >= 3, "need at least 3 stops to form routes");
-        assert!((0.0..1.0).contains(&self.ambiguity));
-        assert!(self.loops_per_day > 0.0);
-        assert!((0.0..1.0).contains(&self.record_loss));
         assert!((0.0..1.0).contains(&self.garage_prob));
-        assert!((0.0..1.0).contains(&self.breakdown_prob));
-        assert!((0.0..1.0).contains(&self.depot_prob));
-        assert!(self.dwell_median_s > 0.0 && self.hop_median_s > 0.0);
     }
 }
 
@@ -217,12 +180,38 @@ impl BusModel {
         rng: &mut StdRng,
         out: &mut Vec<Visit>,
     ) {
+        /// Median dwell at a stop, seconds.
+        const DWELL_MEDIAN_S: f64 = 900.0;
+        /// Median drive between consecutive stops, seconds.
+        const HOP_MEDIAN_S: f64 = 1_800.0;
+        /// Mean number of route loops a bus drives per day. DNET buses
+        /// were only intermittently near open APs, so the *logged*
+        /// service is sparse; a low value reproduces the day-scale
+        /// delivery latencies of the paper's DNET experiments.
+        const LOOPS_PER_DAY: f64 = 2.0;
+        /// Probability a stop is logged as its nearest neighbouring stop.
+        const AMBIGUITY: f64 = 0.12;
+        /// Probability a stop visit goes unlogged entirely. DNET's APs
+        /// were third-party roadside APs that "may not appear constantly
+        /// in the trace, leading to missing records" (§IV-B.3) — this is
+        /// what makes order-1 the best Markov order despite ping-pong
+        /// routes.
+        const RECORD_LOSS: f64 = 0.35;
+        /// Per-day probability a bus breaks down mid-route and stalls at
+        /// a regular stop for several hours — the §IV-E.1 "dead end on
+        /// its regular route", rescuable because other buses pass the
+        /// stop.
+        const BREAKDOWN_PROB: f64 = 0.05;
+        /// Per-day probability a bus is pulled into day-long depot
+        /// maintenance at the downtown hub — a long, rescuable dead end
+        /// (other buses keep passing the hub).
+        const DEPOT_PROB: f64 = 0.05;
         let cfg = &self.cfg;
         let node = NodeId::from(b);
         let mut day = 0u32;
         while day < cfg.days {
             let day_start = SimTime(day as u64 * DAY.secs());
-            if rng.random::<f64>() < cfg.depot_prob {
+            if rng.random::<f64>() < DEPOT_PROB {
                 // Depot maintenance at the hub: stalled a day in plain
                 // sight of all passing buses.
                 let into = day_start + HOUR.mul_f64(8.0 + rng.random::<f64>() * 4.0);
@@ -247,11 +236,11 @@ impl BusModel {
             // (invisible to the network) in between. Loop counts follow a
             // deterministic timetable accumulator (buses run schedules,
             // not coin flips), which keeps per-unit bandwidths stable (O4).
-            let loops = (((day as f64 + 1.0) * cfg.loops_per_day).floor()
-                - (day as f64 * cfg.loops_per_day).floor()) as u32;
+            let loops = (((day as f64 + 1.0) * LOOPS_PER_DAY).floor()
+                - (day as f64 * LOOPS_PER_DAY).floor()) as u32;
             let service_start = day_start + HOUR.mul_f64(6.0 + rng.random::<f64>());
             let service_end = day_start + HOUR.mul_f64(21.0 + rng.random::<f64>());
-            let breakdown_today = rng.random::<f64>() < cfg.breakdown_prob;
+            let breakdown_today = rng.random::<f64>() < BREAKDOWN_PROB;
             let mut t = service_start;
             for _ in 0..loops {
                 // Idle gap before this loop starts.
@@ -260,11 +249,10 @@ impl BusModel {
                     if t >= service_end {
                         break;
                     }
-                    let dwell =
-                        SimDuration::from_secs(log_normal(rng, cfg.dwell_median_s, 0.4) as u64);
+                    let dwell = SimDuration::from_secs(log_normal(rng, DWELL_MEDIAN_S, 0.4) as u64);
                     // AP ambiguity: sometimes the visit is logged at the
                     // nearest neighbouring stop; sometimes not at all.
-                    let logged = if rng.random::<f64>() < cfg.ambiguity {
+                    let logged = if rng.random::<f64>() < AMBIGUITY {
                         self.nearest_other(positions, stop)
                     } else {
                         stop
@@ -275,10 +263,10 @@ impl BusModel {
                     if breakdown_today && rng.random::<f64>() < 0.25 {
                         end += HOUR.mul_f64(4.0 + rng.random::<f64>() * 6.0);
                         out.push(Visit::new(node, LandmarkId::from(stop), t, end));
-                    } else if rng.random::<f64>() >= cfg.record_loss {
+                    } else if rng.random::<f64>() >= RECORD_LOSS {
                         out.push(Visit::new(node, LandmarkId::from(logged), t, end));
                     }
-                    let hop = SimDuration::from_secs(log_normal(rng, cfg.hop_median_s, 0.3) as u64);
+                    let hop = SimDuration::from_secs(log_normal(rng, HOP_MEDIAN_S, 0.3) as u64);
                     t = end + hop;
                 }
             }

@@ -39,19 +39,8 @@ pub struct CampusConfig {
     pub dorms: usize,
     pub dining: usize,
     pub days: u32,
-    /// Side of the square campus area, meters.
-    pub area_side: f64,
-    /// Probability that a visit goes unlogged (device off): drives
-    /// predictor imperfection.
-    pub record_loss: f64,
     /// Day-index ranges `[start, end)` with suppressed movement (holidays).
     pub holidays: Vec<(u32, u32)>,
-    /// Relative number of weekend outings vs. a weekday (0..1).
-    pub weekend_activity: f64,
-    /// Probability that an outing follows the node's fixed daily routine
-    /// rather than an impulsive weighted choice. High adherence is what
-    /// makes real students' movement Markov-predictable (§IV-B.3).
-    pub routine_adherence: f64,
     pub seed: u64,
 }
 
@@ -70,11 +59,7 @@ impl Default for CampusConfig {
             dorms: 10,
             dining: 3,
             days: 48,
-            area_side: 2_000.0,
-            record_loss: 0.22,
             holidays: vec![(21, 25), (42, 46)],
-            weekend_activity: 0.35,
-            routine_adherence: 0.92,
             seed: 0xCA_4705,
         }
     }
@@ -101,9 +86,6 @@ impl CampusConfig {
             1 + self.departments + self.dorms + self.dining <= self.landmarks,
             "landmarks must cover library + departments + dorms + dining"
         );
-        assert!((0.0..1.0).contains(&self.record_loss));
-        assert!((0.0..=1.0).contains(&self.weekend_activity));
-        assert!((0.0..=1.0).contains(&self.routine_adherence));
     }
 
     /// The role of each landmark index under this configuration.
@@ -154,9 +136,11 @@ impl CampusModel {
     /// Generate the full trace (already preprocessed like the paper's
     /// pipeline: merged records, short visits dropped).
     pub fn generate(&self) -> Trace {
+        /// Side of the square campus area, meters.
+        const AREA_SIDE: f64 = 2_000.0;
         let cfg = &self.cfg;
         let mut layout_rng = rng_for(cfg.seed, "campus-layout");
-        let area = Rect::from_size(cfg.area_side, cfg.area_side);
+        let area = Rect::from_size(AREA_SIDE, AREA_SIDE);
         let positions = place_landmarks(&mut layout_rng, cfg.landmarks, area, 80.0);
 
         let mut visits: Vec<Visit> = Vec::new();
@@ -239,9 +223,19 @@ impl CampusModel {
     }
 
     fn node_visits(&self, persona: &Persona, rng: &mut StdRng, out: &mut Vec<Visit>, node: NodeId) {
+        /// Probability that a visit goes unlogged (device off): drives
+        /// predictor imperfection.
+        const RECORD_LOSS: f64 = 0.22;
+        /// Relative number of weekend outings vs. a weekday.
+        const WEEKEND_ACTIVITY: f64 = 0.35;
+        /// Probability that a weekday outing follows the node's fixed
+        /// daily routine rather than an impulsive weighted choice. High
+        /// adherence is what makes real students' movement
+        /// Markov-predictable (§IV-B.3).
+        const ROUTINE_ADHERENCE: f64 = 0.92;
         let cfg = &self.cfg;
         let mut log = |lm: usize, start: SimTime, end: SimTime, rng: &mut StdRng| {
-            if end > start && rng.random::<f64>() >= cfg.record_loss {
+            if end > start && rng.random::<f64>() >= RECORD_LOSS {
                 out.push(Visit::new(node, LandmarkId::from(lm), start, end));
             }
         };
@@ -263,7 +257,7 @@ impl CampusModel {
             } else if weekday {
                 persona.outings
             } else {
-                persona.outings * cfg.weekend_activity
+                persona.outings * WEEKEND_ACTIVITY
             };
             let count =
                 outings.floor() as usize + usize::from(rng.random::<f64>() < outings.fract());
@@ -279,7 +273,7 @@ impl CampusModel {
                     break;
                 }
                 // Mostly follow the fixed routine; occasionally improvise.
-                let next = if weekday && rng.random::<f64>() < cfg.routine_adherence {
+                let next = if weekday && rng.random::<f64>() < ROUTINE_ADHERENCE {
                     let r = persona.routine[k % persona.routine.len()];
                     if r == current {
                         persona.routine[(k + 1) % persona.routine.len()]

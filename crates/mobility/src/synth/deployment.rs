@@ -23,20 +23,18 @@ pub const DEPLOY_NODES: usize = 9;
 pub const DEPLOY_LANDMARKS: usize = 8;
 /// The library: destination of every deployment packet.
 pub const LIBRARY: LandmarkId = LandmarkId(0);
+/// Length of the deployment in days (a week and a half).
+const DEPLOY_DAYS: u32 = 12;
 
 /// Configuration of the deployment generator.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
-    pub days: u32,
     pub seed: u64,
 }
 
 impl Default for DeploymentConfig {
     fn default() -> Self {
-        DeploymentConfig {
-            days: 12,
-            seed: 0xDE_9107,
-        }
+        DeploymentConfig { seed: 0xDE_9107 }
     }
 }
 
@@ -48,7 +46,6 @@ pub struct DeploymentModel {
 
 impl DeploymentModel {
     pub fn new(cfg: DeploymentConfig) -> Self {
-        assert!(cfg.days > 0);
         DeploymentModel { cfg }
     }
 
@@ -105,7 +102,7 @@ impl DeploymentModel {
             weights[6] = 0.5;
             weights[7] = 0.5;
 
-            for day in 0..cfg.days {
+            for day in 0..DEPLOY_DAYS {
                 let day_start = SimTime(day as u64 * DAY.secs());
                 let weekday = day % 7 < 5;
                 let mut t = day_start + HOUR.mul_f64(8.0 + rng.random::<f64>() * 1.5);
@@ -153,11 +150,7 @@ impl DeploymentModel {
 
 /// Convenience: generate the default deployment trace.
 pub fn default_deployment_trace(seed: u64) -> Trace {
-    DeploymentModel::new(DeploymentConfig {
-        seed,
-        ..DeploymentConfig::default()
-    })
-    .generate()
+    DeploymentModel::new(DeploymentConfig { seed }).generate()
 }
 
 #[cfg(test)]

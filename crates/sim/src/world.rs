@@ -15,7 +15,7 @@
 //! sit in no container.
 
 use crate::store::PacketStore;
-use dtnflow_core::config::SimConfig;
+use dtnflow_core::config::{SimConfig, PACKET_SIZE};
 use dtnflow_core::deadline::DeadlineQueue;
 use dtnflow_core::dense::DenseSet;
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
@@ -257,7 +257,7 @@ impl World {
 
     /// Whether one more packet fits in a node's memory.
     pub fn node_has_space(&self, node: NodeId) -> bool {
-        self.node_store[node.index()].fits(self.cfg.packet_size)
+        self.node_store[node.index()].fits(PACKET_SIZE)
     }
 
     /// Packets stored at a station, ascending by id.
@@ -384,8 +384,7 @@ impl World {
         if from_station && !self.station_up[to_lm.index()] {
             return Err(TransferError::StationDown);
         }
-        let size = self.cfg.packet_size;
-        if !self.node_store[to.index()].fits(size) {
+        if !self.node_store[to.index()].fits(PACKET_SIZE) {
             return Err(TransferError::NoSpace);
         }
         if from_station {
@@ -396,7 +395,7 @@ impl World {
         // Invariant: `fits` was checked above and nothing touched the
         // store since, so the insert cannot be refused.
         assert!(
-            self.node_store[to.index()].insert(pkt, size),
+            self.node_store[to.index()].insert(pkt, PACKET_SIZE),
             "node store refused an insert that fit"
         );
         let p = &mut self.packets[pkt.index()];
@@ -494,18 +493,17 @@ impl World {
     /// node store or station store that holds it and return the place it
     /// left. A terminal packet sits nowhere: `None`, nothing changes.
     fn take_out(&mut self, pkt: PacketId) -> Option<Place> {
-        let size = self.cfg.packet_size;
         match self.packets[pkt.index()].loc {
             PacketLoc::PendingAtSource(l) => {
                 self.pending[l.index()].remove(pkt);
                 Some(Place::Pending(l))
             }
             PacketLoc::OnNode(n) => {
-                self.node_store[n.index()].remove(pkt, size);
+                self.node_store[n.index()].remove(pkt, PACKET_SIZE);
                 Some(Place::Node(n))
             }
             PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, size);
+                self.station_store[l.index()].remove(pkt, PACKET_SIZE);
                 Some(Place::Station(l))
             }
             _ => None,
@@ -539,7 +537,7 @@ impl World {
         p.loc = PacketLoc::AtStation(lm);
         // Invariant: station stores are unbounded, inserts never fail.
         assert!(
-            self.station_store[lm.index()].insert(pkt, self.cfg.packet_size),
+            self.station_store[lm.index()].insert(pkt, PACKET_SIZE),
             "unbounded station store refused an insert"
         );
         loop_closed
@@ -1128,9 +1126,8 @@ mod tests {
     /// none; store bytes match their counts; the metrics count every
     /// packet in exactly one state and every hop as one forwarding op.
     fn assert_custody(w: &World) {
-        let size = w.cfg.packet_size;
         for store in w.node_store.iter().chain(&w.station_store) {
-            assert_eq!(store.used_bytes(), store.len() as u64 * size);
+            assert_eq!(store.used_bytes(), store.len() as u64 * PACKET_SIZE);
         }
         for p in &w.packets {
             let pkt = p.id;

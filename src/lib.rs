@@ -80,10 +80,7 @@ pub mod prelude {
     pub use dtnflow_mobility::{Trace, Visit};
     pub use dtnflow_obs::{NoopSink, Recorder, SimEvent, Snapshot, TraceSink};
     pub use dtnflow_predictor::{AccuracyTracker, MarkovPredictor, VisitHistory};
-    pub use dtnflow_router::{
-        DeadEndConfig, DegradationConfig, FlowConfig, FlowRouter, HybridFlowRouter, LinkDelayModel,
-        LoadBalanceConfig,
-    };
+    pub use dtnflow_router::{FlowConfig, FlowRouter, HybridFlowRouter, LinkDelayModel};
     pub use dtnflow_sim::{
         FaultConfig, FaultPlan, LossReason, NodeOutage, Router, RunSpec, SimOutcome, StationOutage,
         Workload, World, WorldError,

@@ -26,10 +26,7 @@ fn dead_end_prevention_detects_garage_trips() {
     let trace = bus_trace();
     let cfg = bus_cfg();
     let flow = FlowConfig {
-        dead_end: Some(DeadEndConfig {
-            gamma: 2.0,
-            min_stays: 8,
-        }),
+        dead_end: Some(2.0),
         ..FlowConfig::default()
     };
     let mut router = FlowRouter::new(flow, trace.num_nodes(), trace.num_landmarks());
@@ -75,11 +72,7 @@ fn load_balancing_reroutes_under_pressure() {
     let mut cfg = bus_cfg();
     cfg.packets_per_landmark_per_day = 600.0;
     let flow = FlowConfig {
-        load_balance: Some(LoadBalanceConfig {
-            theta: 1.5,
-            min_incoming: 5,
-            max_detour: 3.0,
-        }),
+        load_balance: true,
         ..FlowConfig::default()
     };
     let mut router = FlowRouter::new(flow, trace.num_nodes(), trace.num_landmarks());
