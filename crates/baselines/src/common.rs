@@ -130,7 +130,7 @@ impl<U: UtilityModel> UtilityRouter<U> {
             let dst_lm = LandmarkId(dst);
             let mut group_verdict = None;
             for &pkt in pkts.iter() {
-                let remaining = world.packet(pkt).remaining_ttl(now);
+                let remaining = world.remaining_ttl(pkt);
                 if remaining == SimDuration::ZERO {
                     continue;
                 }
@@ -209,7 +209,7 @@ impl<U: UtilityModel> Router for UtilityRouter<U> {
         };
         let dst = p.dst;
         let now = world.now();
-        let remaining = p.ttl;
+        let remaining = world.remaining_ttl(pkt);
         // Hand it to the best-scoring node already in the subarea.
         let mut best: Option<(f64, NodeId)> = None;
         for n in world.nodes_at(src).iter() {

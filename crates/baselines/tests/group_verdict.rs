@@ -58,7 +58,7 @@ impl<U: UtilityModel> PerPacketRouter<U> {
             let pkts: Vec<PacketId> = set.iter().collect();
             let dst_lm = LandmarkId(dst);
             for pkt in pkts {
-                let remaining = world.packet(pkt).remaining_ttl(now);
+                let remaining = world.remaining_ttl(pkt);
                 if remaining == SimDuration::ZERO {
                     continue;
                 }
@@ -119,7 +119,7 @@ impl<U: UtilityModel> Router for PerPacketRouter<U> {
         let PacketLoc::PendingAtSource(src) = p.loc else {
             return;
         };
-        let (dst, remaining, now) = (p.dst, p.ttl, world.now());
+        let (dst, remaining, now) = (p.dst, world.remaining_ttl(pkt), world.now());
         let mut best: Option<(f64, NodeId)> = None;
         for n in world.nodes_at(src).iter() {
             if !world.node_has_space(n) {

@@ -29,8 +29,6 @@
 //!   (~1.15 µs/op); the committed baseline pins the improvement.
 //! * `rank_index_maintenance` — the price of keeping that index fresh:
 //!   one depart + arrive cycle (remove + reinsert a node's score keys).
-//! * `deadline_queue_cycle` — steady-state `DeadlineQueue` push + drain
-//!   tick, the world's packet-expiry schedule at TTL depth.
 //! * `routing_table_recompute` — one `RoutingTable::recompute` pass over
 //!   a fully-claimed distance-vector table.
 //! * `ewma_fold` — a unit's worth of `BandwidthMatrix` arrival recording
@@ -80,7 +78,7 @@ use dtnflow_bench::cli::{self, Args};
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_core::dense::{DenseMap, DenseSet};
 use dtnflow_core::ids::{LandmarkId, PacketId};
-use dtnflow_core::{DeadlineQueue, RankIndex};
+use dtnflow_core::RankIndex;
 use dtnflow_obs::json::{parse, Value};
 use dtnflow_obs::Recorder;
 use dtnflow_predictor::MarkovPredictor;
@@ -124,7 +122,7 @@ const ON_STATION_DOWN: &str = "dtnflow.on_station_down.busy_s";
 type Bench = (&'static str, &'static str, u64, fn(usize, u64) -> f64);
 
 #[rustfmt::skip]
-const BENCHES: [Bench; 12] = [
+const BENCHES: [Bench; 11] = [
     ("carrier_selection", ON_ARRIVE, 1, bench_carrier_selection),
     // The arrival's insert half; the departure removes the same keys.
     (
@@ -132,12 +130,6 @@ const BENCHES: [Bench; 12] = [
         ON_ARRIVE,
         1,
         bench_rank_index_maintenance,
-    ),
-    (
-        "deadline_queue_cycle",
-        "sim.engine_self_s",
-        1,
-        bench_deadline_queue_cycle,
     ),
     (
         "routing_table_recompute",
@@ -289,29 +281,6 @@ fn claimed_table() -> RoutingTable {
 
 fn link_delay(lm: LandmarkId) -> f64 {
     30.0 + f64::from(lm.0) * 5.0
-}
-
-/// Steady-state deadline-queue tick: one push at TTL depth plus a
-/// drain of everything due, the world's per-unit packet-expiry schedule.
-fn bench_deadline_queue_cycle(samples: usize, ops: u64) -> f64 {
-    // A TTL-deep backlog of in-order deadlines, like multi-day TTLs over
-    // 1 s ticks.
-    const TTL: u64 = 4_096;
-    let mut queue = DeadlineQueue::new();
-    for t in 0..TTL {
-        queue.push(t + TTL, t, t);
-    }
-    let mut tick = 0u64;
-    run_bench(samples, ops, move |_| {
-        tick += 1;
-        let now = TTL + tick;
-        queue.push(now + TTL, TTL + tick, tick);
-        let mut fired = 0;
-        while let Some(e) = queue.pop_due(now) {
-            fired += e.payload;
-        }
-        fired
-    })
 }
 
 /// §IV-C: one distance-vector relaxation pass over a table whose every

@@ -62,15 +62,15 @@ fn deleting_a_codec_line_turns_s1_red() {
 }
 
 #[test]
-fn deleting_the_wheel_base_from_its_codec_turns_s1_red() {
-    // The deadline queue's codec writes the sorted entry list; its only
-    // directly-serialized field is `base`. A refactor that drops the
-    // base write desynchronizes every restored schedule.
-    let rel = "crates/dtnflow-core/src/deadline.rs";
+fn deleting_the_expiry_cursor_from_the_world_codec_turns_s1_red() {
+    // The expiry purge resumes from `World::expiry_cursor`; a checkpoint
+    // that forgets it would restore a world whose purge re-walks (or
+    // skips) the packet table.
+    let rel = "crates/sim/src/world.rs";
     let src = live_source(rel);
     assert_eq!(scan(rel, &src), Vec::new(), "live {rel} must scan clean");
 
-    let needle = "self.base.encode(w);";
+    let needle = "self.expiry_cursor.encode(w);";
     assert!(src.contains(needle), "mutation anchor moved in {rel}");
     let mutated: String = src
         .lines()
@@ -80,9 +80,13 @@ fn deleting_the_wheel_base_from_its_codec_turns_s1_red() {
 
     let diags = scan(rel, &mutated);
     let s1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "S1").collect();
-    assert_eq!(s1.len(), 1, "exactly one S1 after dropping base: {diags:?}");
+    assert_eq!(
+        s1.len(),
+        1,
+        "exactly one S1 after dropping expiry_cursor: {diags:?}"
+    );
     assert!(
-        s1[0].message.contains("base") && s1[0].message.contains("encode path"),
+        s1[0].message.contains("expiry_cursor") && s1[0].message.contains("encode path"),
         "S1 names the dropped field and direction: {}",
         s1[0].message
     );

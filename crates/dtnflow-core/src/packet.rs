@@ -1,7 +1,8 @@
 //! The packet record and its lifecycle.
 //!
-//! Packets in the paper are fixed-size (1 kB by default), carry a
-//! time-to-live, and are destined to a *landmark* (§III-A.2). The optional
+//! Packets in the paper are fixed-size (1 kB by default), share one
+//! time-to-live per run (kept by the simulator's world, not by each
+//! packet), and are destined to a *landmark* (§III-A.2). The optional
 //! [`Packet::dst_node`] field supports the §IV-E.4 extension that routes
 //! packets to mobile nodes via their frequently-visited landmarks.
 
@@ -54,8 +55,6 @@ pub struct Packet {
     pub dst_node: Option<NodeId>,
     /// Generation instant.
     pub created: SimTime,
-    /// Time-to-live from `created`.
-    pub ttl: SimDuration,
     /// Current location / lifecycle state.
     pub loc: PacketLoc,
     /// Landmarks whose station has held this packet, in order. Used by the
@@ -67,42 +66,17 @@ pub struct Packet {
 
 impl Packet {
     /// Create a fresh packet pending at its source subarea.
-    pub fn new(
-        id: PacketId,
-        src: LandmarkId,
-        dst: LandmarkId,
-        created: SimTime,
-        ttl: SimDuration,
-    ) -> Self {
+    pub fn new(id: PacketId, src: LandmarkId, dst: LandmarkId, created: SimTime) -> Self {
         Packet {
             id,
             src,
             dst,
             dst_node: None,
             created,
-            ttl,
             loc: PacketLoc::PendingAtSource(src),
             visited: Vec::new(),
             hops: 0,
         }
-    }
-
-    /// The absolute instant at which this packet expires.
-    #[inline]
-    pub fn deadline(&self) -> SimTime {
-        self.created + self.ttl
-    }
-
-    /// Whether the packet's TTL has elapsed at `now`.
-    #[inline]
-    pub fn is_expired_at(&self, now: SimTime) -> bool {
-        now >= self.deadline()
-    }
-
-    /// Remaining lifetime at `now` (zero once expired).
-    #[inline]
-    pub fn remaining_ttl(&self, now: SimTime) -> SimDuration {
-        self.deadline().since(now)
     }
 
     /// End-to-end delay, if delivered.
@@ -155,7 +129,6 @@ impl Codec for Packet {
         self.dst.encode(w);
         self.dst_node.encode(w);
         self.created.encode(w);
-        self.ttl.encode(w);
         self.loc.encode(w);
         self.visited.encode(w);
         self.hops.encode(w);
@@ -168,7 +141,6 @@ impl Codec for Packet {
             dst: Codec::decode(r)?,
             dst_node: Codec::decode(r)?,
             created: Codec::decode(r)?,
-            ttl: Codec::decode(r)?,
             loc: Codec::decode(r)?,
             visited: Codec::decode(r)?,
             hops: Codec::decode(r)?,
@@ -210,10 +182,9 @@ impl Codec for PacketLoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{DAY, HOUR};
 
     fn pkt() -> Packet {
-        Packet::new(PacketId(0), LandmarkId(1), LandmarkId(2), SimTime(100), DAY)
+        Packet::new(PacketId(0), LandmarkId(1), LandmarkId(2), SimTime(100))
     }
 
     #[test]
@@ -226,16 +197,6 @@ mod tests {
         p.loc = PacketLoc::Expired;
         assert!(!p.loc.is_live());
         assert_eq!(p.delay(), None);
-    }
-
-    #[test]
-    fn ttl_accounting() {
-        let p = pkt();
-        assert_eq!(p.deadline(), SimTime(100 + 86_400));
-        assert!(!p.is_expired_at(SimTime(100)));
-        assert!(p.is_expired_at(p.deadline()));
-        assert_eq!(p.remaining_ttl(SimTime(100) + HOUR), SimDuration(82_800));
-        assert_eq!(p.remaining_ttl(SimTime::MAX), SimDuration::ZERO);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! §14). The queue is only a legal swap because its drain order is
 //! bit-for-bit the old scan order — ascending `(at, seq)` — for every
 //! schedule, including overdue pushes (deadline before the
-//! already-drained frontier) and far-future ones.
+//! already-drained frontier) and far-future ones. It drains the way the
+//! engine does: `peek_min`, then `pop_min` while the head is due.
 
 use dtnflow_core::{DeadlineEntry, DeadlineQueue};
-use dtnflow_snapshot::{Codec, Reader, Writer};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -58,8 +58,8 @@ proptest! {
                 Op::Advance { delta } => {
                     now += delta;
                     fired.clear();
-                    while let Some(e) = queue.pop_due(now) {
-                        fired.push(e);
+                    while queue.peek_min().is_some_and(|e| e.at <= now) {
+                        fired.extend(queue.pop_min());
                     }
                     let due = naive_drain(&mut model, now);
                     prop_assert_eq!(&fired[..], &due[..]);
@@ -72,19 +72,10 @@ proptest! {
             prop_assert_eq!(queue.peek_min(), min.first().copied());
         }
 
-        // Canonical order and codec agree with the surviving model.
+        // The canonical order (what the engine checkpoints) agrees with
+        // the surviving model.
         let mut want = model.clone();
         want.sort_unstable_by_key(|e| (e.at, e.seq));
-        prop_assert_eq!(queue.iter().copied().collect::<Vec<_>>(), want.clone());
-        let mut w = Writer::new();
-        queue.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = DeadlineQueue::decode(&mut r).expect("decode");
-        prop_assert_eq!(back.base(), queue.base());
-        prop_assert_eq!(back.iter().copied().collect::<Vec<_>>(), want);
-        let mut w2 = Writer::new();
-        back.encode(&mut w2);
-        prop_assert_eq!(w2.into_bytes(), bytes);
+        prop_assert_eq!(queue.iter().copied().collect::<Vec<_>>(), want);
     }
 }

@@ -128,34 +128,17 @@ proptest! {
     }
 
     #[test]
-    fn packet_ttl_accounting_consistent(created in 0u64..1u64<<40, ttl in 1u64..1u64<<30, probe in 0u64..1u64<<41) {
-        let p = Packet::new(
-            PacketId(0),
-            LandmarkId(0),
-            LandmarkId(1),
-            SimTime(created),
-            SimDuration(ttl),
-        );
-        let t = SimTime(probe);
-        if p.is_expired_at(t) {
-            prop_assert_eq!(p.remaining_ttl(t), SimDuration::ZERO);
-        } else {
-            prop_assert!(p.remaining_ttl(t).secs() > 0);
-            prop_assert!(t < p.deadline());
-        }
+    fn terminal_locations_are_not_live(created in 0u64..1u64<<40) {
+        let p = Packet::new(PacketId(0), LandmarkId(0), LandmarkId(1), SimTime(created));
         prop_assert!(p.loc.is_live());
         prop_assert!(!PacketLoc::Expired.is_live());
+        prop_assert!(!PacketLoc::Lost.is_live());
+        prop_assert!(!PacketLoc::Delivered(SimTime(created)).is_live());
     }
 
     #[test]
     fn loop_members_detects_exactly_revisits(visits in proptest::collection::vec(0u16..6, 0..24)) {
-        let mut p = Packet::new(
-            PacketId(0),
-            LandmarkId(100),
-            LandmarkId(101),
-            SimTime(0),
-            SimDuration(1_000),
-        );
+        let mut p = Packet::new(PacketId(0), LandmarkId(100), LandmarkId(101), SimTime(0));
         // detlint: allow(D1, reason = "model-only membership set in a proptest; only contains() is queried, iteration order never escapes")
         let mut seen = std::collections::HashSet::new();
         for &v in &visits {

@@ -17,10 +17,9 @@
 //!   any scheduled loop injections (the Table VII experiment).
 
 use crate::bandwidth::BandwidthMatrix;
-use crate::config::{FlowConfig, LoopInjection};
+use crate::config::FlowConfig;
 use crate::observer::{ObservationRow, TableObserver};
 use crate::routing_table::{RoutingTable, StoredVector};
-use dtnflow_core::config::PACKET_SIZE;
 use dtnflow_core::dense::{DenseMap, DenseSet};
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::packet::PacketLoc;
@@ -157,8 +156,6 @@ pub struct FlowRouter {
     meta: Vec<PktMeta>,
     observer: TableObserver,
     current_unit: u64,
-    // detlint: allow(S1, reason = "derived from cfg.inject_loops on restore, same as in new()")
-    injections: Vec<LoopInjection>,
     /// Frequently-visited landmarks registered per node (§IV-E.4).
     registrations: Vec<Vec<LandmarkId>>,
     /// Landmarks currently known to be down (fault hooks); routing falls
@@ -221,7 +218,6 @@ impl FlowRouter {
             .collect();
         /// EWMA weight `α` of Eq. 4.
         const BANDWIDTH_ALPHA: f64 = 0.2;
-        let injections = cfg.inject_loops.clone();
         FlowRouter {
             cfg,
             nodes,
@@ -230,7 +226,6 @@ impl FlowRouter {
             meta: Vec::new(),
             observer: TableObserver::new(),
             current_unit: 0,
-            injections,
             registrations: vec![Vec::new(); num_nodes],
             known_down: vec![false; num_landmarks],
             rank: RankIndex::new(num_landmarks),
@@ -530,7 +525,7 @@ impl FlowRouter {
             "callers pass station packets"
         );
         let dst = p.dst;
-        let remaining = p.remaining_ttl(world.now()).secs() as f64;
+        let remaining = world.remaining_ttl(pkt).secs() as f64;
 
         let pick = |world: &World, list: &[RankEntry]| -> Option<NodeId> {
             list.iter()
@@ -641,7 +636,6 @@ impl FlowRouter {
             usize::MAX
         };
         let mut assigned = 0usize;
-        let now = world.now();
 
         // Phase 0 honours the §IV-D.5 priority: packets whose expected
         // delay fits their remaining TTL go first. Phase 1 is best-effort
@@ -660,7 +654,7 @@ impl FlowRouter {
                 // carrier that only sometimes heads to `h` takes only a
                 // slice of the queue, leaving the rest for better-matched
                 // carriers instead of stranding mis-transited packets.
-                let free_slots = (world.node_free_bytes(node) / PACKET_SIZE) as usize;
+                let free_slots = world.node_free_slots(node);
                 let mut bucket_quota = ((free_slots as f64) * p).ceil() as usize;
                 for direct in [true, false] {
                     if phase == 1 && direct {
@@ -686,7 +680,7 @@ impl FlowRouter {
                                 continue; // handled by the direct pass
                             }
                             let meta = self.meta_of(pkt);
-                            let remaining = p.remaining_ttl(now).secs() as f64;
+                            let remaining = world.remaining_ttl(pkt).secs() as f64;
                             let feasible = meta.expected < remaining;
                             if feasible != (phase == 0) {
                                 continue;
@@ -1068,7 +1062,6 @@ impl FlowRouter {
             meta: Codec::decode(r)?,
             observer: Codec::decode(r)?,
             current_unit: Codec::decode(r)?,
-            injections: cfg.inject_loops.clone(),
             cfg,
             registrations: Codec::decode(r)?,
             known_down: Codec::decode(r)?,
@@ -1487,14 +1480,8 @@ impl Router for FlowRouter {
     /// registration refresh.
     fn on_time_unit(&mut self, world: &mut World, unit: u64) {
         self.current_unit = unit;
-        // Scheduled loop injections (Table VII experiment). An index walk
-        // instead of a filter/collect: only the (rare) due injections are
-        // cloned, and the common tick clones nothing.
-        for i in 0..self.injections.len() {
-            if self.injections[i].at_unit != unit {
-                continue;
-            }
-            let inj = self.injections[i].clone();
+        // Scheduled loop injections (Table VII experiment).
+        for inj in self.cfg.inject_loops.iter().filter(|i| i.at_unit == unit) {
             let k = inj.members.len();
             for (idx, &m) in inj.members.iter().enumerate() {
                 let next = inj.members[(idx + 1) % k];
@@ -1645,6 +1632,7 @@ impl Router for FlowRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LoopInjection;
     use dtnflow_core::config::SimConfig;
     use dtnflow_core::geometry::Point;
     use dtnflow_core::time::{SimTime, DAY};

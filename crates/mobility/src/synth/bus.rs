@@ -37,7 +37,7 @@ pub struct BusConfig {
 }
 
 impl Default for BusConfig {
-    /// Reduced-scale default: 20 buses, 12 stops + garage, 20 days
+    /// Reduced-scale default: 12 buses, 13 stops + garage, 20 days
     /// (40 half-day time units, matching the paper's DNET unit count).
     fn default() -> Self {
         BusConfig {

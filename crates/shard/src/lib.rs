@@ -6,7 +6,7 @@
 //! [`ShardPlan::contiguous`] and [`ShardExec::new`] for
 //! `SimSession::start_sharded`, and its timing wrapper overrides
 //! `Router::on_time_unit_sharded`, which takes a [`Sharding`]. ROADMAP
-//! item 1(b) moves the adapter off these names; item 2 then deletes
+//! item 3(b) moves the adapter off these names; item 3(c) then deletes
 //! this crate.
 
 use std::marker::PhantomData;

@@ -320,7 +320,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     /// [`SimSession::start`], ignoring the inert shard arguments. It
     /// stays because the benchmark adapter still calls it; ROADMAP items
-    /// 1(b) and 2 delete it with the rest of the shard names
+    /// 3(b) and 3(c) delete it with the rest of the shard names
     /// (DESIGN.md §13).
     #[allow(clippy::too_many_arguments)] // mirrors `start` plus the shard names
     pub fn start_sharded(

@@ -49,5 +49,5 @@ pub use dtnflow_obs::{NoopSink, Recorder, SimEvent, TraceSink};
 // The inert shard names stay re-exported only because the benchmark
 // adapter still builds a `ShardPlan` and `ShardExec` for
 // `SimSession::start_sharded` and wraps `Router::on_time_unit_sharded`
-// (DESIGN.md §13); ROADMAP items 1(b) and 2 delete them together.
+// (DESIGN.md §13); ROADMAP items 3(b) and 3(c) delete them together.
 pub use dtnflow_shard::{ShardExec, ShardPlan, Sharding};

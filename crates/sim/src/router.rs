@@ -63,7 +63,7 @@ pub trait Router {
     /// boundary comes through here, and the default ignores the inert
     /// `shards` and calls `on_time_unit`. No router in the workspace
     /// overrides it. It stays because the benchmark adapter's timing
-    /// wrapper still overrides it; ROADMAP items 1(b) and 2 delete it
+    /// wrapper still overrides it; ROADMAP items 3(b) and 3(c) delete it
     /// with the rest of the shard names (DESIGN.md §13).
     fn on_time_unit_sharded(&mut self, world: &mut World, unit: u64, shards: &Sharding<'_>) {
         let _ = shards;

@@ -15,13 +15,12 @@
 //! sit in no container.
 
 use crate::store::PacketStore;
-use dtnflow_core::config::{SimConfig, PACKET_SIZE};
-use dtnflow_core::deadline::DeadlineQueue;
+use dtnflow_core::config::SimConfig;
 use dtnflow_core::dense::DenseSet;
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
 use dtnflow_core::metrics::RunMetrics;
 use dtnflow_core::packet::{Packet, PacketLoc};
-use dtnflow_core::time::SimTime;
+use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_obs::{LossKind, Place, SimEvent, TraceSink};
 use dtnflow_snapshot::{Codec, Reader, SnapshotError, Writer};
 
@@ -101,10 +100,6 @@ pub struct World {
     // detlint: allow(S1, reason = "run input, not state: decode_state receives the same SimConfig the run started with")
     cfg: SimConfig,
     now: SimTime,
-    // detlint: allow(S1, reason = "network dimension, supplied to decode_state and cross-checked against the snapshot")
-    num_nodes: usize,
-    // detlint: allow(S1, reason = "network dimension, supplied to decode_state and cross-checked against the snapshot")
-    num_landmarks: usize,
     packets: Vec<Packet>,
     node_store: Vec<PacketStore>,
     station_store: Vec<PacketStore>,
@@ -132,16 +127,12 @@ pub struct World {
     /// (fault injection; `true` outside fault runs). Routers must skip
     /// predictor/history learning when this is `false`.
     visit_recorded: bool,
-    /// Packet deadlines in a sorted deadline queue (DESIGN.md §14).
-    /// Every created non-stillborn packet is filed once at creation
-    /// under `(deadline, id)`; purges pop due entries instead of
-    /// scanning all packets. Because every packet shares `cfg.ttl`,
-    /// deadlines are non-decreasing in packet id, so each push is an
-    /// append and the `(deadline, id)` drain order IS the ascending-id
-    /// order the old scan produced. Entries of packets that died early
-    /// (delivered, lost, expired on touch) stay filed and are skipped
-    /// when drained.
-    expiry: DeadlineQueue,
+    /// The first packet id the expiry purge has not yet passed
+    /// (DESIGN.md §14). Every packet shares `cfg.ttl` and packets are
+    /// created in time order, so deadlines never decrease with id and
+    /// the packet table is itself the expiry schedule: a purge walks
+    /// forward from here while the packet under the cursor is due.
+    expiry_cursor: usize,
     /// Timers requested by the router, drained by the engine.
     pub(crate) pending_timers: Vec<(SimTime, u64)>,
     /// Attached observability sink (`None` = tracing disabled; event
@@ -179,13 +170,12 @@ impl World {
             });
         }
         let radio_budget = cfg.radio_budget_per_unit.map(|b| vec![b; num_landmarks]);
+        let per_node = cfg.packets_per_node() as usize;
         Ok(World {
             now: SimTime::ZERO,
-            num_nodes,
-            num_landmarks,
             packets: Vec::new(),
             node_store: (0..num_nodes)
-                .map(|_| PacketStore::bounded(cfg.node_memory))
+                .map(|_| PacketStore::bounded(per_node))
                 .collect(),
             station_store: (0..num_landmarks)
                 .map(|_| PacketStore::unbounded())
@@ -200,7 +190,7 @@ impl World {
             node_failed: vec![false; num_nodes],
             awaiting_recovery: vec![None; num_landmarks],
             visit_recorded: true,
-            expiry: DeadlineQueue::new(),
+            expiry_cursor: 0,
             pending_timers: Vec::new(),
             trace: None,
             cfg,
@@ -222,17 +212,31 @@ impl World {
 
     /// Number of mobile nodes.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.node_loc.len()
     }
 
     /// Number of landmarks.
     pub fn num_landmarks(&self) -> usize {
-        self.num_landmarks
+        self.station_store.len()
     }
 
     /// Immutable view of a packet.
     pub fn packet(&self, id: PacketId) -> &Packet {
         &self.packets[id.index()]
+    }
+
+    /// A packet's remaining lifetime at the current time. Every packet of
+    /// a run lives `cfg.ttl` from its creation; this is zero exactly
+    /// once that has elapsed.
+    #[inline]
+    pub fn remaining_ttl(&self, pkt: PacketId) -> SimDuration {
+        (self.packets[pkt.index()].created + self.cfg.ttl).since(self.now)
+    }
+
+    /// Whether a packet's TTL has elapsed at the current time.
+    #[inline]
+    fn is_expired(&self, pkt: PacketId) -> bool {
+        self.remaining_ttl(pkt) == SimDuration::ZERO
     }
 
     /// The landmark a node is currently associated with.
@@ -250,14 +254,14 @@ impl World {
         self.node_store[node.index()].iter()
     }
 
-    /// Free bytes in a node's memory.
-    pub fn node_free_bytes(&self, node: NodeId) -> u64 {
-        self.node_store[node.index()].free_bytes()
+    /// Packets that still fit in a node's memory.
+    pub fn node_free_slots(&self, node: NodeId) -> usize {
+        self.node_store[node.index()].free_slots()
     }
 
     /// Whether one more packet fits in a node's memory.
     pub fn node_has_space(&self, node: NodeId) -> bool {
-        self.node_store[node.index()].fits(PACKET_SIZE)
+        self.node_store[node.index()].free_slots() > 0
     }
 
     /// Packets stored at a station, ascending by id.
@@ -384,7 +388,7 @@ impl World {
         if from_station && !self.station_up[to_lm.index()] {
             return Err(TransferError::StationDown);
         }
-        if !self.node_store[to.index()].fits(PACKET_SIZE) {
+        if !self.node_has_space(to) {
             return Err(TransferError::NoSpace);
         }
         if from_station {
@@ -392,10 +396,10 @@ impl World {
             self.note_station_activity(to_lm);
         }
         let from = self.take_out(pkt).ok_or(TransferError::NotLive)?;
-        // Invariant: `fits` was checked above and nothing touched the
-        // store since, so the insert cannot be refused.
+        // Invariant: `node_has_space` was checked above and nothing
+        // touched the store since, so the insert cannot be refused.
         assert!(
-            self.node_store[to.index()].insert(pkt, PACKET_SIZE),
+            self.node_store[to.index()].insert(pkt),
             "node store refused an insert that fit"
         );
         let p = &mut self.packets[pkt.index()];
@@ -499,11 +503,11 @@ impl World {
                 Some(Place::Pending(l))
             }
             PacketLoc::OnNode(n) => {
-                self.node_store[n.index()].remove(pkt, PACKET_SIZE);
+                self.node_store[n.index()].remove(pkt);
                 Some(Place::Node(n))
             }
             PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, PACKET_SIZE);
+                self.station_store[l.index()].remove(pkt);
                 Some(Place::Station(l))
             }
             _ => None,
@@ -537,7 +541,7 @@ impl World {
         p.loc = PacketLoc::AtStation(lm);
         // Invariant: station stores are unbounded, inserts never fail.
         assert!(
-            self.station_store[lm.index()].insert(pkt, PACKET_SIZE),
+            self.station_store[lm.index()].insert(pkt),
             "unbounded station store refused an insert"
         );
         loop_closed
@@ -546,11 +550,10 @@ impl World {
     // ---- engine-side mutations (crate-private) ----------------------------
 
     fn check_live(&mut self, pkt: PacketId) -> Result<(), TransferError> {
-        let p = &self.packets[pkt.index()];
-        if !p.loc.is_live() {
+        if !self.packets[pkt.index()].loc.is_live() {
             return Err(TransferError::NotLive);
         }
-        if p.is_expired_at(self.now) {
+        if self.is_expired(pkt) {
             self.expire_packet(pkt);
             return Err(TransferError::Expired);
         }
@@ -712,13 +715,11 @@ impl World {
             "packets must cross subareas"
         );
         let id = PacketId::from(self.packets.len());
-        let mut p = Packet::new(id, src, dst, self.now, self.cfg.ttl);
+        let mut p = Packet::new(id, src, dst, self.now);
         p.dst_node = dst_node;
-        let deadline = p.deadline();
-        // The expiry queue's (deadline, id) drain order equals ascending
-        // id only while deadlines are non-decreasing in id: shared ttl +
-        // monotone creation times. Guard the invariant the purge order
-        // rests on.
+        // The purge walks the table in id order and stops at the first
+        // packet not yet due, which is sound only while deadlines never
+        // decrease with id: one shared ttl and monotone creation times.
         debug_assert!(
             self.packets.last().is_none_or(|q| q.created <= p.created),
             "packet creation times must be non-decreasing"
@@ -746,10 +747,7 @@ impl World {
             dst,
             start,
         });
-        if start.is_some() {
-            self.expiry
-                .push(deadline.secs(), id.index() as u64, id.index() as u64);
-        } else {
+        if start.is_none() {
             self.emit(|at| SimEvent::PacketLost {
                 at,
                 pkt: id,
@@ -772,20 +770,19 @@ impl World {
 
     /// Drop every live packet whose TTL has elapsed.
     ///
-    /// Pops the due expiry entries instead of scanning all packets:
-    /// they arrive in `(deadline, id)` order — equal to the ascending-id
-    /// order of the scan this replaces, since deadlines are
-    /// non-decreasing in id (see `create_packet`) — and the due
-    /// condition `deadline <= now` is exactly `Packet::is_expired_at`.
-    /// Entries whose packet already died (delivered, lost, expired on
-    /// touch) are skipped, mirroring the old scan's `is_live` filter.
+    /// Walks the packet table from the expiry cursor and stops at the
+    /// first packet not yet due. Deadlines never decrease with id (see
+    /// `create_packet`), so this visits the due packets in ascending id
+    /// order and never revisits one. Packets that already died
+    /// (delivered, lost, expired on touch) are passed over.
     pub(crate) fn purge_expired(&mut self) {
-        let now = self.now.secs();
-        while let Some(e) = self.expiry.pop_due(now) {
-            let pkt = PacketId::from(e.payload as usize);
-            if self.packets[pkt.index()].loc.is_live() {
-                self.expire_packet(pkt);
+        while self.expiry_cursor < self.packets.len() {
+            let pkt = PacketId::from(self.expiry_cursor);
+            if !self.is_expired(pkt) {
+                break;
             }
+            self.expiry_cursor += 1;
+            self.expire_packet(pkt);
         }
     }
 
@@ -802,11 +799,10 @@ impl World {
                 .iter()
                 .filter(|&p| self.packets[p.index()].dst == lm),
         );
-        let now = self.now;
         for &pkt in &here {
             // The TTL may have lapsed since the last purge: that packet
             // is a drop, not a delivery.
-            if self.packets[pkt.index()].is_expired_at(now) {
+            if self.is_expired(pkt) {
                 self.expire_packet(pkt);
                 continue;
             }
@@ -822,17 +818,19 @@ impl World {
     }
 
     /// Checkpoint encoding (DESIGN.md §11): every observable field in
-    /// declaration order. Excluded by design: the config and network sizes
-    /// (supplied again on restore and fingerprint-checked at the snapshot
-    /// level), `scratch_pkts` (always cleared before use), `present`
+    /// declaration order, each store as its members alone. Excluded by
+    /// design: the config (supplied again on restore and
+    /// fingerprint-checked at the snapshot level; store capacities come
+    /// from it), `scratch_pkts` (always cleared before use), `present`
     /// (derivable from `node_loc`), and the trace sink (checkpointed
     /// separately so the engine can order the `CheckpointWritten` event
     /// before the recorder bytes are captured).
     pub fn encode_state(&self, w: &mut Writer) {
         self.now.encode(w);
         self.packets.encode(w);
-        self.node_store.encode(w);
-        self.station_store.encode(w);
+        for stores in [&self.node_store, &self.station_store] {
+            w.put_seq(stores.len(), stores.iter(), |w, s| s.members().encode(w));
+        }
         self.pending.encode(w);
         self.node_loc.encode(w);
         self.metrics.encode(w);
@@ -841,29 +839,34 @@ impl World {
         self.node_failed.encode(w);
         self.awaiting_recovery.encode(w);
         self.visit_recorded.encode(w);
-        self.expiry.encode(w);
+        self.expiry_cursor.encode(w);
         self.pending_timers.encode(w);
     }
 
     /// Inverse of [`World::encode_state`]. The config and network sizes
     /// come from the caller (re-derived from the run inputs); per-node and
-    /// per-landmark vector lengths must match them. `present` is rebuilt
-    /// from `node_loc` by an ascending node scan, which reproduces the
-    /// exact `DenseSet` contents incremental arrivals would have built.
+    /// per-landmark vector lengths must match them, and store capacities
+    /// are the config's. `present` is rebuilt from `node_loc` by an
+    /// ascending node scan, which reproduces the exact `DenseSet`
+    /// contents incremental arrivals would have built.
     pub fn decode_state(
         r: &mut Reader<'_>,
         cfg: SimConfig,
         num_nodes: usize,
         num_landmarks: usize,
     ) -> Result<World, SnapshotError> {
+        let node_capacity = cfg.packets_per_node() as usize;
+        let stores = |sets: Vec<DenseSet<PacketId>>, capacity| -> Vec<PacketStore> {
+            sets.into_iter()
+                .map(|set| PacketStore::with_members(capacity, set))
+                .collect()
+        };
         let mut world = World {
             cfg,
             now: Codec::decode(r)?,
-            num_nodes,
-            num_landmarks,
             packets: Codec::decode(r)?,
-            node_store: Codec::decode(r)?,
-            station_store: Codec::decode(r)?,
+            node_store: stores(Codec::decode(r)?, Some(node_capacity)),
+            station_store: stores(Codec::decode(r)?, None),
             pending: Codec::decode(r)?,
             scratch_pkts: Vec::new(),
             node_loc: Codec::decode(r)?,
@@ -874,7 +877,7 @@ impl World {
             node_failed: Codec::decode(r)?,
             awaiting_recovery: Codec::decode(r)?,
             visit_recorded: Codec::decode(r)?,
-            expiry: Codec::decode(r)?,
+            expiry_cursor: Codec::decode(r)?,
             pending_timers: Codec::decode(r)?,
             trace: None,
         };
@@ -892,9 +895,15 @@ impl World {
             && w.packets.iter().enumerate().all(|(i, p)| p.id.index() == i)
             && w.node_loc.iter().flatten().all(|lm| lm.index() < num_landmarks)
             && w.radio_budget.is_some() == w.cfg.radio_budget_per_unit.is_some()
-            // Expiry payloads are packet ids: one naming a packet that does
-            // not exist would panic the next purge.
-            && w.expiry.iter().all(|e| e.payload < w.packets.len() as u64);
+            && w.node_store.iter().all(|s| s.len() <= node_capacity)
+            // The purge walks ids from the cursor and stops at the first
+            // packet not yet due: the cursor must lie within the table,
+            // nothing below it may be live, and creation times (so
+            // deadlines) must not decrease with id.
+            && w.packets
+                .get(..w.expiry_cursor)
+                .is_some_and(|passed| passed.iter().all(|p| !p.loc.is_live()))
+            && w.packets.windows(2).all(|p| p[0].created <= p[1].created);
         if !valid {
             return Err(SnapshotError::Corrupt { context: "World" });
         }
@@ -1090,22 +1099,56 @@ mod tests {
         assert!((w.metrics().maintenance_ops - 2.0).abs() < 1e-12);
     }
 
+    /// Each state the expiry walk or a store capacity cannot hold is a
+    /// typed `Corrupt` on decode, not a panic or a wrong purge later.
     #[test]
-    fn decode_rejects_an_expiry_entry_naming_a_missing_packet() {
-        let mut w = world();
-        let p = w.create_packet(lm(0), lm(1), None, false);
+    fn decode_rejects_a_packet_table_the_purge_cannot_walk() {
         let decode = |w: &World| {
             let mut buf = Writer::new();
             w.encode_state(&mut buf);
             let bytes = buf.into_bytes();
             World::decode_state(&mut Reader::new(&bytes), w.config().clone(), 3, 3).map(|_| ())
         };
+        let corrupt = Err(SnapshotError::Corrupt { context: "World" });
+        let built = || {
+            let mut w = world();
+            w.create_packet(lm(0), lm(1), None, false);
+            w.set_now(SimTime(100));
+            w.create_packet(lm(0), lm(2), None, false);
+            w
+        };
+        assert_eq!(decode(&built()), Ok(()));
+
+        // A cursor past the table: the purge would pass over the next
+        // packet created without ever expiring it.
+        let mut w = built();
+        w.expiry_cursor = 3;
+        assert_eq!(decode(&w), corrupt);
+
+        // Creation times going backwards: the walk would stop at the
+        // later packet and miss the earlier deadline behind it.
+        let mut w = built();
+        w.packets[1].created = SimTime::ZERO;
         assert_eq!(decode(&w), Ok(()));
-        // A later entry naming packet 999 of 1: without the check the
-        // world decodes and the next purge indexes past `packets`.
-        let deadline = w.packet(p).deadline().secs();
-        w.expiry.push(deadline + 1, 999, 999);
-        assert_eq!(decode(&w), Err(SnapshotError::Corrupt { context: "World" }));
+        w.packets[0].created = SimTime(101);
+        assert_eq!(decode(&w), corrupt);
+
+        // A live packet the cursor has already passed would never expire.
+        let mut w = built();
+        w.expiry_cursor = 1;
+        assert_eq!(decode(&w), corrupt);
+        w.packets[0].loc = PacketLoc::Expired;
+        w.pending[0].remove(PacketId(0));
+        assert_eq!(decode(&w), Ok(()));
+
+        // Three packets in a two-packet node memory.
+        let mut w = built();
+        let mut over = PacketStore::unbounded();
+        for i in 0..3 {
+            over.insert(PacketId(i));
+        }
+        w.node_store[0] = over;
+        assert_eq!(decode(&w), corrupt);
     }
 
     #[test]
@@ -1123,12 +1166,14 @@ mod tests {
 
     /// The custody rule of the module doc: every live packet sits in
     /// exactly the container its `loc` names and terminal packets in
-    /// none; store bytes match their counts; the metrics count every
-    /// packet in exactly one state and every hop as one forwarding op.
+    /// none; no node store is over its capacity; no packet the expiry
+    /// cursor has passed is live; the metrics count every packet in
+    /// exactly one state and every hop as one forwarding op.
     fn assert_custody(w: &World) {
-        for store in w.node_store.iter().chain(&w.station_store) {
-            assert_eq!(store.used_bytes(), store.len() as u64 * PACKET_SIZE);
-        }
+        let capacity = w.cfg.packets_per_node() as usize;
+        assert!(w.node_store.iter().all(|s| s.len() <= capacity));
+        let passed = &w.packets[..w.expiry_cursor];
+        assert!(passed.iter().all(|p| !p.loc.is_live()), "live below cursor");
         for p in &w.packets {
             let pkt = p.id;
             let holders = w.pending.iter().filter(|s| s.contains(pkt)).count()
@@ -1293,6 +1338,34 @@ mod tests {
                 }
                 assert_custody(&w);
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The deadline rule `created + cfg.ttl`: `remaining_ttl` counts
+        /// down to it and is zero exactly once it has passed, which is
+        /// when a purge expires the packet.
+        #[test]
+        fn remaining_ttl_reaches_zero_exactly_at_the_deadline(
+            created in 0u64..1u64 << 40,
+            ttl in 1u64..1u64 << 30,
+            age in 0u64..1u64 << 31,
+        ) {
+            let cfg = SimConfig {
+                ttl: SimDuration::from_secs(ttl),
+                ..SimConfig::default()
+            };
+            let mut w = World::new(cfg, 1, 2);
+            w.set_now(SimTime(created));
+            let p = w.create_packet(lm(0), lm(1), None, true);
+            proptest::prop_assert_eq!(w.remaining_ttl(p), SimDuration::from_secs(ttl));
+            w.set_now(SimTime(created + age));
+            let remaining = w.remaining_ttl(p);
+            proptest::prop_assert_eq!(remaining.secs(), ttl.saturating_sub(age));
+            w.purge_expired();
+            let expired = w.packet(p).loc == PacketLoc::Expired;
+            proptest::prop_assert_eq!(expired, remaining == SimDuration::ZERO);
+            proptest::prop_assert_eq!(w.expiry_cursor, usize::from(expired));
         }
     }
 }

@@ -18,6 +18,7 @@ fn light_cfg() -> SimConfig {
 /// injected fault, or still live somewhere; counts reconcile with the
 /// metrics.
 fn assert_conservation(outcome: &SimOutcome) {
+    let ttl = light_cfg().ttl;
     let m = &outcome.metrics;
     let mut delivered = 0u64;
     let mut expired = 0u64;
@@ -29,7 +30,7 @@ fn assert_conservation(outcome: &SimOutcome) {
                 delivered += 1;
                 assert!(at >= p.created, "delivery before creation");
                 assert!(
-                    at.since(p.created) <= p.ttl,
+                    at.since(p.created) <= ttl,
                     "delivered after TTL: {:?}",
                     p.id
                 );

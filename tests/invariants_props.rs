@@ -55,7 +55,7 @@ fn prop_cfg(ttl_secs: u64, rate: f64) -> SimConfig {
     }
 }
 
-fn check_invariants(outcome: &SimOutcome, name: &str) {
+fn check_invariants(outcome: &SimOutcome, ttl: SimDuration, name: &str) {
     let m = &outcome.metrics;
     let mut delivered = 0u64;
     let mut expired = 0u64;
@@ -67,7 +67,7 @@ fn check_invariants(outcome: &SimOutcome, name: &str) {
                 delivered += 1;
                 // Delivery within TTL and after creation.
                 prop_assert_eq_like(at >= p.created, name, "delivered before created");
-                prop_assert_eq_like(at.since(p.created) <= p.ttl, name, "delivered after TTL");
+                prop_assert_eq_like(at.since(p.created) <= ttl, name, "delivered after TTL");
             }
             PacketLoc::Expired => expired += 1,
             PacketLoc::Lost => lost += 1,
@@ -118,7 +118,7 @@ proptest! {
             trace.num_landmarks(),
         );
         let outcome = RunSpec::new(&trace, &cfg).run(&mut router);
-        check_invariants(&outcome, "FLOW");
+        check_invariants(&outcome, cfg.ttl, "FLOW");
     }
 
     #[test]
@@ -136,7 +136,7 @@ proptest! {
             _ => Box::new(UtilityRouter::new(SimBet::new(n, l))),
         };
         let outcome = RunSpec::new(&trace, &cfg).run(router.as_mut());
-        check_invariants(&outcome, router.name());
+        check_invariants(&outcome, cfg.ttl, router.name());
     }
 
     #[test]
@@ -194,7 +194,7 @@ proptest! {
             prop_assert!(pa.visited == pb.visited);
             prop_assert!(pa.hops == pb.hops);
         }
-        check_invariants(&a, "FLOW+faults");
+        check_invariants(&a, cfg.ttl, "FLOW+faults");
     }
 
     #[test]
@@ -253,7 +253,7 @@ proptest! {
             trace.num_landmarks(),
         );
         let outcome = RunSpec::new(&trace, &cfg).faults(&plan).run(&mut router);
-        check_invariants(&outcome, "FLOW+heavy-faults");
+        check_invariants(&outcome, cfg.ttl, "FLOW+heavy-faults");
     }
 
     #[test]
